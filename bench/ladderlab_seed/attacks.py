@@ -1,0 +1,390 @@
+"""Fault-injection attack protocols against the exponentiation and ECC ladders.
+
+Three attacker capabilities are modeled:
+
+1. Register faults only: safe-error probing.  Against the non-coupled
+   always-multiply variant every key bit leaks; against half-coupled
+   ladders only the trailing constant run of bits (plus the bit that ends
+   it) leaks; against fully-coupled ladders a fault disturbs both outputs
+   regardless of the bit, so the comparisons carry no information.
+2. Register faults plus key stuck-at faults: a descending scan that pins
+   every later bit to a known constant before probing, recovering the
+   whole key from any half-coupled ladder.
+3. Key stuck-at faults alone: differential comparison of two stuck-at
+   thresholds, recovering every bit that influences the output, against
+   any ladder.
+
+Attack code sees the secret only through an ExecutionOracle; whether a
+recovered bit matches the true key is computed by the evaluation harness,
+never inside the attack.
+"""
+
+import random
+from dataclasses import dataclass, replace
+
+from .ecc import (
+    Curve,
+    EccLadderParams,
+    Point,
+    find_small_curve,
+    fully_params,
+    random_point,
+    run_ecc_algorithm,
+    semi_params,
+)
+from .errors import Coincidence
+from .faults import FaultPlan, RegisterFault
+from .ladders import as_key
+from .modexp import LadderConstants, MaskPolicy, find_ladder_constant, run_exp_algorithm
+
+RETRY_BUDGET = 8
+INPUT_POOL = 16
+
+
+class ExecutionOracle:
+    """Runs the target with attacker-chosen inputs and fault plan.
+
+    Readability of the two outputs is an explicit capability: an
+    unreadable register comes back as None.  The wrapped closure owns the
+    secret key; nothing else about it is exposed.
+    """
+
+    def __init__(self, run, nbits, sample_input, readable=("x", "y")):
+        self._run = run
+        self.nbits = nbits
+        self.readable = frozenset(readable)
+        self.sample_input = sample_input
+        self.calls = 0
+
+    def exe(self, x_init=None, y_init=None, plan: FaultPlan | None = None):
+        self.calls += 1
+        x, y = self._run(x_init, y_init, plan)
+        return (
+            x if "x" in self.readable else None,
+            y if "y" in self.readable else None,
+        )
+
+
+def make_exp_oracle(
+    algo: str,
+    a: int,
+    n: int,
+    key,
+    *,
+    seed: int = 0,
+    readable=("x", "y"),
+    mask: MaskPolicy | None = None,
+    constants: LadderConstants | None = None,
+) -> ExecutionOracle:
+    """Oracle around one of the exponentiation variants, key captured inside."""
+    bits = as_key(key)
+    rng = random.Random(seed)
+    if algo == "fully" and constants is None:
+        constants = find_ladder_constant(a, n, rng)
+    if algo == "semi" and mask is None:
+        mask = MaskPolicy.fresh()
+
+    def run(x_init, y_init, plan):
+        return run_exp_algorithm(
+            algo, a, bits, n,
+            x0=x_init, y0=y_init, plan=plan, constants=constants, mask=mask, rng=rng,
+        )
+
+    def sample_input(r):
+        return r.randrange(1, n), r.randrange(1, n)
+
+    return ExecutionOracle(run, len(bits), sample_input, readable)
+
+
+def make_ecc_oracle(
+    algo: str,
+    curve: Curve,
+    A: Point,
+    key,
+    *,
+    params: EccLadderParams | None = None,
+    seed: int = 0,
+    readable=("x", "y"),
+    fresh_coef: bool = False,
+) -> ExecutionOracle:
+    """Oracle around one of the scalar-multiplication ladders."""
+    bits = as_key(key)
+    rng = random.Random(seed)
+    order = curve.subgroup_order
+    if params is None:
+        if algo == "semi":
+            params = semi_params(3, order)
+        elif algo == "fully":
+            params = fully_params(3, order)
+
+    def run(x_init, y_init, plan):
+        return run_ecc_algorithm(
+            algo, curve, A, bits,
+            params=params, fresh_coef=fresh_coef, rng=rng,
+            x0=x_init, y0=y_init, plan=plan,
+        )
+
+    def sample_input(r):
+        return random_point(curve, r), random_point(curve, r)
+
+    return ExecutionOracle(run, len(bits), sample_input, readable)
+
+
+@dataclass(frozen=True)
+class AttackReport:
+    """Per-iteration recovered bits: 0, 1, or None for unknown.
+
+    matches_true_key stays None inside the attacker boundary; only
+    evaluate_report fills it in.
+    """
+
+    recovered: tuple
+    oracle_calls: int
+    matches_true_key: tuple | None = None
+
+    def claimed(self) -> int:
+        return sum(1 for b in self.recovered if b is not None)
+
+
+def evaluate_report(report: AttackReport, true_key) -> AttackReport:
+    """Harness-side scoring; the only place the true key meets a report."""
+    bits = as_key(true_key).bits
+    matches = tuple(
+        None if r is None else (r == b) for r, b in zip(report.recovered, bits)
+    )
+    return replace(report, matches_true_key=matches)
+
+
+def _fault(target: str, iteration: int, rng: random.Random) -> RegisterFault:
+    return RegisterFault(target, iteration, seed=rng.getrandbits(64))
+
+
+def _probe_differs(oracle, base_plan, target, iteration, read_idx, rng, attempts):
+    """True iff faulting `target` before `iteration` can change the read output.
+
+    The no-change direction is deterministic (the fault provably never
+    reaches the read register), so one clean run is compared against up to
+    `attempts` fresh faulted runs; any difference settles the probe.
+    """
+    clean = oracle.exe(plan=base_plan)
+    for _ in range(attempts):
+        faults = base_plan.register_faults + (_fault(target, iteration, rng),)
+        faulted = oracle.exe(plan=replace(base_plan, register_faults=faults))
+        if faulted[read_idx] != clean[read_idx]:
+            return True
+    return False
+
+
+def attack1_safe_error_nonladder(
+    oracle: ExecutionOracle, rng: random.Random | None = None, attempts: int = RETRY_BUDGET
+) -> AttackReport:
+    """Safe-error probing of the always-multiply variant: every bit leaks.
+
+    The dummy register receives the multiplier output whenever the bit is
+    0, so a fault there alters the final x only when the bit is 1.
+    """
+    if "x" not in oracle.readable:
+        raise ValueError("this attack reads the x output")
+    rng = rng or random.Random(0)
+    start = oracle.calls
+    recovered = []
+    empty = FaultPlan()
+    for i in range(1, oracle.nbits + 1):
+        recovered.append(1 if _probe_differs(oracle, empty, "y", i, 0, rng, attempts) else 0)
+    return AttackReport(tuple(recovered), oracle.calls - start)
+
+
+def _scan_trailing(oracle, probe_target, read_idx, equal_bit, rng, attempts):
+    """Scan bits from the last iteration downward while they equal `equal_bit`.
+
+    Faulting the opposite register leaves the read output unchanged
+    exactly while the bit equals `equal_bit`; the first flip is recorded
+    and ends the scan, because past it the fault reaches both registers
+    for either bit value.
+    """
+    found = {}
+    empty = FaultPlan()
+    for i in range(oracle.nbits, 0, -1):
+        if _probe_differs(oracle, empty, probe_target, i, read_idx, rng, attempts):
+            found[i] = 1 - equal_bit
+            break
+        found[i] = equal_bit
+    return found
+
+
+def attack1_trailing_bits(
+    oracle: ExecutionOracle,
+    readable: str = "both",
+    rng: random.Random | None = None,
+    attempts: int = RETRY_BUDGET,
+) -> AttackReport:
+    """Safe-error probing of a half-coupled ladder: only trailing bits leak.
+
+    Reading x supports scanning a trailing run of 0s (ended by one 1);
+    reading y supports scanning a trailing run of 1s (ended by one 0).
+    With both outputs the two views are merged; on a fully-coupled target
+    they contradict each other at the last bit and nothing is claimed.
+    """
+    want = {"x": ("x",), "y": ("y",), "both": ("x", "y")}[readable]
+    missing = set(want) - oracle.readable
+    if missing:
+        raise ValueError(f"oracle cannot read {sorted(missing)}")
+    rng = rng or random.Random(0)
+    start = oracle.calls
+    views = []
+    if "x" in want:
+        # fault y, watch x: unchanged x means the fault stayed in y (bit 0)
+        views.append(_scan_trailing(oracle, "y", 0, 0, rng, attempts))
+    if "y" in want:
+        # fault x, watch y: unchanged y means the fault stayed in x (bit 1)
+        views.append(_scan_trailing(oracle, "x", 1, 1, rng, attempts))
+    recovered = [None] * oracle.nbits
+    for i in range(1, oracle.nbits + 1):
+        values = {v[i] for v in views if i in v}
+        if len(values) == 1:
+            recovered[i - 1] = values.pop()
+    return AttackReport(tuple(recovered), oracle.calls - start)
+
+
+def attack2_semi(
+    oracle: ExecutionOracle, rng: random.Random | None = None, attempts: int = RETRY_BUDGET
+) -> AttackReport:
+    """Descending stuck-at scan that breaks any half-coupled ladder completely.
+
+    Walking i from the last iteration to the first, all later bits are
+    pinned to the value of the bit just recovered, which keeps the fault
+    confined to one register: pinned-0 tails never move a y fault into x,
+    pinned-1 tails never move an x fault into y.  The state machine flips
+    whenever the watched output changes.
+    """
+    if not {"x", "y"} <= oracle.readable:
+        raise ValueError("this attack reads both outputs")
+    rng = rng or random.Random(0)
+    start = oracle.calls
+    recovered = [None] * oracle.nbits
+    fix = 0  # 1 while probing inside a pinned-1 tail
+    for i in range(oracle.nbits, 0, -1):
+        if fix:
+            base = FaultPlan(key_stuckat=(i, 1))
+            if not _probe_differs(oracle, base, "x", i, 1, rng, attempts):
+                recovered[i - 1] = 1
+            else:
+                recovered[i - 1] = 0
+                fix = 0
+        else:
+            base = FaultPlan(key_stuckat=(i, 0))
+            if not _probe_differs(oracle, base, "y", i, 0, rng, attempts):
+                recovered[i - 1] = 0
+            else:
+                recovered[i - 1] = 1
+                fix = 1
+    return AttackReport(tuple(recovered), oracle.calls - start)
+
+
+def attack3_stuckat(
+    oracle: ExecutionOracle,
+    rng: random.Random | None = None,
+    pool_size: int = INPUT_POOL,
+) -> AttackReport:
+    """Ascending stuck-at differential: works against every ladder kind.
+
+    Bit i+1 is read off by comparing runs whose stuck-at thresholds differ
+    by one position: if pinning from i versus i+1 changes any readable
+    output under the all-0 hypothesis the bit is 1, under the all-1
+    hypothesis it is 0.  When both hypotheses collide the inputs are
+    swapped for fresh ones; a bit no input can resolve is left unknown
+    (it does not influence the result).
+    """
+    rng = rng or random.Random(0)
+    start = oracle.calls
+    recovered = [None] * oracle.nbits
+    inputs = [(None, None)] + [oracle.sample_input(rng) for _ in range(pool_size - 1)]
+    for i in range(oracle.nbits):
+        for x0, y0 in inputs:
+            out_i = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i, 0)))
+            out_next = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i + 1, 0)))
+            if out_i != out_next:
+                recovered[i] = 1
+                break
+            out_i = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i, 1)))
+            out_next = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i + 1, 1)))
+            if out_i != out_next:
+                recovered[i] = 0
+                break
+    return AttackReport(tuple(recovered), oracle.calls - start)
+
+
+def fault_propagation_probe(
+    traced_run,
+    register: str,
+    iteration: int,
+    rng: random.Random | None = None,
+    attempts: int = RETRY_BUDGET,
+) -> set:
+    """Registers whose snapshot after `iteration` differs once `register` is faulted.
+
+    traced_run(plan) must return a Trace.  Retries with fresh fault values
+    when nothing changed downstream; raises Coincidence past the budget.
+    """
+    if register not in ("x", "y"):
+        raise ValueError("register must be 'x' or 'y'")
+    rng = rng or random.Random(0)
+    clean = traced_run(None)
+    for _ in range(attempts):
+        plan = FaultPlan(register_faults=(_fault(register, iteration, rng),))
+        faulted = traced_run(plan)
+        diff = set()
+        if faulted.xs[iteration] != clean.xs[iteration]:
+            diff.add("x")
+        if faulted.ys[iteration] != clean.ys[iteration]:
+            diff.add("y")
+        if diff:
+            return diff
+    raise Coincidence(
+        f"fault on {register} at iteration {iteration} never propagated in {attempts} tries"
+    )
+
+
+EXP_TARGETS = ("sma", "montgomery", "semi", "fully")
+ECC_TARGETS = ("ecc-semi", "ecc-fully")
+
+
+def make_oracle_for_target(
+    target: str,
+    key,
+    *,
+    seed: int = 0,
+    readable=("x", "y"),
+    a: int = 7,
+    n: int = 1_000_003,
+    curve_bundle=None,
+) -> ExecutionOracle:
+    """Build the standard oracle used by the CLI and the evaluation harness."""
+    if target in EXP_TARGETS:
+        return make_exp_oracle(target, a, n, key, seed=seed, readable=readable)
+    if target in ECC_TARGETS:
+        if curve_bundle is None:
+            curve_bundle = find_small_curve()
+        curve, A, _ = curve_bundle
+        algo = target.split("-", 1)[1]
+        return make_ecc_oracle(algo, curve, A, key, seed=seed, readable=readable)
+    raise ValueError(f"unknown target {target!r}")
+
+
+def run_attack(
+    model: int,
+    target: str,
+    oracle: ExecutionOracle,
+    rng: random.Random,
+    readable: str = "both",
+) -> AttackReport:
+    """Dispatch the protocol for `model`; model 1 picks its variant by target kind."""
+    if model == 1:
+        if target == "sma":
+            return attack1_safe_error_nonladder(oracle, rng)
+        return attack1_trailing_bits(oracle, readable, rng)
+    if model == 2:
+        return attack2_semi(oracle, rng)
+    if model == 3:
+        return attack3_stuckat(oracle, rng)
+    raise ValueError("model must be 1, 2 or 3")

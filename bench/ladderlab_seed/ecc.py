@@ -1,0 +1,441 @@
+"""Short-Weierstrass curves, the affine group law, and scalar-multiplication ladders.
+
+Everything runs on desk-scale curves: affine coordinates, one field
+inversion per addition, points enumerable for test oracles.  The ladder
+coefficients act on scalars modulo the order of the working subgroup.
+"""
+
+import math
+import random
+from dataclasses import dataclass
+
+from .errors import InvalidCoefficient, NotOnCurve
+from .faults import FaultPlan, effective_bit
+from .ladders import Trace, as_key
+from .modarith import is_probable_prime
+
+
+@dataclass(frozen=True)
+class Curve:
+    """y^2 = x^3 + a*x + b over the prime field F_p, p > 3."""
+
+    p: int
+    a: int
+    b: int
+    subgroup_order: int | None = None
+
+    def __post_init__(self):
+        if self.p <= 3 or not is_probable_prime(self.p):
+            raise ValueError("field characteristic must be a prime > 3")
+        if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
+            raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
+
+
+@dataclass(frozen=True)
+class Point:
+    x: int | None = None
+    y: int | None = None
+
+    @property
+    def is_infinity(self) -> bool:
+        return self.x is None
+
+
+INFINITY = Point()
+
+
+def is_on_curve(curve: Curve, P: Point) -> bool:
+    if P.is_infinity:
+        return True
+    p = curve.p
+    return (P.y * P.y - (P.x * P.x % p * P.x + curve.a * P.x + curve.b)) % p == 0
+
+
+def _require_on_curve(curve: Curve, P: Point) -> None:
+    if not is_on_curve(curve, P):
+        raise NotOnCurve(f"{P} is not on the curve")
+
+
+def point_neg(curve: Curve, P: Point) -> Point:
+    _require_on_curve(curve, P)
+    if P.is_infinity:
+        return P
+    return Point(P.x, (-P.y) % curve.p)
+
+
+def point_add(curve: Curve, P: Point, Q: Point) -> Point:
+    _require_on_curve(curve, P)
+    _require_on_curve(curve, Q)
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    p = curve.p
+    if P.x == Q.x:
+        if (P.y + Q.y) % p == 0:
+            return INFINITY
+        return point_double(curve, P)
+    lam = (Q.y - P.y) * pow(Q.x - P.x, -1, p) % p
+    x3 = (lam * lam - P.x - Q.x) % p
+    return Point(x3, (lam * (P.x - x3) - P.y) % p)
+
+
+def point_double(curve: Curve, P: Point) -> Point:
+    _require_on_curve(curve, P)
+    if P.is_infinity or P.y == 0:
+        return INFINITY
+    p = curve.p
+    lam = (3 * P.x * P.x + curve.a) * pow(2 * P.y, -1, p) % p
+    x3 = (lam * lam - 2 * P.x) % p
+    return Point(x3, (lam * (P.x - x3) - P.y) % p)
+
+
+def double_and_add(curve: Curve, k, A: Point) -> Point:
+    """Left-to-right scalar multiplication k*A; the oracle for every ladder here."""
+    _require_on_curve(curve, A)
+    bits = as_key(k).bits if not isinstance(k, int) else None
+    if bits is None:
+        if k < 0:
+            return double_and_add(curve, -k, point_neg(curve, A))
+        if k == 0:
+            return INFINITY
+        bits = as_key(k).bits
+    P = INFINITY
+    for b in bits:
+        P = point_double(curve, P)
+        if b:
+            P = point_add(curve, A, P)
+    return P
+
+
+def sqrt_mod_prime(a: int, p: int) -> int | None:
+    """Tonelli-Shanks square root modulo an odd prime; None for non-residues."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def curve_points(curve: Curve) -> list[Point]:
+    """All affine points; the group order is len(result) + 1."""
+    pts = []
+    p = curve.p
+    for x in range(p):
+        rhs = (x * x % p * x + curve.a * x + curve.b) % p
+        if rhs == 0:
+            pts.append(Point(x, 0))
+            continue
+        y = sqrt_mod_prime(rhs, p)
+        if y is not None:
+            pts.append(Point(x, y))
+            pts.append(Point(x, p - y))
+    return pts
+
+
+def curve_order(curve: Curve) -> int:
+    p = curve.p
+    count = 1
+    for x in range(p):
+        rhs = (x * x % p * x + curve.a * x + curve.b) % p
+        if rhs == 0:
+            count += 1
+        elif pow(rhs, (p - 1) // 2, p) == 1:
+            count += 2
+    return count
+
+
+def random_point(curve: Curve, rng: random.Random) -> Point:
+    """A uniformly-sampled x with a valid y; used as the fault value for registers."""
+    p = curve.p
+    while True:
+        x = rng.randrange(p)
+        rhs = (x * x % p * x + curve.a * x + curve.b) % p
+        if rhs == 0:
+            return Point(x, 0)
+        y = sqrt_mod_prime(rhs, p)
+        if y is not None:
+            return Point(x, y if rng.getrandbits(1) else p - y)
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def find_small_curve(
+    min_order: int = 80, max_order: int = 200, p_start: int = 101
+) -> tuple[Curve, Point, int]:
+    """Scan for a small curve with a prime-order subgroup in [min_order, max_order].
+
+    Deterministic: returns the first (curve, generator, order) found, verified
+    by exhaustive enumeration rather than taken on faith.
+    """
+    p = p_start
+    while p < 10 * max_order:
+        if is_probable_prime(p):
+            for b in range(1, 20):
+                for a in range(0, 8):
+                    if (4 * a**3 + 27 * b**2) % p == 0:
+                        continue
+                    curve = Curve(p, a, b)
+                    order = curve_order(curve)
+                    primes = [q for q in _prime_factors(order) if min_order <= q <= max_order]
+                    if not primes:
+                        continue
+                    n_sub = max(primes)
+                    cofactor = order // n_sub
+                    for pt in curve_points(curve):
+                        gen = double_and_add(curve, cofactor, pt)
+                        if gen.is_infinity:
+                            continue
+                        if double_and_add(curve, n_sub, gen).is_infinity:
+                            return Curve(p, a, b, subgroup_order=n_sub), gen, n_sub
+        p += 2
+    raise RuntimeError("no suitable small curve found in scan range")
+
+
+class PointOps:
+    """Point-operation tally used by the runners (adds, doublings)."""
+
+    def __init__(self, curve: Curve):
+        self.curve = curve
+        self.adds = 0
+        self.doubles = 0
+
+    def add(self, P: Point, Q: Point) -> Point:
+        self.adds += 1
+        return point_add(self.curve, P, Q)
+
+    def dbl(self, P: Point) -> Point:
+        self.doubles += 1
+        return point_double(self.curve, P)
+
+    def neg(self, P: Point) -> Point:
+        return point_neg(self.curve, P)
+
+    def cmul(self, c: int, P: Point) -> Point:
+        """Plain double-and-add for the coefficient scalar multiplications."""
+        if c < 0:
+            return self.cmul(-c, self.neg(P))
+        R = INFINITY
+        if c == 0:
+            return R
+        for b in as_key(c).bits:
+            R = self.dbl(R)
+            if b:
+                R = self.add(P, R)
+        return R
+
+
+@dataclass(frozen=True)
+class EccLadderParams:
+    """Ladder coefficient and its derived scalars, all modulo the subgroup order."""
+
+    coef: int
+    order: int
+    link_scale: int | None = None  # (3 - 2*coef)^-1, fully-coupled case only
+    coef_inv: int | None = None
+
+
+def semi_params(coef: int, order: int) -> EccLadderParams:
+    c = coef % order
+    if c in (0, 2):
+        raise InvalidCoefficient("coefficient must avoid 0 and 2 modulo the order")
+    return EccLadderParams(coef=c, order=order)
+
+
+def fully_params(coef: int, order: int) -> EccLadderParams:
+    c = coef % order
+    if c in (0, 1, 2):
+        raise InvalidCoefficient("coefficient must avoid 0, 1 and 2 modulo the order")
+    if math.gcd(c, order) != 1:
+        raise InvalidCoefficient("coefficient must be invertible modulo the order")
+    d = (3 - 2 * c) % order
+    if math.gcd(d, order) != 1:
+        raise InvalidCoefficient("3 - 2*coef must be invertible modulo the order")
+    return EccLadderParams(
+        coef=c, order=order, link_scale=pow(d, -1, order), coef_inv=pow(c, -1, order)
+    )
+
+
+def _draw_semi_coef(order: int, rng: random.Random) -> int:
+    c = rng.randrange(order)
+    while c in (0, 2):
+        c = rng.randrange(order)
+    return c
+
+
+def run_ecc_algorithm(
+    algo: str,
+    curve: Curve,
+    A: Point,
+    key,
+    *,
+    params: EccLadderParams | None = None,
+    fresh_coef: bool = False,
+    rng: random.Random | None = None,
+    x0: Point | None = None,
+    y0: Point | None = None,
+    plan: FaultPlan | None = None,
+    trace: Trace | None = None,
+    ops: PointOps | None = None,
+) -> tuple[Point, Point | None]:
+    """Uniform entry point over the scalar-multiplication variants."""
+    _require_on_curve(curve, A)
+    bits = as_key(key).bits
+    if plan is not None:
+        plan.validate(len(bits))
+    ops = ops or PointOps(curve)
+
+    if algo == "daa":
+        if plan is not None:
+            raise ValueError("the reference double-and-add takes no fault plan")
+        P = INFINITY if x0 is None else x0
+        if trace is not None:
+            trace.xs.append(P)
+        for b in bits:
+            P = ops.dbl(P)
+            if b:
+                P = ops.add(A, P)
+            if trace is not None:
+                trace.xs.append(P)
+        return P, None
+
+    if algo == "montgomery":
+        def link(P):
+            return ops.add(P, A)
+
+        def main(P, Q, _c):
+            return ops.add(P, Q)
+
+        coupled = False
+    elif algo == "semi":
+        if params is None:
+            params = semi_params(3, _need_order(curve))
+
+        def link(P):
+            return ops.neg(ops.add(P, A))
+
+        def main(P, Q, c):
+            t = ops.cmul(c, ops.add(ops.add(P, Q), A))
+            return ops.add(t, ops.neg(ops.add(ops.dbl(Q), A)))
+
+        coupled = False
+    elif algo == "fully":
+        if params is None or params.link_scale is None:
+            raise InvalidCoefficient("fully-coupled ladder needs fully_params(...)")
+        wA = ops.cmul(params.link_scale, A)
+
+        def link(P):
+            return ops.add(P, wA)
+
+        def main(P, Q, c):
+            t = ops.add(ops.add(P, ops.neg(Q)), ops.neg(wA))
+            t = ops.cmul(c, t)
+            return ops.add(ops.add(t, ops.dbl(Q)), wA)
+
+        def sync(P, Q, _c):
+            s = ops.add(ops.add(ops.neg(P), ops.dbl(Q)), wA)
+            s = ops.cmul(params.coef_inv, s)
+            return ops.add(ops.add(P, s), ops.neg(wA))
+
+        coupled = True
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}")
+
+    if fresh_coef:
+        if algo != "semi":
+            raise ValueError("fresh coefficients only apply to the half-coupled ladder")
+        if rng is None:
+            raise ValueError("fresh coefficients need an RNG")
+        order = params.order
+
+    P = INFINITY if x0 is None else x0
+    Q = link(P) if y0 is None else y0
+    _require_on_curve(curve, P)
+    _require_on_curve(curve, Q)
+    if trace is not None:
+        if trace.ys is None:
+            trace.ys = []
+        trace.xs.append(P)
+        trace.ys.append(Q)
+
+    def draw(r):
+        return random_point(curve, r)
+
+    for i in range(1, len(bits) + 1):
+        if plan is not None:
+            P, Q = plan.apply(i, P, Q, draw)
+            if trace is not None:
+                trace.xs[-1], trace.ys[-1] = P, Q
+        c = _draw_semi_coef(order, rng) if fresh_coef else (params.coef if params else 0)
+        if effective_bit(plan, i, bits):
+            P = main(P, Q, c)
+            Q = sync(P, Q, c) if coupled else ops.dbl(Q)
+        else:
+            Q = main(Q, P, c)
+            P = sync(Q, P, c) if coupled else ops.dbl(P)
+        if trace is not None:
+            trace.xs.append(P)
+            trace.ys.append(Q)
+    return P, Q
+
+
+def _need_order(curve: Curve) -> int:
+    if curve.subgroup_order is None:
+        raise ValueError("curve has no recorded subgroup order")
+    return curve.subgroup_order
+
+
+def ecc_montgomery(curve: Curve, k, A: Point) -> tuple[Point, Point]:
+    """Two-register ladder with Q - P = A at every snapshot; returns (kA, kA + A)."""
+    return run_ecc_algorithm("montgomery", curve, A, k)
+
+
+def ecc_semi_interleaved(
+    curve: Curve,
+    k,
+    A: Point,
+    params: EccLadderParams,
+    fresh_coef: bool = False,
+    rng: random.Random | None = None,
+) -> tuple[Point, Point]:
+    """Half-coupled ladder with Q = -(P + A); the coefficient may be redrawn per iteration."""
+    return run_ecc_algorithm(
+        "semi", curve, A, k, params=params, fresh_coef=fresh_coef, rng=rng
+    )
+
+
+def ecc_fully_interleaved(
+    curve: Curve, k, A: Point, params: EccLadderParams
+) -> tuple[Point, Point]:
+    """Fully-coupled ladder with Q = P + link_scale*A at every snapshot."""
+    return run_ecc_algorithm("fully", curve, A, k, params=params)

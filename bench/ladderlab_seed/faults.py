@@ -1,0 +1,84 @@
+"""Declarative fault plans consumed by the ladder runners.
+
+Register faults overwrite a register value between two loop iterations
+(the value a fault at iteration i replaces is the one the loop body of
+iteration i is about to read).  Key stuck-at faults force every bit
+consumed after a threshold iteration to a constant, without mutating the
+actual key.
+"""
+
+import random
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class RegisterFault:
+    """One register overwrite: explicit `value`, or a fresh draw seeded by `seed`."""
+
+    target: str  # "x" or "y"
+    iteration: int  # 1-based; applied just before this iteration executes
+    value: object = None
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.target not in ("x", "y"):
+            raise ValueError(f"unknown register {self.target!r}")
+        if self.value is None and self.seed is None:
+            raise ValueError("random fault needs a seed")
+
+    def pick(self, current, draw):
+        """Resolve the injected value; random draws are resampled until != current."""
+        if self.value is not None:
+            return self.value
+        rng = random.Random(self.seed)
+        new = draw(rng)
+        while new == current:
+            new = draw(rng)
+        return new
+
+
+@dataclass(frozen=True)
+class FaultPlan:
+    register_faults: tuple = ()
+    key_stuckat: tuple | None = None  # (threshold, bit): iterations > threshold read `bit`
+
+    def __post_init__(self):
+        if self.key_stuckat is not None:
+            threshold, bit = self.key_stuckat
+            if bit not in (0, 1):
+                raise ValueError("stuck-at bit must be 0 or 1")
+            if threshold < 0:
+                raise ValueError("stuck-at threshold must be >= 0")
+
+    def validate(self, nbits: int) -> None:
+        seen = set()
+        for f in self.register_faults:
+            if not 1 <= f.iteration <= nbits:
+                raise ValueError(f"fault iteration {f.iteration} outside [1, {nbits}]")
+            key = (f.target, f.iteration)
+            if key in seen:
+                raise ValueError(f"duplicate fault on {key}")
+            seen.add(key)
+        if self.key_stuckat is not None and self.key_stuckat[0] > nbits:
+            raise ValueError("stuck-at threshold beyond key length")
+
+    def bit(self, i: int, bits) -> int:
+        """Effective key bit consumed at iteration i (1-based)."""
+        if self.key_stuckat is not None and i > self.key_stuckat[0]:
+            return self.key_stuckat[1]
+        return bits[i - 1]
+
+    def apply(self, i: int, x, y, draw):
+        """Return the (x, y) register pair after the faults targeting iteration i."""
+        for f in self.register_faults:
+            if f.iteration != i:
+                continue
+            if f.target == "x":
+                x = f.pick(x, draw)
+            else:
+                y = f.pick(y, draw)
+        return x, y
+
+
+def effective_bit(plan: FaultPlan | None, i: int, bits) -> int:
+    return bits[i - 1] if plan is None else plan.bit(i, bits)

@@ -1,0 +1,401 @@
+"""Generic two-register ladders over a modular ring.
+
+A secret-dependent loop updates one register x through a unary step per
+branch (`bit1_step` when the key bit is 1, `bit0_step` otherwise).  The
+two-register rewrites keep a companion register y tied to x through the
+affine `link` map: y == link(x) between any two iterations.  In the
+half-coupled form each branch updates one register from both values and
+the other from itself alone; in the fully-coupled form both registers are
+recomputed from both previous values.  `check_semi_equations` and
+`check_fully_equations` verify, by exhaustive sweep, the equation systems
+that make those rewrites faithful.
+"""
+
+from dataclasses import dataclass, field
+
+from .errors import DomainTooLarge
+from .faults import FaultPlan, effective_bit
+from .modarith import Ring
+
+DEFAULT_SWEEP_LIMIT = 2**20
+COUNTEREXAMPLE_CAP = 16
+
+
+@dataclass
+class OpCounts:
+    """Tally of ring operations: multiplications, squarings, additions/subtractions."""
+
+    mul: int = 0
+    sq: int = 0
+    add: int = 0
+
+    def copy(self) -> "OpCounts":
+        return OpCounts(self.mul, self.sq, self.add)
+
+    def __add__(self, other: "OpCounts") -> "OpCounts":
+        return OpCounts(self.mul + other.mul, self.sq + other.sq, self.add + other.add)
+
+    def __sub__(self, other: "OpCounts") -> "OpCounts":
+        return OpCounts(self.mul - other.mul, self.sq - other.sq, self.add - other.add)
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return (self.mul, self.sq, self.add)
+
+
+@dataclass(frozen=True)
+class Quad2:
+    """Quadratic form c20*x^2 + c11*x*y + c02*y^2 + c10*x + c01*y + c00 over a ring."""
+
+    c20: int = 0
+    c11: int = 0
+    c02: int = 0
+    c10: int = 0
+    c01: int = 0
+    c00: int = 0
+
+    def eval2(self, ring: Ring, x: int, y: int, ops: OpCounts | None = None) -> int:
+        # fixed operation pattern regardless of zero coefficients, so that
+        # both branches of a ladder cost exactly the same
+        x2 = ring.mul(x, x)
+        y2 = ring.mul(y, y)
+        xy = ring.mul(x, y)
+        acc = ring.mul(self.c20, x2)
+        acc = ring.add(acc, ring.mul(self.c11, xy))
+        acc = ring.add(acc, ring.mul(self.c02, y2))
+        acc = ring.add(acc, ring.mul(self.c10, x))
+        acc = ring.add(acc, ring.mul(self.c01, y))
+        acc = ring.add(acc, self.c00)
+        if ops is not None:
+            ops.mul += 6
+            ops.sq += 2
+            ops.add += 5
+        return acc
+
+    def eval1(self, ring: Ring, x: int, ops: OpCounts | None = None) -> int:
+        """Evaluate at (x, 0); the univariate view used for the branch steps."""
+        x2 = ring.mul(x, x)
+        acc = ring.add(ring.mul(self.c20, x2), ring.mul(self.c10, x))
+        acc = ring.add(acc, self.c00)
+        if ops is not None:
+            ops.mul += 2
+            ops.sq += 1
+            ops.add += 2
+        return acc
+
+    def depends_on_x(self, ring: Ring) -> bool:
+        return ring.reduce(self.c20) != 0 or ring.reduce(self.c10) != 0
+
+    def is_univariate(self, ring: Ring) -> bool:
+        return all(ring.reduce(c) == 0 for c in (self.c11, self.c02, self.c01))
+
+
+@dataclass(frozen=True)
+class Affine1:
+    """Affine map l1*x + l0; the register relation maintained by a ladder."""
+
+    l1: int
+    l0: int = 0
+
+    def eval(self, ring: Ring, x: int, ops: OpCounts | None = None) -> int:
+        if ops is not None:
+            ops.mul += 1
+            ops.add += 1
+        return ring.add(ring.mul(self.l1, x), self.l0)
+
+
+@dataclass(frozen=True)
+class LadderSpec:
+    """Step bundle: unary branch steps, the link map, and the coupled steps.
+
+    `main_step` produces the register owned by the taken branch from both
+    previous values; `sync_step` (absent for the half-coupled form)
+    recomputes the other register, again from both values.
+    """
+
+    bit1_step: Quad2
+    bit0_step: Quad2
+    link: Affine1
+    main_step: Quad2
+    sync_step: Quad2 | None = None
+
+    def validate(self, ring: Ring) -> None:
+        if ring.reduce(self.link.l1) == 0:
+            raise ValueError("link slope must be nonzero in the ring")
+        if not self.bit1_step.depends_on_x(ring):
+            raise ValueError("bit1_step must depend on x")
+        for name in ("bit1_step", "bit0_step"):
+            if not getattr(self, name).is_univariate(ring):
+                raise ValueError(f"{name} must be univariate")
+
+
+@dataclass(frozen=True)
+class KeyBits:
+    """Secret key as the bit sequence consumed by the loop, bits[0] first.
+
+    `msb_first` records how the sequence maps back to an integer: True
+    means bits[0] is the top bit (the order used by all left-to-right
+    exponentiation loops here); False means bits are indexed 1..n
+    ascending from the low end.
+    """
+
+    bits: tuple
+    msb_first: bool = True
+
+    def __post_init__(self):
+        if len(self.bits) == 0:
+            raise ValueError("key must have at least one bit")
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("key bits must be 0 or 1")
+
+    @classmethod
+    def from_int(cls, k: int, width: int | None = None) -> "KeyBits":
+        if k < 0:
+            raise ValueError("key must be non-negative")
+        if width is None:
+            width = max(k.bit_length(), 1)
+        elif k.bit_length() > width:
+            raise ValueError("key does not fit in width")
+        return cls(tuple((k >> (width - 1 - j)) & 1 for j in range(width)))
+
+    def to_int(self) -> int:
+        seq = self.bits if self.msb_first else tuple(reversed(self.bits))
+        v = 0
+        for b in seq:
+            v = (v << 1) | b
+        return v
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __iter__(self):
+        return iter(self.bits)
+
+
+def as_key(k) -> KeyBits:
+    return k if isinstance(k, KeyBits) else KeyBits.from_int(k)
+
+
+@dataclass
+class Trace:
+    """Register snapshots taken between iterations, plus per-iteration op tallies.
+
+    snapshot j holds the register values after j iterations, so there is
+    one more snapshot than iterations.
+    """
+
+    xs: list = field(default_factory=list)
+    ys: list | None = None
+    ops: list = field(default_factory=list)
+
+    @property
+    def x_final(self):
+        return self.xs[-1]
+
+    @property
+    def y_final(self):
+        return self.ys[-1] if self.ys is not None else None
+
+    def snapshots(self):
+        if self.ys is None:
+            return [(x, None) for x in self.xs]
+        return list(zip(self.xs, self.ys))
+
+
+def _ring_draw(ring: Ring):
+    return lambda rng: rng.randrange(ring.n)
+
+
+def run_branching(ring: Ring, spec: LadderSpec, key, x_init: int) -> Trace:
+    """Run the plain one-register conditional branching; trace of x only."""
+    spec.validate(ring)
+    bits = as_key(key).bits
+    x = ring.reduce(x_init)
+    trace = Trace(xs=[x], ys=None)
+    for i in range(1, len(bits) + 1):
+        it_ops = OpCounts()
+        step = spec.bit1_step if bits[i - 1] else spec.bit0_step
+        x = step.eval1(ring, x, it_ops)
+        trace.xs.append(x)
+        trace.ops.append(it_ops)
+    return trace
+
+
+def run_semi_ladder(
+    ring: Ring,
+    spec: LadderSpec,
+    key,
+    x_init: int,
+    plan: FaultPlan | None = None,
+    y_init: int | None = None,
+) -> Trace:
+    """Run the half-coupled two-register ladder, honoring an optional fault plan."""
+    spec.validate(ring)
+    if spec.sync_step is not None:
+        raise ValueError("semi runner requires a spec without sync_step")
+    bits = as_key(key).bits
+    if plan is not None:
+        plan.validate(len(bits))
+    draw = _ring_draw(ring)
+    x = ring.reduce(x_init)
+    y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
+    trace = Trace(xs=[x], ys=[y])
+    for i in range(1, len(bits) + 1):
+        if plan is not None:
+            x, y = plan.apply(i, x, y, draw)
+            trace.xs[-1], trace.ys[-1] = x, y
+        it_ops = OpCounts()
+        if effective_bit(plan, i, bits):
+            x = spec.main_step.eval2(ring, x, y, it_ops)
+            y = spec.bit0_step.eval1(ring, y, it_ops)
+        else:
+            y = spec.main_step.eval2(ring, y, x, it_ops)
+            x = spec.bit0_step.eval1(ring, x, it_ops)
+        trace.xs.append(x)
+        trace.ys.append(y)
+        trace.ops.append(it_ops)
+    return trace
+
+
+def run_fully_ladder(
+    ring: Ring,
+    spec: LadderSpec,
+    key,
+    x_init: int,
+    plan: FaultPlan | None = None,
+    y_init: int | None = None,
+) -> Trace:
+    """Run the fully-coupled ladder: both registers recomputed from both values."""
+    spec.validate(ring)
+    if spec.sync_step is None:
+        raise ValueError("fully runner requires a spec with sync_step")
+    bits = as_key(key).bits
+    if plan is not None:
+        plan.validate(len(bits))
+    draw = _ring_draw(ring)
+    x = ring.reduce(x_init)
+    y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
+    trace = Trace(xs=[x], ys=[y])
+    for i in range(1, len(bits) + 1):
+        if plan is not None:
+            x, y = plan.apply(i, x, y, draw)
+            trace.xs[-1], trace.ys[-1] = x, y
+        it_ops = OpCounts()
+        if effective_bit(plan, i, bits):
+            x = spec.main_step.eval2(ring, x, y, it_ops)
+            y = spec.sync_step.eval2(ring, x, y, it_ops)
+        else:
+            y = spec.main_step.eval2(ring, y, x, it_ops)
+            x = spec.sync_step.eval2(ring, y, x, it_ops)
+        trace.xs.append(x)
+        trace.ys.append(y)
+        trace.ops.append(it_ops)
+    return trace
+
+
+@dataclass
+class SweepResult:
+    ok: bool
+    counterexamples: list  # (x, equation index) pairs, first COUNTEREXAMPLE_CAP only
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _sweep(ring: Ring, equations, limit: int) -> SweepResult:
+    if ring.n > limit:
+        raise DomainTooLarge(f"sweep over n={ring.n} exceeds guard {limit}")
+    bad = []
+    for x in range(ring.n):
+        for idx, (lhs, rhs) in enumerate(equations(x), start=1):
+            if lhs != rhs:
+                bad.append((x, idx))
+                if len(bad) >= COUNTEREXAMPLE_CAP:
+                    return SweepResult(False, bad)
+    return SweepResult(len(bad) == 0, bad)
+
+
+def check_semi_equations(
+    spec: LadderSpec, ring: Ring, limit: int = DEFAULT_SWEEP_LIMIT
+) -> SweepResult:
+    """Exhaustively verify the three half-coupled ladder equations over the ring.
+
+    For every x: the link commutes with the taken branch, the coupled step
+    reproduces the bit-1 update, and the swapped coupled step lands on the
+    link of the bit-0 update.
+    """
+    spec.validate(ring)
+
+    def equations(x):
+        lx = spec.link.eval(ring, x)
+        yield spec.bit0_step.eval1(ring, lx), spec.link.eval(ring, spec.bit1_step.eval1(ring, x))
+        yield spec.main_step.eval2(ring, x, lx), spec.bit1_step.eval1(ring, x)
+        yield spec.main_step.eval2(ring, lx, x), spec.link.eval(ring, spec.bit0_step.eval1(ring, x))
+
+    return _sweep(ring, equations, limit)
+
+
+def check_fully_equations(
+    spec: LadderSpec, ring: Ring, limit: int = DEFAULT_SWEEP_LIMIT
+) -> SweepResult:
+    """Exhaustively verify the four fully-coupled ladder equations over the ring."""
+    spec.validate(ring)
+    if spec.sync_step is None:
+        raise ValueError("fully check requires a spec with sync_step")
+
+    def equations(x):
+        lx = spec.link.eval(ring, x)
+        tx = spec.bit1_step.eval1(ring, x)
+        yield spec.sync_step.eval2(ring, tx, lx), spec.link.eval(ring, tx)
+        yield spec.main_step.eval2(ring, x, lx), tx
+        swapped = spec.main_step.eval2(ring, lx, x)
+        ex = spec.bit0_step.eval1(ring, x)
+        yield swapped, spec.link.eval(ring, ex)
+        yield spec.sync_step.eval2(ring, swapped, x), ex
+
+    return _sweep(ring, equations, limit)
+
+
+def lift_semi_to_fully(spec: LadderSpec) -> LadderSpec:
+    """Embed a half-coupled spec as a fully-coupled one via sync(x, y) = bit0_step(y)."""
+    if spec.sync_step is not None:
+        raise ValueError("spec already has a sync_step")
+    b0 = spec.bit0_step
+    sync = Quad2(c02=b0.c20, c01=b0.c10, c00=b0.c00)
+    return LadderSpec(spec.bit1_step, spec.bit0_step, spec.link, spec.main_step, sync)
+
+
+_QUAD_KEYS = ("c20", "c11", "c02", "c10", "c01", "c00")
+
+
+def spec_to_json(ring: Ring, spec: LadderSpec) -> dict:
+    """Flat JSON object of decimal-string coefficients, as consumed by `verify`."""
+
+    def quad(q: Quad2) -> dict:
+        return {k: str(ring.reduce(getattr(q, k))) for k in _QUAD_KEYS}
+
+    doc = {
+        "n": str(ring.n),
+        "theta": quad(spec.bit1_step),
+        "eps": quad(spec.bit0_step),
+        "ell": {"l1": str(ring.reduce(spec.link.l1)), "l0": str(ring.reduce(spec.link.l0))},
+        "f": quad(spec.main_step),
+    }
+    if spec.sync_step is not None:
+        doc["g"] = quad(spec.sync_step)
+    return doc
+
+
+def spec_from_json(doc: dict) -> tuple[Ring, LadderSpec]:
+    ring = Ring(int(doc["n"]))
+
+    def quad(block: dict) -> Quad2:
+        return Quad2(**{k: int(block.get(k, "0")) for k in _QUAD_KEYS})
+
+    spec = LadderSpec(
+        bit1_step=quad(doc["theta"]),
+        bit0_step=quad(doc["eps"]),
+        link=Affine1(int(doc["ell"]["l1"]), int(doc["ell"].get("l0", "0"))),
+        main_step=quad(doc["f"]),
+        sync_step=quad(doc["g"]) if "g" in doc else None,
+    )
+    return ring, spec

@@ -1,0 +1,469 @@
+"""Concrete modular-exponentiation algorithms with per-bit operation accounting.
+
+Five left-to-right variants of a**k mod n: the plain square-and-multiply,
+its always-multiply sibling, the classic two-register ladder keeping
+y = a*x, a masked half-coupled ladder whose mask may be redrawn every
+iteration, and a fully-coupled ladder parameterized by a ladder constant.
+Each runner optionally consumes a fault plan, records register snapshots,
+and tallies modular multiplications / squarings / additions per iteration.
+"""
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
+
+from .errors import InvalidCoefficient, NoConstantExists
+from .faults import FaultPlan, effective_bit
+from .ladders import Affine1, LadderSpec, OpCounts, Quad2, Trace, as_key
+from .modarith import Ring, eea
+
+ALGORITHMS = ("sm", "sma", "montgomery", "semi", "fully")
+
+
+class _ModOps:
+    """Counting wrapper around mod-n arithmetic; every runner routes through one."""
+
+    __slots__ = ("n", "counts")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.counts = OpCounts()
+
+    def mul(self, x, y):
+        self.counts.mul += 1
+        return x * y % self.n
+
+    def sq(self, x):
+        self.counts.sq += 1
+        return x * x % self.n
+
+    def add(self, x, y):
+        self.counts.add += 1
+        return (x + y) % self.n
+
+    def sub(self, x, y):
+        self.counts.add += 1
+        return (x - y) % self.n
+
+
+@dataclass(frozen=True)
+class MaskPolicy:
+    """How the per-iteration mask of the half-coupled ladder is chosen."""
+
+    mode: str = "zero"  # "zero" | "fixed" | "fresh"
+    value: int | None = None
+
+    @classmethod
+    def zero(cls) -> "MaskPolicy":
+        return cls("zero")
+
+    @classmethod
+    def fixed(cls, m: int) -> "MaskPolicy":
+        if m < 0:
+            raise ValueError("fixed mask must be non-negative")
+        return cls("fixed", m)
+
+    @classmethod
+    def fresh(cls) -> "MaskPolicy":
+        return cls("fresh")
+
+    @classmethod
+    def parse(cls, text: str) -> "MaskPolicy":
+        if text == "zero":
+            return cls.zero()
+        if text == "fresh":
+            return cls.fresh()
+        if text.startswith("fixed:"):
+            return cls.fixed(int(text.split(":", 1)[1], 0))
+        raise ValueError(f"unknown mask policy {text!r}")
+
+    def draw(self, n: int, rng: random.Random | None) -> int:
+        if self.mode == "zero":
+            return 0
+        if self.mode == "fixed":
+            return self.value % n
+        if rng is None:
+            raise ValueError("fresh mask policy needs an RNG")
+        return rng.randrange(n)
+
+
+@dataclass(frozen=True)
+class LadderConstants:
+    """A valid ladder constant plus everything precomputed from it.
+
+    The loop then runs x <- xy_coef*x*y + sq_coef*y^2 and
+    y <- sync_sq_coef*y^2 + sync_x_coef*x (arguments swapped on 0 bits),
+    keeping y = constant * x throughout.
+    """
+
+    base: int
+    modulus: int
+    constant: int
+    delta: int  # constant - base, nonzero
+    square_delta: int  # constant^2 - 1, a unit
+    cube_delta: int  # constant^3 - base, a unit
+    inv_constant: int
+    inv_square_delta: int
+    inv_cube_delta: int
+    xy_coef: int
+    sq_coef: int
+    sync_sq_coef: int
+    sync_x_coef: int
+    draws: int
+
+
+def _constants_for(a: int, ell: int, n: int, draws: int) -> LadderConstants | None:
+    """Check the four constant constraints; build the coefficients if they hold."""
+    v0 = (ell - a) % n
+    d1, u1 = eea(ell % n, n)
+    v2 = (ell * ell - 1) % n
+    d2, u2 = eea(v2, n)
+    v3 = (ell * ell % n * ell - a) % n
+    d3, u3 = eea(v3, n)
+    if v0 == 0 or d1 != 1 or d2 != 1 or d3 != 1:
+        return None
+    return LadderConstants(
+        base=a % n,
+        modulus=n,
+        constant=ell % n,
+        delta=v0,
+        square_delta=v2,
+        cube_delta=v3,
+        inv_constant=u1,
+        inv_square_delta=u2,
+        inv_cube_delta=u3,
+        xy_coef=u1 * u2 % n * v3 % n,
+        sq_coef=-v0 * u2 % n,
+        sync_sq_coef=a * v2 % n * u3 % n,
+        sync_x_coef=ell * v0 % n * u3 % n,
+        draws=draws,
+    )
+
+
+def ladder_constants(a: int, ell: int, n: int) -> LadderConstants:
+    """Build constants for an explicitly chosen ladder constant, or reject it."""
+    c = _constants_for(a % n, ell % n, n, 0)
+    if c is None:
+        raise InvalidCoefficient(f"ell={ell} violates the constant constraints for (a={a}, n={n})")
+    return c
+
+
+def find_ladder_constant(
+    a: int,
+    n: int,
+    rng: random.Random,
+    max_draws: int = 64,
+    sweep_limit: int = 2**20,
+) -> LadderConstants:
+    """Sample a ladder constant from [2, n-2] minus {a} until all constraints hold.
+
+    After `max_draws` failed samples, falls back to an exhaustive scan when n
+    is below `sweep_limit`; raises NoConstantExists when nothing qualifies.
+    """
+    if n < 7:
+        raise ValueError("need n >= 7 for a nontrivial constant interval")
+    if not 2 <= a <= n - 2:
+        raise ValueError("base must satisfy 2 <= a <= n-2")
+    for attempt in range(1, max_draws + 1):
+        idx = rng.randrange(n - 4)
+        ell = 2 + idx
+        if ell >= a:
+            ell += 1
+        c = _constants_for(a, ell, n, attempt)
+        if c is not None:
+            return c
+    if n <= sweep_limit:
+        for ell in range(2, n - 1):
+            if ell == a:
+                continue
+            c = _constants_for(a, ell, n, max_draws)
+            if c is not None:
+                return c
+    raise NoConstantExists(f"no suitable ladder constant for a={a}, n={n}")
+
+
+def _start(a, n, x0, y0, link_scale):
+    x = 1 if x0 is None else x0 % n
+    y = link_scale * x % n if y0 is None else y0 % n
+    return x, y
+
+
+def _mod_draw(n: int):
+    return lambda rng: rng.randrange(n)
+
+
+def _record(trace, x, y):
+    if trace is not None:
+        trace.xs.append(x)
+        trace.ys.append(y)
+
+
+def _rewrite_last(trace, x, y):
+    # a fault overwrote the registers between iterations; the boundary
+    # snapshot must show what the next iteration actually reads
+    if trace is not None:
+        trace.xs[-1] = x
+        trace.ys[-1] = y
+
+
+def _run_sm(a, bits, n, x0, y0, plan, trace, per_iter):
+    if plan is not None:
+        raise ValueError("the one-register variant takes no fault plan")
+    ops = _ModOps(n)
+    a = a % n
+    x = 1 if x0 is None else x0 % n
+    if trace is not None:
+        trace.xs.append(x)
+    for i in range(1, len(bits) + 1):
+        before = ops.counts.copy()
+        x = ops.sq(x)
+        if bits[i - 1]:
+            x = ops.mul(a, x)
+        if trace is not None:
+            trace.xs.append(x)
+        if per_iter is not None:
+            per_iter.append(ops.counts - before)
+    return x, None
+
+
+def _run_sma(a, bits, n, x0, y0, plan, trace, per_iter):
+    ops = _ModOps(n)
+    a = a % n
+    x = 1 if x0 is None else x0 % n
+    y = a if y0 is None else y0 % n  # sentinel until the first 0 bit writes it
+    draw = _mod_draw(n)
+    _record(trace, x, y)
+    for i in range(1, len(bits) + 1):
+        product_faults = []
+        if plan is not None:
+            for f in plan.register_faults:
+                if f.iteration != i:
+                    continue
+                if f.target == "x":
+                    x = f.pick(x, draw)
+                else:
+                    # the y register receives the multiplier output this
+                    # iteration, so the fault lands on that product
+                    product_faults.append(f)
+            _rewrite_last(trace, x, y)
+        bit = effective_bit(plan, i, bits)
+        before = ops.counts.copy()
+        x = ops.sq(x)
+        t = ops.mul(a, x)
+        for f in product_faults:
+            t = f.pick(t, draw)
+        if bit:
+            x = t
+        else:
+            y = t
+        _record(trace, x, y)
+        if per_iter is not None:
+            per_iter.append(ops.counts - before)
+    return x, y
+
+
+def _run_montgomery(a, bits, n, x0, y0, plan, trace, per_iter):
+    ops = _ModOps(n)
+    a = a % n
+    x, y = _start(a, n, x0, y0, a)
+    draw = _mod_draw(n)
+    _record(trace, x, y)
+    for i in range(1, len(bits) + 1):
+        if plan is not None:
+            x, y = plan.apply(i, x, y, draw)
+            _rewrite_last(trace, x, y)
+        before = ops.counts.copy()
+        if effective_bit(plan, i, bits):
+            x = ops.mul(x, y)
+            y = ops.sq(y)
+        else:
+            y = ops.mul(y, x)
+            x = ops.sq(x)
+        _record(trace, x, y)
+        if per_iter is not None:
+            per_iter.append(ops.counts - before)
+    return x, y
+
+
+def _run_semi(a, bits, n, x0, y0, plan, trace, per_iter, mask, rng):
+    ops = _ModOps(n)
+    a = a % n
+    c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
+    x, y = _start(a, n, x0, y0, a)
+    draw = _mod_draw(n)
+    mask = mask or MaskPolicy.zero()
+    _record(trace, x, y)
+    for i in range(1, len(bits) + 1):
+        if plan is not None:
+            x, y = plan.apply(i, x, y, draw)
+            _rewrite_last(trace, x, y)
+        m = mask.draw(n, rng)
+        before = ops.counts.copy()
+        if effective_bit(plan, i, bits):
+            z = ops.sq(y)
+            s = ops.add(ops.sq(x), z)
+            t = ops.mul(ops.mul(m, a), s)
+            w = ops.sub(1, ops.mul(m, c))
+            x = ops.add(t, ops.mul(w, ops.mul(x, y)))
+            y = z
+        else:
+            z = ops.sq(x)
+            s = ops.add(ops.sq(y), z)
+            t = ops.mul(ops.mul(m, a), s)
+            w = ops.sub(1, ops.mul(m, c))
+            y = ops.add(t, ops.mul(w, ops.mul(y, x)))
+            x = z
+        _record(trace, x, y)
+        if per_iter is not None:
+            per_iter.append(ops.counts - before)
+    return x, y
+
+
+def _run_fully(a, bits, n, x0, y0, plan, trace, per_iter, constants):
+    if constants is None:
+        raise ValueError("fully-coupled runner needs LadderConstants")
+    if constants.modulus != n or constants.base != a % n:
+        raise ValueError("constants were built for a different (a, n)")
+    ops = _ModOps(n)
+    k0, k1 = constants.xy_coef, constants.sq_coef
+    k2, k3 = constants.sync_sq_coef, constants.sync_x_coef
+    x, y = _start(a, n, x0, y0, constants.constant)
+    draw = _mod_draw(n)
+    _record(trace, x, y)
+    for i in range(1, len(bits) + 1):
+        if plan is not None:
+            x, y = plan.apply(i, x, y, draw)
+            _rewrite_last(trace, x, y)
+        before = ops.counts.copy()
+        if effective_bit(plan, i, bits):
+            z = ops.sq(y)  # shared by both update lines
+            x = ops.add(ops.mul(k0, ops.mul(x, y)), ops.mul(k1, z))
+            y = ops.add(ops.mul(k2, z), ops.mul(k3, x))
+        else:
+            z = ops.sq(x)
+            y = ops.add(ops.mul(k0, ops.mul(y, x)), ops.mul(k1, z))
+            x = ops.add(ops.mul(k2, z), ops.mul(k3, y))
+        _record(trace, x, y)
+        if per_iter is not None:
+            per_iter.append(ops.counts - before)
+    return x, y
+
+
+def run_exp_algorithm(
+    algo: str,
+    a: int,
+    key,
+    n: int,
+    *,
+    x0: int | None = None,
+    y0: int | None = None,
+    plan: FaultPlan | None = None,
+    constants: LadderConstants | None = None,
+    mask: MaskPolicy | None = None,
+    rng: random.Random | None = None,
+    trace: Trace | None = None,
+    per_iter: list | None = None,
+) -> tuple[int, int | None]:
+    """Uniform entry point over the five variants; used by the CLI and oracles."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    bits = as_key(key).bits
+    if plan is not None:
+        plan.validate(len(bits))
+    if trace is not None and trace.ys is None and algo != "sm":
+        trace.ys = []
+    if algo == "sm":
+        return _run_sm(a, bits, n, x0, y0, plan, trace, per_iter)
+    if algo == "sma":
+        return _run_sma(a, bits, n, x0, y0, plan, trace, per_iter)
+    if algo == "montgomery":
+        return _run_montgomery(a, bits, n, x0, y0, plan, trace, per_iter)
+    if algo == "semi":
+        return _run_semi(a, bits, n, x0, y0, plan, trace, per_iter, mask, rng)
+    if algo == "fully":
+        return _run_fully(a, bits, n, x0, y0, plan, trace, per_iter, constants)
+    raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def square_and_multiply(a: int, k, n: int) -> int:
+    """Left-to-right binary exponentiation, one register, no dummy work."""
+    return run_exp_algorithm("sm", a, k, n)[0]
+
+
+def square_and_multiply_always(a: int, k, n: int) -> tuple[int, int]:
+    """Binary exponentiation with a dummy multiply on 0 bits; returns (x, y)."""
+    return run_exp_algorithm("sma", a, k, n)
+
+
+def montgomery_ladder(a: int, k, n: int) -> tuple[int, int]:
+    """Two-register ladder keeping y = a*x at every snapshot; returns (x, y)."""
+    return run_exp_algorithm("montgomery", a, k, n)
+
+
+def semi_interleaved_exp(
+    a: int, k, n: int, mask: MaskPolicy | None = None, rng: random.Random | None = None
+) -> tuple[int, int]:
+    """Masked half-coupled ladder; x = a**k mod n for every mask policy."""
+    return run_exp_algorithm("semi", a, k, n, mask=mask, rng=rng)
+
+
+def fully_interleaved_exp(a: int, k, n: int, constants: LadderConstants) -> tuple[int, int]:
+    """Fully-coupled ladder; keeps y = constant * x at every snapshot."""
+    return run_exp_algorithm("fully", a, k, n, constants=constants)
+
+
+class CostPerBit(NamedTuple):
+    mul: Fraction
+    sq: Fraction
+    add: Fraction
+
+
+def cost_per_bit(
+    algo: str,
+    a: int,
+    k,
+    n: int,
+    *,
+    mask: MaskPolicy | None = None,
+    constants: LadderConstants | None = None,
+    rng: random.Random | None = None,
+) -> CostPerBit:
+    """Measured loop operation counts divided by key length, precomputation excluded."""
+    bits = as_key(k)
+    per_iter: list[OpCounts] = []
+    run_exp_algorithm(
+        algo, a, bits, n, constants=constants, mask=mask, rng=rng, per_iter=per_iter
+    )
+    total = OpCounts()
+    for c in per_iter:
+        total = total + c
+    d = len(bits)
+    return CostPerBit(Fraction(total.mul, d), Fraction(total.sq, d), Fraction(total.add, d))
+
+
+def masked_semi_spec(ring: Ring, a: int, m: int) -> LadderSpec:
+    """Half-coupled spec for exponentiation with mask m (m = 0 is the classic ladder)."""
+    a = ring.reduce(a)
+    if a == 0:
+        raise ValueError("base must be nonzero in the ring")
+    ma = ring.mul(m, a)
+    return LadderSpec(
+        bit1_step=Quad2(c20=a),
+        bit0_step=Quad2(c20=1),
+        link=Affine1(a),
+        main_step=Quad2(c20=ma, c02=ma, c11=ring.sub(1, ring.mul(m, ring.add(ring.mul(a, a), 1)))),
+    )
+
+
+def fully_ladder_spec(ring: Ring, constants: LadderConstants) -> LadderSpec:
+    """Fully-coupled spec for exponentiation built from precomputed constants."""
+    if constants.modulus != ring.n:
+        raise ValueError("constants were built for a different modulus")
+    return LadderSpec(
+        bit1_step=Quad2(c20=constants.base),
+        bit0_step=Quad2(c20=1),
+        link=Affine1(constants.constant),
+        main_step=Quad2(c11=constants.xy_coef, c02=constants.sq_coef),
+        sync_step=Quad2(c02=constants.sync_sq_coef, c10=constants.sync_x_coef),
+    )
