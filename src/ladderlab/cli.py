@@ -24,6 +24,13 @@ def _int(text: str) -> int:
     return int(text, 0)
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _frac(f) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--target", choices=attacks.EXP_TARGETS + attacks.ECC_TARGETS, required=True)
     p.add_argument("--bits", type=int, default=16)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive, default=10)
     p.add_argument("--readable", choices=("x", "y", "both"), default="both")
     _add_common(p)
     p.set_defaults(func=cmd_attack)
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_int)
     p.add_argument("--q", type=_int)
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive, default=10000)
     _add_common(p)
     p.set_defaults(func=cmd_prob)
 

@@ -29,6 +29,9 @@ class Ring:
     def mul(self, x: int, y: int) -> int:
         return (x * y) % self.n
 
+    def sq(self, x: int) -> int:
+        return (x * x) % self.n
+
     def neg(self, x: int) -> int:
         return (-x) % self.n
 

@@ -4,17 +4,21 @@ Five left-to-right variants of a**k mod n: the plain square-and-multiply,
 its always-multiply sibling, the classic two-register ladder keeping
 y = a*x, a masked half-coupled ladder whose mask may be redrawn every
 iteration, and a fully-coupled ladder parameterized by a ladder constant.
-Each runner optionally consumes a fault plan, records register snapshots,
-and tallies modular multiplications / squarings / additions per iteration.
+Each variant is one loop step run by a shared driver, which optionally
+consumes a fault plan and records register snapshots.  Modular
+multiplications / squarings / additions are tallied per iteration only
+when a caller asks for them (`per_iter`, `cost_per_bit`, and through it
+the CLI's `--count-ops`); otherwise the step runs on the plain `Ring`.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NoConstantExists
-from .faults import FaultPlan, effective_bit
+from .faults import FaultPlan
 from .ladders import Affine1, LadderSpec, OpCounts, Quad2, Trace, as_key
 from .modarith import Ring, eea
 
@@ -22,7 +26,7 @@ ALGORITHMS = ("sm", "sma", "montgomery", "semi", "fully")
 
 
 class _ModOps:
-    """Counting wrapper around mod-n arithmetic; every runner routes through one."""
+    """Counting mod-n arithmetic, used in place of `Ring` when tallies are asked for."""
 
     __slots__ = ("n", "counts")
 
@@ -183,7 +187,7 @@ def find_ladder_constant(
     raise NoConstantExists(f"no suitable ladder constant for a={a}, n={n}")
 
 
-def _start(a, n, x0, y0, link_scale):
+def _start(n, x0, y0, link_scale):
     x = 1 if x0 is None else x0 % n
     y = link_scale * x % n if y0 is None else y0 % n
     return x, y
@@ -194,160 +198,131 @@ def _mod_draw(n: int):
 
 
 def _record(trace, x, y):
-    if trace is not None:
-        trace.xs.append(x)
+    trace.xs.append(x)
+    if y is not None:  # the one-register variant keeps trace.ys as None
         trace.ys.append(y)
 
 
-def _rewrite_last(trace, x, y):
-    # a fault overwrote the registers between iterations; the boundary
-    # snapshot must show what the next iteration actually reads
+def _drive(bits, n, x, y, step, ops, plan, trace, per_iter):
+    """Run `step(bit, x, y) -> (x, y)` once per key bit; the loop every runner shares.
+
+    Register faults are applied just before the iterations they name;
+    stuck-at faults change the bits the loop consumes, never the key.
+    Tallies are read from `ops` (then a counting _ModOps) only when
+    `per_iter` asks for them.
+    """
+    faulted = ()
+    if plan is not None:
+        faulted = {f.iteration for f in plan.register_faults}
+        bits = [plan.bit(i, bits) for i in range(1, len(bits) + 1)]
+    draw = _mod_draw(n)
     if trace is not None:
-        trace.xs[-1] = x
-        trace.ys[-1] = y
+        _record(trace, x, y)
+    for i, bit in enumerate(bits, 1):
+        if i in faulted:
+            x, y = plan.apply(i, x, y, draw)
+            if trace is not None:
+                # the boundary snapshot must show what this iteration reads
+                trace.xs[-1], trace.ys[-1] = x, y
+        if per_iter is None:
+            x, y = step(bit, x, y)
+        else:
+            before = ops.counts.copy()
+            x, y = step(bit, x, y)
+            per_iter.append(ops.counts - before)
+        if trace is not None:
+            _record(trace, x, y)
+    return x, y
 
 
-def _run_sm(a, bits, n, x0, y0, plan, trace, per_iter):
+def _run_sm(a, bits, n, x0, y0, plan, trace, per_iter, ops):
     if plan is not None:
         raise ValueError("the one-register variant takes no fault plan")
-    ops = _ModOps(n)
-    a = a % n
+    sq, mul = ops.sq, ops.mul
+
+    def step(bit, x, y):
+        x = sq(x)
+        return (mul(a, x) if bit else x), None
+
     x = 1 if x0 is None else x0 % n
-    if trace is not None:
-        trace.xs.append(x)
-    for i in range(1, len(bits) + 1):
-        before = ops.counts.copy()
-        x = ops.sq(x)
-        if bits[i - 1]:
-            x = ops.mul(a, x)
-        if trace is not None:
-            trace.xs.append(x)
-        if per_iter is not None:
-            per_iter.append(ops.counts - before)
-    return x, None
+    return _drive(bits, n, x, None, step, ops, None, trace, per_iter)
 
 
-def _run_sma(a, bits, n, x0, y0, plan, trace, per_iter):
-    ops = _ModOps(n)
-    a = a % n
+def _run_sma(a, bits, n, x0, y0, plan, trace, per_iter, ops):
+    sq, mul = ops.sq, ops.mul
+    draw = _mod_draw(n)
+    # the y register receives the multiplier output on 0 bits, so a fault
+    # aimed at y lands on that product, whichever register then takes it
+    products = {}
+    if plan is not None:
+        products = {f.iteration: f for f in plan.register_faults if f.target == "y"}
+        plan = replace(plan, register_faults=tuple(f for f in plan.register_faults if f.target == "x"))
+    iteration = count(1)
+
+    def step(bit, x, y):
+        x = sq(x)
+        t = mul(a, x)
+        f = products.get(next(iteration)) if products else None
+        if f is not None:
+            t = f.pick(t, draw)
+        return (t, y) if bit else (x, t)
+
     x = 1 if x0 is None else x0 % n
     y = a if y0 is None else y0 % n  # sentinel until the first 0 bit writes it
-    draw = _mod_draw(n)
-    _record(trace, x, y)
-    for i in range(1, len(bits) + 1):
-        product_faults = []
-        if plan is not None:
-            for f in plan.register_faults:
-                if f.iteration != i:
-                    continue
-                if f.target == "x":
-                    x = f.pick(x, draw)
-                else:
-                    # the y register receives the multiplier output this
-                    # iteration, so the fault lands on that product
-                    product_faults.append(f)
-            _rewrite_last(trace, x, y)
-        bit = effective_bit(plan, i, bits)
-        before = ops.counts.copy()
-        x = ops.sq(x)
-        t = ops.mul(a, x)
-        for f in product_faults:
-            t = f.pick(t, draw)
+    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter)
+
+
+def _run_montgomery(a, bits, n, x0, y0, plan, trace, per_iter, ops):
+    sq, mul = ops.sq, ops.mul
+
+    def step(bit, x, y):
         if bit:
-            x = t
-        else:
-            y = t
-        _record(trace, x, y)
-        if per_iter is not None:
-            per_iter.append(ops.counts - before)
-    return x, y
+            return mul(x, y), sq(y)
+        return sq(x), mul(y, x)
+
+    x, y = _start(n, x0, y0, a)
+    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter)
 
 
-def _run_montgomery(a, bits, n, x0, y0, plan, trace, per_iter):
-    ops = _ModOps(n)
-    a = a % n
-    x, y = _start(a, n, x0, y0, a)
-    draw = _mod_draw(n)
-    _record(trace, x, y)
-    for i in range(1, len(bits) + 1):
-        if plan is not None:
-            x, y = plan.apply(i, x, y, draw)
-            _rewrite_last(trace, x, y)
-        before = ops.counts.copy()
-        if effective_bit(plan, i, bits):
-            x = ops.mul(x, y)
-            y = ops.sq(y)
-        else:
-            y = ops.mul(y, x)
-            x = ops.sq(x)
-        _record(trace, x, y)
-        if per_iter is not None:
-            per_iter.append(ops.counts - before)
-    return x, y
-
-
-def _run_semi(a, bits, n, x0, y0, plan, trace, per_iter, mask, rng):
-    ops = _ModOps(n)
-    a = a % n
+def _run_semi(a, bits, n, x0, y0, plan, trace, per_iter, ops, mask, rng):
+    sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
-    x, y = _start(a, n, x0, y0, a)
-    draw = _mod_draw(n)
     mask = mask or MaskPolicy.zero()
-    _record(trace, x, y)
-    for i in range(1, len(bits) + 1):
-        if plan is not None:
-            x, y = plan.apply(i, x, y, draw)
-            _rewrite_last(trace, x, y)
+
+    def step(bit, x, y):
         m = mask.draw(n, rng)
-        before = ops.counts.copy()
-        if effective_bit(plan, i, bits):
-            z = ops.sq(y)
-            s = ops.add(ops.sq(x), z)
-            t = ops.mul(ops.mul(m, a), s)
-            w = ops.sub(1, ops.mul(m, c))
-            x = ops.add(t, ops.mul(w, ops.mul(x, y)))
-            y = z
-        else:
-            z = ops.sq(x)
-            s = ops.add(ops.sq(y), z)
-            t = ops.mul(ops.mul(m, a), s)
-            w = ops.sub(1, ops.mul(m, c))
-            y = ops.add(t, ops.mul(w, ops.mul(y, x)))
-            x = z
-        _record(trace, x, y)
-        if per_iter is not None:
-            per_iter.append(ops.counts - before)
-    return x, y
+        if not bit:  # a 0 bit runs the same body with the registers' roles swapped
+            x, y = y, x
+        z = sq(y)
+        s = add(sq(x), z)
+        t = mul(mul(m, a), s)
+        w = sub(1, mul(m, c))
+        x = add(t, mul(w, mul(x, y)))
+        return (x, z) if bit else (z, x)
+
+    x, y = _start(n, x0, y0, a)
+    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter)
 
 
-def _run_fully(a, bits, n, x0, y0, plan, trace, per_iter, constants):
+def _run_fully(a, bits, n, x0, y0, plan, trace, per_iter, ops, constants):
     if constants is None:
         raise ValueError("fully-coupled runner needs LadderConstants")
-    if constants.modulus != n or constants.base != a % n:
+    if constants.modulus != n or constants.base != a:
         raise ValueError("constants were built for a different (a, n)")
-    ops = _ModOps(n)
+    sq, mul, add = ops.sq, ops.mul, ops.add
     k0, k1 = constants.xy_coef, constants.sq_coef
     k2, k3 = constants.sync_sq_coef, constants.sync_x_coef
-    x, y = _start(a, n, x0, y0, constants.constant)
-    draw = _mod_draw(n)
-    _record(trace, x, y)
-    for i in range(1, len(bits) + 1):
-        if plan is not None:
-            x, y = plan.apply(i, x, y, draw)
-            _rewrite_last(trace, x, y)
-        before = ops.counts.copy()
-        if effective_bit(plan, i, bits):
-            z = ops.sq(y)  # shared by both update lines
-            x = ops.add(ops.mul(k0, ops.mul(x, y)), ops.mul(k1, z))
-            y = ops.add(ops.mul(k2, z), ops.mul(k3, x))
-        else:
-            z = ops.sq(x)
-            y = ops.add(ops.mul(k0, ops.mul(y, x)), ops.mul(k1, z))
-            x = ops.add(ops.mul(k2, z), ops.mul(k3, y))
-        _record(trace, x, y)
-        if per_iter is not None:
-            per_iter.append(ops.counts - before)
-    return x, y
+
+    def step(bit, x, y):
+        if not bit:  # a 0 bit runs the same body with the registers' roles swapped
+            x, y = y, x
+        z = sq(y)  # shared by both update lines
+        x = add(mul(k0, mul(x, y)), mul(k1, z))
+        y = add(mul(k2, z), mul(k3, x))
+        return (x, y) if bit else (y, x)
+
+    x, y = _start(n, x0, y0, constants.constant)
+    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter)
 
 
 def run_exp_algorithm(
@@ -373,16 +348,18 @@ def run_exp_algorithm(
         plan.validate(len(bits))
     if trace is not None and trace.ys is None and algo != "sm":
         trace.ys = []
+    ops = Ring(n) if per_iter is None else _ModOps(n)
+    args = (a % n, bits, n, x0, y0, plan, trace, per_iter, ops)
     if algo == "sm":
-        return _run_sm(a, bits, n, x0, y0, plan, trace, per_iter)
+        return _run_sm(*args)
     if algo == "sma":
-        return _run_sma(a, bits, n, x0, y0, plan, trace, per_iter)
+        return _run_sma(*args)
     if algo == "montgomery":
-        return _run_montgomery(a, bits, n, x0, y0, plan, trace, per_iter)
+        return _run_montgomery(*args)
     if algo == "semi":
-        return _run_semi(a, bits, n, x0, y0, plan, trace, per_iter, mask, rng)
+        return _run_semi(*args, mask, rng)
     if algo == "fully":
-        return _run_fully(a, bits, n, x0, y0, plan, trace, per_iter, constants)
+        return _run_fully(*args, constants)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 

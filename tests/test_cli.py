@@ -59,6 +59,20 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--format", "csv", "attack", "--model", "3", "--target", "montgomery", "--trials", "0"],
+    ["attack", "--model", "1", "--target", "sma", "--trials", "-1"],
+    ["prob", "--mode", "rsa-sample", "--p", "5", "--q", "7", "--samples", "0"],
+])
+def test_count_below_one_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "must be >= 1" in out.err
+
+
 def test_verify_roundtrip(tmp_path, capsys):
     ring = Ring(101)
     doc = spec_to_json(ring, masked_semi_spec(ring, 5, 17))

@@ -12,6 +12,7 @@ def test_ring_ops_small():
     r = Ring(7)
     assert r.add(3, 5) == 1
     assert r.mul(3, 5) == 1
+    assert r.sq(3) == 2
     assert r.neg(0) == 0
     assert r.sub(2, 5) == 4
 
@@ -24,7 +25,8 @@ def test_ring_rejects_tiny_modulus():
 @given(st.integers(min_value=2, max_value=10**30), st.integers(), st.integers())
 def test_ring_canonicity_fuzz(n, x, y):
     r = Ring(n)
-    for v in (r.add(x % n, y % n), r.sub(x % n, y % n), r.mul(x % n, y % n), r.neg(x % n)):
+    x, y = x % n, y % n
+    for v in (r.add(x, y), r.sub(x, y), r.mul(x, y), r.sq(x), r.neg(x)):
         assert 0 <= v < n
 
 
