@@ -3,8 +3,6 @@
 from .errors import (
     Coincidence,
     DomainTooLarge,
-    InconclusiveBit,
-    InputExhausted,
     InvalidCoefficient,
     LadderError,
     NoConstantExists,

@@ -25,7 +25,7 @@ def _int(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run a fault-attack protocol over random keys")
     p.add_argument("--model", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--target", choices=attacks.EXP_TARGETS + attacks.ECC_TARGETS, required=True)
-    p.add_argument("--bits", type=int, default=16)
+    p.add_argument("--bits", type=_positive, default=16)
     p.add_argument("--trials", type=_positive, default=10)
     p.add_argument("--readable", choices=("x", "y", "both"), default="both")
     _add_common(p)
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_int, required=True)
     p.add_argument("--Ax", type=_int, required=True)
     p.add_argument("--Ay", type=_int, required=True)
-    p.add_argument("--order", type=_int, required=True)
+    p.add_argument("--order", type=_positive, required=True)
     p.add_argument("--algo", choices=("daa", "montgomery", "semi", "fully"), required=True)
     p.add_argument("--cP", type=_int, default=3)
     p.add_argument("--fresh-cP", action="store_true")

@@ -3,6 +3,11 @@
 Everything runs on desk-scale curves: affine coordinates, one field
 inversion per addition, points enumerable for test oracles.  The ladder
 coefficients act on scalars modulo the order of the working subgroup.
+
+The public `point_add`/`point_double`/`point_neg` reject points off the
+curve.  A runner checks each point where it enters: the base point, the
+start registers and every injected fault value.  The group law inside a
+run is unchecked, since it maps curve points to curve points.
 """
 
 import math
@@ -56,16 +61,13 @@ def _require_on_curve(curve: Curve, P: Point) -> None:
         raise NotOnCurve(f"{P} is not on the curve")
 
 
-def point_neg(curve: Curve, P: Point) -> Point:
-    _require_on_curve(curve, P)
+def _neg(curve: Curve, P: Point) -> Point:
     if P.is_infinity:
         return P
     return Point(P.x, (-P.y) % curve.p)
 
 
-def point_add(curve: Curve, P: Point, Q: Point) -> Point:
-    _require_on_curve(curve, P)
-    _require_on_curve(curve, Q)
+def _add(curve: Curve, P: Point, Q: Point) -> Point:
     if P.is_infinity:
         return Q
     if Q.is_infinity:
@@ -74,14 +76,13 @@ def point_add(curve: Curve, P: Point, Q: Point) -> Point:
     if P.x == Q.x:
         if (P.y + Q.y) % p == 0:
             return INFINITY
-        return point_double(curve, P)
+        return _dbl(curve, P)
     lam = (Q.y - P.y) * pow(Q.x - P.x, -1, p) % p
     x3 = (lam * lam - P.x - Q.x) % p
     return Point(x3, (lam * (P.x - x3) - P.y) % p)
 
 
-def point_double(curve: Curve, P: Point) -> Point:
-    _require_on_curve(curve, P)
+def _dbl(curve: Curve, P: Point) -> Point:
     if P.is_infinity or P.y == 0:
         return INFINITY
     p = curve.p
@@ -90,21 +91,37 @@ def point_double(curve: Curve, P: Point) -> Point:
     return Point(x3, (lam * (P.x - x3) - P.y) % p)
 
 
+def point_neg(curve: Curve, P: Point) -> Point:
+    _require_on_curve(curve, P)
+    return _neg(curve, P)
+
+
+def point_add(curve: Curve, P: Point, Q: Point) -> Point:
+    _require_on_curve(curve, P)
+    _require_on_curve(curve, Q)
+    return _add(curve, P, Q)
+
+
+def point_double(curve: Curve, P: Point) -> Point:
+    _require_on_curve(curve, P)
+    return _dbl(curve, P)
+
+
 def double_and_add(curve: Curve, k, A: Point) -> Point:
     """Left-to-right scalar multiplication k*A; the oracle for every ladder here."""
     _require_on_curve(curve, A)
     bits = as_key(k).bits if not isinstance(k, int) else None
     if bits is None:
         if k < 0:
-            return double_and_add(curve, -k, point_neg(curve, A))
+            return double_and_add(curve, -k, _neg(curve, A))
         if k == 0:
             return INFINITY
         bits = as_key(k).bits
     P = INFINITY
     for b in bits:
-        P = point_double(curve, P)
+        P = _dbl(curve, P)
         if b:
-            P = point_add(curve, A, P)
+            P = _add(curve, A, P)
     return P
 
 
@@ -223,7 +240,11 @@ def find_small_curve(
 
 
 class PointOps:
-    """Point-operation tally used by the runners (adds, doublings)."""
+    """Point-operation tally used by the runners (adds, doublings).
+
+    The operations do not check their operands: the runner validates the
+    points that enter a run, and the group law keeps them on the curve.
+    """
 
     def __init__(self, curve: Curve):
         self.curve = curve
@@ -232,14 +253,14 @@ class PointOps:
 
     def add(self, P: Point, Q: Point) -> Point:
         self.adds += 1
-        return point_add(self.curve, P, Q)
+        return _add(self.curve, P, Q)
 
     def dbl(self, P: Point) -> Point:
         self.doubles += 1
-        return point_double(self.curve, P)
+        return _dbl(self.curve, P)
 
     def neg(self, P: Point) -> Point:
-        return point_neg(self.curve, P)
+        return _neg(self.curve, P)
 
     def cmul(self, c: int, P: Point) -> Point:
         """Plain double-and-add for the coefficient scalar multiplications."""
@@ -248,9 +269,9 @@ class PointOps:
         R = INFINITY
         if c == 0:
             return R
-        for b in as_key(c).bits:
+        for b in bin(c)[2:]:
             R = self.dbl(R)
-            if b:
+            if b == "1":
                 R = self.add(P, R)
         return R
 
@@ -308,8 +329,10 @@ def run_ecc_algorithm(
     trace: Trace | None = None,
     ops: PointOps | None = None,
 ) -> tuple[Point, Point | None]:
-    """Uniform entry point over the scalar-multiplication variants."""
-    _require_on_curve(curve, A)
+    """Uniform entry point; NotOnCurve for an off-curve base, start or fault point."""
+    for R in (A, x0, y0):
+        if R is not None:
+            _require_on_curve(curve, R)
     bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))
@@ -380,8 +403,6 @@ def run_ecc_algorithm(
 
     P = INFINITY if x0 is None else x0
     Q = link(P) if y0 is None else y0
-    _require_on_curve(curve, P)
-    _require_on_curve(curve, Q)
     if trace is not None:
         if trace.ys is None:
             trace.ys = []
@@ -391,9 +412,12 @@ def run_ecc_algorithm(
     def draw(r):
         return random_point(curve, r)
 
+    faulted = {f.iteration for f in plan.register_faults} if plan is not None else ()
     for i in range(1, len(bits) + 1):
-        if plan is not None:
+        if i in faulted:
             P, Q = plan.apply(i, P, Q, draw)
+            _require_on_curve(curve, P)
+            _require_on_curve(curve, Q)
             if trace is not None:
                 trace.xs[-1], trace.ys[-1] = P, Q
         c = _draw_semi_coef(order, rng) if fresh_coef else (params.coef if params else 0)

@@ -25,13 +25,5 @@ class InvalidCoefficient(LadderError):
     """A ladder coefficient violates its invertibility/exclusion constraints."""
 
 
-class InconclusiveBit(LadderError):
-    """A fault probe could not separate the two key-bit hypotheses."""
-
-
 class Coincidence(LadderError):
     """An injected fault left every register unchanged after the retry budget."""
-
-
-class InputExhausted(LadderError):
-    """The pool of probe inputs ran out before a key bit was resolved."""

@@ -183,6 +183,8 @@ def rsa_sampled_frequency(
     """
     _require_prime(p, "p")
     _require_prime(q, "q")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     n = p * q
     hits = 0
     for _ in range(samples):

@@ -63,6 +63,9 @@ def test_usage_error_exit_code(capsys):
     ["--format", "csv", "attack", "--model", "3", "--target", "montgomery", "--trials", "0"],
     ["attack", "--model", "1", "--target", "sma", "--trials", "-1"],
     ["prob", "--mode", "rsa-sample", "--p", "5", "--q", "7", "--samples", "0"],
+    ["ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0", "--Ay", "99", "--order", "0",
+     "--algo", "fully", "--k", "29"],
+    ["attack", "--model", "3", "--target", "montgomery", "--bits", "0"],
 ])
 def test_count_below_one_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -144,6 +147,16 @@ def test_ecc_subcommand(capsys, small_curve):
         assert doc["result"] == want
         assert doc["invariant_ok"] is True
         assert doc["point_adds"] > 0
+
+
+@pytest.mark.parametrize("algo", ["daa", "montgomery", "semi", "fully"])
+def test_ecc_off_curve_base_is_domain_error(capsys, algo):
+    code, out, err = run_cli(capsys, "ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0",
+                             "--Ay", "98", "--order", "97", "--algo", algo, "--k", "29")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "not on the curve" in err
+    assert "Traceback" not in err
 
 
 def test_byte_identical_output_for_same_seed(capsys):

@@ -24,6 +24,7 @@ from ladderlab.ecc import (
     semi_params,
     sqrt_mod_prime,
 )
+from ladderlab.faults import FaultPlan, RegisterFault
 from ladderlab.ladders import KeyBits, Trace
 from ladderlab.modarith import is_probable_prime
 
@@ -198,6 +199,43 @@ class TestFullyLadder:
                 continue
             for k in (0, 1, 13, 255):
                 assert ecc_fully_interleaved(curve, k, A, params)[0] == double_and_add(curve, k, A)
+
+
+ALGOS = ("daa", "montgomery", "semi", "fully")
+
+
+def _params(algo, N):
+    return {"semi": semi_params(3, N), "fully": fully_params(3, N)}.get(algo)
+
+
+def _off_curve(curve, A):
+    bogus = Point(A.x, (A.y + 1) % curve.p)
+    assert not is_on_curve(curve, bogus)
+    return bogus
+
+
+class TestBoundaryValidation:
+    """Every point entering a run is checked, on every algorithm."""
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize("where", ("A", "x0", "y0"))
+    def test_off_curve_entry_point_rejected(self, small_curve, algo, where):
+        curve, A, N = small_curve
+        bad = _off_curve(curve, A)
+        starts = {} if where == "A" else {where: bad}
+        with pytest.raises(NotOnCurve):
+            run_ecc_algorithm(algo, curve, bad if where == "A" else A, KeyBits.from_int(0b1011),
+                              params=_params(algo, N), **starts)
+
+    @pytest.mark.parametrize("algo", ALGOS[1:])
+    @pytest.mark.parametrize("target", ("x", "y"))
+    @pytest.mark.parametrize("iteration", (1, 4))
+    def test_off_curve_fault_value_rejected(self, small_curve, algo, target, iteration):
+        curve, A, N = small_curve
+        plan = FaultPlan((RegisterFault(target, iteration, value=_off_curve(curve, A)),))
+        with pytest.raises(NotOnCurve):
+            run_ecc_algorithm(algo, curve, A, KeyBits.from_int(0b1011),
+                              params=_params(algo, N), plan=plan)
 
 
 def test_point_ops_counter(small_curve):

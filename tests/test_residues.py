@@ -135,6 +135,11 @@ class TestRsaProbability:
         with pytest.raises(ValueError):
             rsa_probability_bound(4, 5)
 
+    def test_sampled_frequency_needs_a_sample(self):
+        for samples in (0, -1):
+            with pytest.raises(ValueError):
+                rsa_sampled_frequency(5, 7, samples, random.Random(0))
+
     def test_exhaustive_matches_per_base_census(self):
         n = 11 * 13
         agg_s = sum(census_suitable_constants(a, n).suitable for a in range(2, n - 1))
