@@ -145,7 +145,8 @@ def cmd_attack(args) -> tuple[dict, list | None]:
 def _need(args, *names) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
-        raise ValueError(f"mode {args.mode!r} requires {', '.join(missing)}")
+        # a usage error, reported by the parser in main
+        raise argparse.ArgumentError(None, f"mode {args.mode!r} requires {', '.join(missing)}")
 
 
 def cmd_prob(args) -> tuple[dict, list | None]:
@@ -212,6 +213,8 @@ def _ecc_point_json(P) -> dict | str:
 def cmd_ecc(args) -> tuple[dict, list | None]:
     curve = ecc.Curve(args.p, args.a, args.b, subgroup_order=args.order)
     A = ecc.Point(args.Ax, args.Ay)
+    if not ecc.double_and_add(curve, args.order, A).is_infinity:
+        raise ValueError(f"--order {args.order} times the base point is not the point at infinity")
     rng = random.Random(args.seed)
     params = None
     if args.algo == "semi":
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int)
     p.add_argument("--p", type=_int)
     p.add_argument("--q", type=_int)
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--r", type=_positive, default=3)
     p.add_argument("--samples", type=_positive, default=10000)
     _add_common(p)
     p.set_defaults(func=cmd_prob)
@@ -355,6 +358,8 @@ def main(argv=None) -> int:
         args.seed = _seed_default()
     try:
         payload, rows = args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except LadderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

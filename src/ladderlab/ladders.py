@@ -7,8 +7,10 @@ affine `link` map: y == link(x) between any two iterations.  In the
 half-coupled form each branch updates one register from both values and
 the other from itself alone; in the fully-coupled form both registers are
 recomputed from both previous values.  `check_semi_equations` and
-`check_fully_equations` verify, by exhaustive sweep, the equation systems
-that make those rewrites faithful.
+`check_fully_equations` verify the equation systems that make those
+rewrites faithful for every ring element, evaluating the spec's own
+polynomials over int64 chunks of x; they refuse any n above 2**31, where a
+product of two canonical values could overflow int64, whatever `limit` is.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +20,8 @@ from .faults import FaultPlan, effective_bit
 from .modarith import Ring
 
 DEFAULT_SWEEP_LIMIT = 2**20
+INT64_SWEEP_LIMIT = 2**31
+SWEEP_CHUNK = 2**14
 COUNTEREXAMPLE_CAP = 16
 
 
@@ -301,17 +305,30 @@ class SweepResult:
         return self.ok
 
 
-def _sweep(ring: Ring, equations, limit: int) -> SweepResult:
-    if ring.n > limit:
-        raise DomainTooLarge(f"sweep over n={ring.n} exceeds guard {limit}")
+def _sweep(ring: Ring, spec: LadderSpec, equations, limit: int) -> SweepResult:
+    import numpy as np
+
+    guard = min(limit, INT64_SWEEP_LIMIT)
+    if ring.n > guard:
+        raise DomainTooLarge(f"sweep over n={ring.n} exceeds guard {guard}")
+    # canonical coefficients keep every product below (n-1)**2 < 2**62
+    ring, spec = spec_from_json(spec_to_json(ring, spec))
     bad = []
-    for x in range(ring.n):
-        for idx, (lhs, rhs) in enumerate(equations(x), start=1):
-            if lhs != rhs:
-                bad.append((x, idx))
-                if len(bad) >= COUNTEREXAMPLE_CAP:
-                    return SweepResult(False, bad)
-    return SweepResult(len(bad) == 0, bad)
+    for start in range(0, ring.n, SWEEP_CHUNK):
+        xs = np.arange(start, min(start + SWEEP_CHUNK, ring.n), dtype=np.int64)
+        failed = np.stack([lhs != rhs for lhs, rhs in equations(ring, spec, xs)], axis=1)
+        for x, idx in zip(*np.nonzero(failed)):  # x ascending, then equation index
+            bad.append((start + int(x), int(idx) + 1))
+            if len(bad) >= COUNTEREXAMPLE_CAP:
+                return SweepResult(False, bad)
+    return SweepResult(not bad, bad)
+
+
+def _semi_equations(ring: Ring, spec: LadderSpec, x):
+    lx = spec.link.eval(ring, x)
+    yield spec.bit0_step.eval1(ring, lx), spec.link.eval(ring, spec.bit1_step.eval1(ring, x))
+    yield spec.main_step.eval2(ring, x, lx), spec.bit1_step.eval1(ring, x)
+    yield spec.main_step.eval2(ring, lx, x), spec.link.eval(ring, spec.bit0_step.eval1(ring, x))
 
 
 def check_semi_equations(
@@ -324,14 +341,18 @@ def check_semi_equations(
     link of the bit-0 update.
     """
     spec.validate(ring)
+    return _sweep(ring, spec, _semi_equations, limit)
 
-    def equations(x):
-        lx = spec.link.eval(ring, x)
-        yield spec.bit0_step.eval1(ring, lx), spec.link.eval(ring, spec.bit1_step.eval1(ring, x))
-        yield spec.main_step.eval2(ring, x, lx), spec.bit1_step.eval1(ring, x)
-        yield spec.main_step.eval2(ring, lx, x), spec.link.eval(ring, spec.bit0_step.eval1(ring, x))
 
-    return _sweep(ring, equations, limit)
+def _fully_equations(ring: Ring, spec: LadderSpec, x):
+    lx = spec.link.eval(ring, x)
+    tx = spec.bit1_step.eval1(ring, x)
+    yield spec.sync_step.eval2(ring, tx, lx), spec.link.eval(ring, tx)
+    yield spec.main_step.eval2(ring, x, lx), tx
+    swapped = spec.main_step.eval2(ring, lx, x)
+    ex = spec.bit0_step.eval1(ring, x)
+    yield swapped, spec.link.eval(ring, ex)
+    yield spec.sync_step.eval2(ring, swapped, x), ex
 
 
 def check_fully_equations(
@@ -341,18 +362,7 @@ def check_fully_equations(
     spec.validate(ring)
     if spec.sync_step is None:
         raise ValueError("fully check requires a spec with sync_step")
-
-    def equations(x):
-        lx = spec.link.eval(ring, x)
-        tx = spec.bit1_step.eval1(ring, x)
-        yield spec.sync_step.eval2(ring, tx, lx), spec.link.eval(ring, tx)
-        yield spec.main_step.eval2(ring, x, lx), tx
-        swapped = spec.main_step.eval2(ring, lx, x)
-        ex = spec.bit0_step.eval1(ring, x)
-        yield swapped, spec.link.eval(ring, ex)
-        yield spec.sync_step.eval2(ring, swapped, x), ex
-
-    return _sweep(ring, equations, limit)
+    return _sweep(ring, spec, _fully_equations, limit)
 
 
 def lift_semi_to_fully(spec: LadderSpec) -> LadderSpec:

@@ -5,11 +5,13 @@ All probabilities are exact rationals; nothing here goes through floats.
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainTooLarge, NotCoprime
 from .modarith import is_probable_prime
+from .modexp import _constants_for
 
 SWEEP_LIMIT = 2**20
 
@@ -17,6 +19,25 @@ SWEEP_LIMIT = 2**20
 def _require_prime(p: int, who: str) -> None:
     if not is_probable_prime(p):
         raise ValueError(f"{who} must be prime, got {p}")
+
+
+def _semiprime(p: int, q: int) -> int:
+    _require_prime(p, "p")
+    _require_prime(q, "q")
+    if p == q:
+        raise ValueError("p and q must be distinct")
+    if p * q < 11:
+        raise ValueError("need pq >= 11")
+    return p * q
+
+
+def _tables(n: int, limit: int):
+    """The suitability tables of every constant for n, once n passes the work guard."""
+    if n > limit:
+        raise DomainTooLarge(f"census over n={n} exceeds guard {limit}")
+    from .sweeps import ConstantTables  # numpy, which `import ladderlab` leaves unloaded
+
+    return ConstantTables(n)
 
 
 def is_rth_residue(a: int, p: int, r: int = 3) -> bool:
@@ -43,9 +64,7 @@ def gauss_residue_census(p: int, r: int = 3, limit: int = SWEEP_LIMIT) -> GaussC
     _require_prime(p, "p")
     if p > limit:
         raise DomainTooLarge(f"census over p={p} exceeds guard {limit}")
-    roots: dict[int, int] = {}
-    for ell in range(1, p):
-        roots[pow(ell, r, p)] = roots.get(pow(ell, r, p), 0) + 1
+    roots = Counter(pow(ell, r, p) for ell in range(1, p))
     return GaussCensus(p, r, math.gcd(p - 1, r), len(roots), roots)
 
 
@@ -72,24 +91,13 @@ def census_suitable_constants(a: int, n: int, limit: int = SWEEP_LIMIT) -> Const
         raise ValueError("need n >= 7")
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
-    if n > limit:
-        raise DomainTooLarge(f"census over n={n} exceeds guard {limit}")
-    rejected = dict.fromkeys(REJECTIONS, 0)
-    suitable = 0
-    for ell in range(2, n - 1):
-        if ell == a:
-            continue
-        if (ell - a) % n == 0:
-            rejected["equals_base"] += 1
-        elif math.gcd(ell, n) != 1:
-            rejected["not_unit"] += 1
-        elif math.gcd(ell * ell - 1, n) != 1:
-            rejected["square_not_unit"] += 1
-        elif math.gcd(ell * ell * ell - a, n) != 1:
-            rejected["cube_not_unit"] += 1
-        else:
-            suitable += 1
-    return ConstantCensus(n=n, a=a, total=n - 4, suitable=suitable, rejected=rejected)
+    tables = _tables(n, limit)
+    rest = tables.ells != a
+    rejected = {}
+    for reason, ok in zip(REJECTIONS, tables.constraints(a)):
+        rejected[reason] = int((rest & ~ok).sum())
+        rest &= ok
+    return ConstantCensus(n=n, a=a, total=n - 4, suitable=int(rest.sum()), rejected=rejected)
 
 
 def dsa_probability_formula(n: int) -> Fraction:
@@ -109,69 +117,26 @@ def dsa_exhaustive_counts(n: int, limit: int = SWEEP_LIMIT) -> tuple[int, int]:
     _require_prime(n, "n")
     if n < 7:
         raise ValueError("need a prime n >= 7")
-    suitable = 0
-    total = 0
-    for a in range(2, n - 1):
-        c = census_suitable_constants(a, n, limit)
-        suitable += c.suitable
-        total += c.total
-    return suitable, total
+    return _tables(n, limit).count_suitable()
 
 
 def dsa_exhaustive_ratio(n: int, limit: int = SWEEP_LIMIT) -> Fraction:
     """Census ratio over every base a in [2, n-2]; must equal the closed formula."""
-    suitable, total = dsa_exhaustive_counts(n, limit)
-    return Fraction(suitable, total)
+    return Fraction(*dsa_exhaustive_counts(n, limit))
 
 
 def rsa_probability_bound(p: int, q: int) -> Fraction:
     """Lower bound 1 - (p+q+9)/(n-4) on the suitable-constant probability, n = pq."""
-    _require_prime(p, "p")
-    _require_prime(q, "q")
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    n = p * q
-    if n < 11:
-        raise ValueError("need pq >= 11")
+    n = _semiprime(p, q)
     return Fraction(1) - Fraction(p + q + 9, n - 4)
 
 
 def rsa_exhaustive_frequency(p: int, q: int, limit: int = SWEEP_LIMIT) -> Fraction:
     """Exact aggregate suitable-constant frequency over all (a, ell) pairs, n = pq.
 
-    Same predicate as census_suitable_constants, vectorized per base so that
-    sweeping all bases of a desk-scale semiprime stays fast.
+    Same predicate and count as `dsa_exhaustive_counts`, over a composite modulus.
     """
-    import numpy as np
-
-    _require_prime(p, "p")
-    _require_prime(q, "q")
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    n = p * q
-    if n < 11:
-        raise ValueError("need pq >= 11")
-    if n > limit:
-        raise DomainTooLarge(f"census over n={n} exceeds guard {limit}")
-
-    ells = np.arange(2, n - 1, dtype=np.int64)
-    unit = (ells % p != 0) & (ells % q != 0)
-    sq = ells * ells % n
-    sq_unit = ((sq - 1) % p != 0) & ((sq - 1) % q != 0)
-    cube = sq * ells % n
-    base_ok = unit & sq_unit
-
-    suitable = 0
-    total = 0
-    for a in range(2, n - 1):
-        ok = base_ok & ((cube - a) % p != 0) & ((cube - a) % q != 0)
-        good = int(np.count_nonzero(ok))
-        # drop ell == a from the candidate interval
-        if ok[a - 2]:
-            good -= 1
-        suitable += good
-        total += n - 4
-    return Fraction(suitable, total)
+    return Fraction(*_tables(_semiprime(p, q), limit).count_suitable())
 
 
 def rsa_sampled_frequency(
@@ -181,21 +146,14 @@ def rsa_sampled_frequency(
 
     Returns (frequency, bound) so callers can compare against the lower bound.
     """
-    _require_prime(p, "p")
-    _require_prime(q, "q")
+    n = _semiprime(p, q)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n = p * q
     hits = 0
     for _ in range(samples):
         a = rng.randrange(2, n - 1)
         ell = rng.randrange(2, n - 1)
         while ell == a:
             ell = rng.randrange(2, n - 1)
-        if (
-            math.gcd(ell, n) == 1
-            and math.gcd(ell * ell - 1, n) == 1
-            and math.gcd(ell * ell * ell - a, n) == 1
-        ):
-            hits += 1
+        hits += _constants_for(a, ell, n, 0) is not None
     return Fraction(hits, samples), rsa_probability_bound(p, q)

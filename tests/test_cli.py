@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ladderlab
 from ladderlab.cli import main
 from ladderlab.ladders import spec_to_json
 from ladderlab.modarith import Ring
@@ -66,6 +70,7 @@ def test_usage_error_exit_code(capsys):
     ["ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0", "--Ay", "99", "--order", "0",
      "--algo", "fully", "--k", "29"],
     ["attack", "--model", "3", "--target", "montgomery", "--bits", "0"],
+    ["prob", "--mode", "gauss", "--p", "13", "--r", "0"],
 ])
 def test_count_below_one_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -93,6 +98,39 @@ def test_verify_roundtrip(tmp_path, capsys):
     result = json.loads(out)
     assert result["ok"] is False
     assert 0 < len(result["counterexamples"]) <= 16
+
+
+def test_verify_refuses_int64_overflow_whatever_the_limit(tmp_path, capsys):
+    ring = Ring(2**31 + 11)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_json(ring, masked_semi_spec(ring, 3, 4))))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path), "--limit", str(2**33))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "exceeds guard" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", "--mode", "dsa-exact"],
+    ["prob", "--mode", "rsa-bound", "--p", "11"],
+    ["prob", "--mode", "gauss"],
+])
+def test_prob_missing_mode_argument_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "requires --" in out.err
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy costs a cold import; only the exhaustive checks and censuses load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ladderlab.__file__)))
+    code = "import sys, ladderlab, ladderlab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_attack_subcommand_full_accuracy(capsys):
@@ -157,6 +195,15 @@ def test_ecc_off_curve_base_is_domain_error(capsys, algo):
     assert out == ""
     assert err.startswith("error:") and "not on the curve" in err
     assert "Traceback" not in err
+
+
+def test_ecc_order_must_annihilate_the_base_point(capsys):
+    # the base point has order 97, so 95 is not its order
+    code, out, err = run_cli(capsys, "ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0",
+                             "--Ay", "99", "--order", "95", "--algo", "fully", "--k", "29")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "point at infinity" in err
 
 
 def test_byte_identical_output_for_same_seed(capsys):

@@ -1,12 +1,16 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderlab.errors import DomainTooLarge
+from ladderlab import ladders
+from ladderlab.errors import DomainTooLarge, NoConstantExists
 from ladderlab.faults import FaultPlan, RegisterFault
 from ladderlab.ladders import (
+    COUNTEREXAMPLE_CAP,
+    SWEEP_CHUNK,
     Affine1,
     KeyBits,
     LadderSpec,
@@ -21,7 +25,12 @@ from ladderlab.ladders import (
     spec_to_json,
 )
 from ladderlab.modarith import Ring, modpow_reference
-from ladderlab.modexp import fully_ladder_spec, ladder_constants, masked_semi_spec
+from ladderlab.modexp import (
+    find_ladder_constant,
+    fully_ladder_spec,
+    ladder_constants,
+    masked_semi_spec,
+)
 
 
 def montgomery_spec(ring, a):
@@ -194,6 +203,15 @@ class TestCheckSemiEquations:
         with pytest.raises(DomainTooLarge):
             check_semi_equations(montgomery_spec(ring, 2), ring)
 
+    def test_int64_guard_holds_whatever_the_limit(self):
+        # above 2**31 a product of two canonical values no longer fits in int64
+        ring = Ring(2**31 + 11)
+        spec = montgomery_spec(ring, 2)
+        with pytest.raises(DomainTooLarge):
+            check_semi_equations(spec, ring, limit=2**64)
+        with pytest.raises(DomainTooLarge):
+            check_fully_equations(lift_semi_to_fully(spec), ring, limit=2**64)
+
 
 class TestCheckFullyEquations:
     def test_small_instance_passes(self):
@@ -221,6 +239,109 @@ class TestCheckFullyEquations:
             forced.bit1_step, forced.bit0_step, Affine1(7), forced.main_step, forced.sync_step
         )
         assert not check_fully_equations(bad, ring).ok
+
+
+def reference_counterexamples(spec, ring, cap=COUNTEREXAMPLE_CAP):
+    """The equations of both checks, evaluated per x on Python ints; (x, equation) failures."""
+    bad = []
+    for x in range(ring.n):
+        lx = spec.link.eval(ring, x)
+        tx = spec.bit1_step.eval1(ring, x)
+        ex = spec.bit0_step.eval1(ring, x)
+        swapped = spec.main_step.eval2(ring, lx, x)
+        if spec.sync_step is None:
+            pairs = [
+                (spec.bit0_step.eval1(ring, lx), spec.link.eval(ring, tx)),
+                (spec.main_step.eval2(ring, x, lx), tx),
+                (swapped, spec.link.eval(ring, ex)),
+            ]
+        else:
+            pairs = [
+                (spec.sync_step.eval2(ring, tx, lx), spec.link.eval(ring, tx)),
+                (spec.main_step.eval2(ring, x, lx), tx),
+                (swapped, spec.link.eval(ring, ex)),
+                (spec.sync_step.eval2(ring, swapped, x), ex),
+            ]
+        bad += [(x, idx) for idx, (lhs, rhs) in enumerate(pairs, start=1) if lhs != rhs]
+        if len(bad) >= cap:
+            return bad[:cap]
+    return bad
+
+
+QUAD_KEYS = ("c20", "c11", "c02", "c10", "c01", "c00")
+
+
+def _disguise(q, n, rng):
+    """The same map, each coefficient shifted by a small, negative or ~80-bit multiple of n."""
+    keys = ("l1", "l0") if isinstance(q, Affine1) else QUAD_KEYS
+    return replace(q, **{
+        k: getattr(q, k) + n * rng.choice((0, rng.randrange(-3, 4), rng.randrange(-(2**80), 2**80)))
+        for k in keys
+    })
+
+
+def _perturb(q, n, rng):
+    k = rng.choice(QUAD_KEYS)
+    return replace(q, **{k: getattr(q, k) + rng.randrange(1, n)})
+
+
+def random_spec(rng, n, fully, perturb):
+    ring = Ring(n)
+    spec = masked_semi_spec(ring, rng.randrange(1, n), rng.randrange(n))
+    if fully:
+        try:
+            a = rng.randrange(2, n - 1)
+            spec = fully_ladder_spec(ring, find_ladder_constant(a, n, rng))
+        except (ValueError, NoConstantExists):
+            spec = lift_semi_to_fully(spec)
+    main, sync = spec.main_step, spec.sync_step
+    if perturb:
+        if sync is None or rng.random() < 0.5:
+            main = _perturb(main, n, rng)
+        else:
+            sync = _perturb(sync, n, rng)
+    return ring, LadderSpec(
+        _disguise(spec.bit1_step, n, rng),
+        _disguise(spec.bit0_step, n, rng),
+        _disguise(spec.link, n, rng),
+        _disguise(main, n, rng),
+        None if sync is None else _disguise(sync, n, rng),
+    )
+
+
+def _check(spec, ring):
+    check = check_semi_equations if spec.sync_step is None else check_fully_equations
+    return check(spec, ring)
+
+
+class TestChunkedCheckMatchesScalarReference:
+    """The checks evaluate whole chunks of x on int64 arrays; a per-x loop on Python ints
+    must give the same verdict and the same counterexamples, in the same order."""
+
+    def test_random_specs(self):
+        rng = random.Random(11)
+        for i in range(80):
+            n = rng.choice((rng.randrange(2, 64), rng.randrange(64, 700)))
+            ring, spec = random_spec(rng, n, fully=i % 2 == 1, perturb=rng.random() < 0.6)
+            result = _check(spec, ring)
+            want = reference_counterexamples(spec, ring)
+            assert result.counterexamples == want, (n, spec)
+            assert result.ok == (want == [])
+
+    @pytest.mark.parametrize("fully", [False, True])
+    def test_failures_on_both_sides_of_a_chunk_boundary(self, monkeypatch, fully):
+        n = SWEEP_CHUNK + 7
+        rng = random.Random(12 + fully)
+        ring, spec = random_spec(rng, n, fully=fully, perturb=True)
+        capped = _check(spec, ring)
+        assert capped.counterexamples == reference_counterexamples(spec, ring)
+        # without the cap, every failure in both chunks must come out, in order
+        monkeypatch.setattr(ladders, "COUNTEREXAMPLE_CAP", 4 * n)
+        everything = _check(spec, ring)
+        want = reference_counterexamples(spec, ring, cap=4 * n)
+        assert everything.counterexamples == want
+        xs = [x for x, _ in want]
+        assert xs[0] < SWEEP_CHUNK <= xs[-1]
 
 
 class TestFaultHooksOnGenericRunners:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from ladderlab.errors import DomainTooLarge, NotCoprime
 from ladderlab.residues import (
+    REJECTIONS,
     census_suitable_constants,
     dsa_exhaustive_counts,
     dsa_exhaustive_ratio,
@@ -85,6 +87,23 @@ class TestConstantCensus:
             a = rng.randrange(2, n - 1)
             c = census_suitable_constants(a, n)
             assert c.suitable + sum(c.rejected.values()) == c.total == n - 4
+
+    def test_rejections_match_scalar_classification(self):
+        for n in list(range(7, 61)) + [221, 499]:
+            for a in range(2, n - 1):
+                want = dict.fromkeys(REJECTIONS, 0)
+                for ell in range(2, n - 1):
+                    if ell == a:
+                        continue
+                    failed = ((ell - a) % n == 0, math.gcd(ell, n) != 1,
+                              math.gcd(ell * ell - 1, n) != 1, math.gcd(ell**3 - a, n) != 1)
+                    for reason, bad in zip(REJECTIONS, failed):
+                        if bad:
+                            want[reason] += 1
+                            break
+                c = census_suitable_constants(a, n)
+                assert list(c.rejected.items()) == list(want.items()), (n, a)
+                assert c.suitable == n - 4 - sum(want.values())
 
     def test_census_matches_constant_builder(self):
         # a constant is suitable exactly when the ladder constants build
