@@ -145,7 +145,7 @@ def cmd_attack(args) -> tuple[dict, list | None]:
 def _need(args, *names) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
-        # a usage error, reported by the parser in main
+        # a usage error, reported by the subcommand's parser in main
         raise argparse.ArgumentError(None, f"mode {args.mode!r} requires {', '.join(missing)}")
 
 
@@ -325,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_ecc)
 
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)  # reports the usage errors found after parsing
     return parser
 
 
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
     try:
         payload, rows = args.func(args)
     except argparse.ArgumentError as exc:
-        parser.error(str(exc))
+        args.command_parser.error(str(exc))
     except LadderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

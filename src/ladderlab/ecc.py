@@ -8,11 +8,22 @@ The public `point_add`/`point_double`/`point_neg` reject points off the
 curve.  A runner checks each point where it enters: the base point, the
 start registers and every injected fault value.  The group law inside a
 run is unchecked, since it maps curve points to curve points.
+
+`PointOps`, the group law the runners use, looks results up in a
+discrete-log table when the whole group has prime order N and p is at
+most `TABLE_MAX_P`: every point is then i*G for one generator G, so an
+addition is an addition of logs modulo N.  It tallies additions and
+doublings exactly as the affine law would, and takes the affine law for
+any point outside the table (unreduced coordinates).  `double_and_add`
+and `point_add`/`point_double`/`point_neg` always run the affine law, the
+independent reference every ladder result is checked against.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NotOnCurve
 from .faults import FaultPlan, effective_bit
@@ -36,8 +47,9 @@ class Curve:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
+    """An affine point, or the point at infinity when x is None."""
+
     x: int | None = None
     y: int | None = None
 
@@ -239,31 +251,89 @@ def find_small_curve(
     raise RuntimeError("no suitable small curve found in scan range")
 
 
+TABLE_MAX_P = 2**10
+
+
+@functools.lru_cache(maxsize=8)
+def _log_table(curve: Curve) -> tuple[list[Point], dict[Point, int]] | None:
+    """(mults, log) with mults[i] = i*G and log[mults[i]] = i, G the first affine point.
+
+    None unless p <= TABLE_MAX_P and the group order N is prime, which makes
+    G a generator.  O(N) points, built on the first `PointOps` of a curve.
+    """
+    if curve.p > TABLE_MAX_P:
+        return None
+    points = curve_points(curve)
+    if not is_probable_prime(len(points) + 1):
+        return None
+    G = points[0]
+    mults = [INFINITY, G]
+    for _ in range(len(points) - 1):
+        mults.append(_add(curve, mults[-1], G))
+    return mults, {P: i for i, P in enumerate(mults)}
+
+
 class PointOps:
     """Point-operation tally used by the runners (adds, doublings).
 
     The operations do not check their operands: the runner validates the
     points that enter a run, and the group law keeps them on the curve.
+    On a curve with a discrete-log table (prime group order, p <= TABLE_MAX_P)
+    each operation is one lookup; a point missing from the table, such as
+    one with unreduced coordinates, takes the affine law.  The tallies are
+    those of the affine law either way: `cmul(c, P)` counts the
+    `abs(c).bit_length()` doublings and `abs(c).bit_count()` additions of
+    its double-and-add loop.
     """
 
     def __init__(self, curve: Curve):
         self.curve = curve
         self.adds = 0
         self.doubles = 0
+        self._mults, self._log = _log_table(curve) or (None, None)
+        self._order = len(self._mults) if self._mults else 0
 
     def add(self, P: Point, Q: Point) -> Point:
         self.adds += 1
+        log = self._log
+        if log is not None:
+            try:
+                return self._mults[(log[P] + log[Q]) % self._order]
+            except KeyError:
+                pass
         return _add(self.curve, P, Q)
 
     def dbl(self, P: Point) -> Point:
         self.doubles += 1
+        log = self._log
+        if log is not None:
+            try:
+                return self._mults[2 * log[P] % self._order]
+            except KeyError:
+                pass
         return _dbl(self.curve, P)
 
     def neg(self, P: Point) -> Point:
+        log = self._log
+        if log is not None:
+            try:
+                return self._mults[-log[P] % self._order]
+            except KeyError:
+                pass
         return _neg(self.curve, P)
 
     def cmul(self, c: int, P: Point) -> Point:
-        """Plain double-and-add for the coefficient scalar multiplications."""
+        """c*P, tallied as the double-and-add loop over the bits of abs(c)."""
+        log = self._log
+        if log is not None:
+            try:
+                R = self._mults[c * log[P] % self._order]
+            except KeyError:
+                pass
+            else:
+                self.adds += abs(c).bit_count()
+                self.doubles += abs(c).bit_length()
+                return R
         if c < 0:
             return self.cmul(-c, self.neg(P))
         R = INFINITY

@@ -15,12 +15,13 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count
+from math import gcd
 from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NoConstantExists
 from .faults import FaultPlan
 from .ladders import Affine1, LadderSpec, OpCounts, Quad2, Trace, as_key
-from .modarith import Ring, eea
+from .modarith import Ring
 
 ALGORITHMS = ("sm", "sma", "montgomery", "semi", "fully")
 
@@ -117,16 +118,24 @@ class LadderConstants:
     draws: int
 
 
+def _suits(a: int, ell: int, n: int) -> bool:
+    """The four constant constraints: ell != a, and ell, ell^2 - 1 and ell^3 - a units mod n."""
+    return (
+        (ell - a) % n != 0
+        and gcd(ell, n) == 1
+        and gcd((ell * ell - 1) % n, n) == 1
+        and gcd((ell * ell % n * ell - a) % n, n) == 1
+    )
+
+
 def _constants_for(a: int, ell: int, n: int, draws: int) -> LadderConstants | None:
-    """Check the four constant constraints; build the coefficients if they hold."""
-    v0 = (ell - a) % n
-    d1, u1 = eea(ell % n, n)
-    v2 = (ell * ell - 1) % n
-    d2, u2 = eea(v2, n)
-    v3 = (ell * ell % n * ell - a) % n
-    d3, u3 = eea(v3, n)
-    if v0 == 0 or d1 != 1 or d2 != 1 or d3 != 1:
+    """The coefficients of `ell` when it meets the four constraints, else None."""
+    if not _suits(a, ell, n):
         return None
+    v0 = (ell - a) % n
+    v2 = (ell * ell - 1) % n
+    v3 = (ell * ell % n * ell - a) % n
+    u1, u2, u3 = pow(ell, -1, n), pow(v2, -1, n), pow(v3, -1, n)
     return LadderConstants(
         base=a % n,
         modulus=n,

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 from .errors import DomainTooLarge, NotCoprime
 from .modarith import is_probable_prime
-from .modexp import _constants_for
+from .modexp import _suits
 
 SWEEP_LIMIT = 2**20
+CELL_LIMIT = 2**28  # (a, l) cells one census may evaluate
 
 
 def _require_prime(p: int, who: str) -> None:
@@ -31,10 +32,17 @@ def _semiprime(p: int, q: int) -> int:
     return p * q
 
 
-def _tables(n: int, limit: int):
-    """The suitability tables of every constant for n, once n passes the work guard."""
+def _tables(n: int, limit: int, bases: int):
+    """The suitability tables of every constant for n, once the census passes the work guards.
+
+    The census evaluates the n - 3 constants of the table for each of `bases`
+    bases; both n and that cell count are bounded before any work is done.
+    """
     if n > limit:
         raise DomainTooLarge(f"census over n={n} exceeds guard {limit}")
+    cells = bases * (n - 3)
+    if cells > CELL_LIMIT:
+        raise DomainTooLarge(f"census over n={n} evaluates {cells} (a, l) cells, above guard {CELL_LIMIT}")
     from .sweeps import ConstantTables  # numpy, which `import ladderlab` leaves unloaded
 
     return ConstantTables(n)
@@ -91,7 +99,7 @@ def census_suitable_constants(a: int, n: int, limit: int = SWEEP_LIMIT) -> Const
         raise ValueError("need n >= 7")
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
-    tables = _tables(n, limit)
+    tables = _tables(n, limit, bases=1)
     rest = tables.ells != a
     rejected = {}
     for reason, ok in zip(REJECTIONS, tables.constraints(a)):
@@ -117,7 +125,7 @@ def dsa_exhaustive_counts(n: int, limit: int = SWEEP_LIMIT) -> tuple[int, int]:
     _require_prime(n, "n")
     if n < 7:
         raise ValueError("need a prime n >= 7")
-    return _tables(n, limit).count_suitable()
+    return _tables(n, limit, bases=n - 3).count_suitable()
 
 
 def dsa_exhaustive_ratio(n: int, limit: int = SWEEP_LIMIT) -> Fraction:
@@ -136,7 +144,8 @@ def rsa_exhaustive_frequency(p: int, q: int, limit: int = SWEEP_LIMIT) -> Fracti
 
     Same predicate and count as `dsa_exhaustive_counts`, over a composite modulus.
     """
-    return Fraction(*_tables(_semiprime(p, q), limit).count_suitable())
+    n = _semiprime(p, q)
+    return Fraction(*_tables(n, limit, bases=n - 3).count_suitable())
 
 
 def rsa_sampled_frequency(
@@ -155,5 +164,5 @@ def rsa_sampled_frequency(
         ell = rng.randrange(2, n - 1)
         while ell == a:
             ell = rng.randrange(2, n - 1)
-        hits += _constants_for(a, ell, n, 0) is not None
+        hits += _suits(a, ell, n)
     return Fraction(hits, samples), rsa_probability_bound(p, q)

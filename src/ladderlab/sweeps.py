@@ -5,7 +5,7 @@ every valid ladder constant, and every ring element, in closed form on
 int64 grids (values are reduced after each product, so the widest
 intermediate is below n**2); `ladders.check_*_equations` evaluate one spec's
 own polynomials over int64 chunks of x, for n up to 2**31, and the tests
-cross-check the two routes.  `ConstantTables` is `modexp._constants_for`'s
+cross-check the two routes.  `ConstantTables` is `modexp._suits`'s
 predicate in numpy.
 """
 

@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,7 +124,18 @@ def test_prob_missing_mode_argument_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert "requires --" in out.err
+    assert out.err.startswith("usage: ladderlab prob ")
+    assert "ladderlab prob: error: mode " in out.err and "requires --" in out.err
+
+
+def test_dsa_census_beyond_the_cell_guard_is_refused_at_once(capsys):
+    # n = 65537 passes the n <= 2^20 guard but would evaluate 2^32 (a, l) cells
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "prob", "--mode", "dsa-exact", "--n", "65537")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "cells, above guard" in err
 
 
 def test_import_leaves_numpy_unloaded():
@@ -195,6 +209,56 @@ def test_ecc_off_curve_base_is_domain_error(capsys, algo):
     assert out == ""
     assert err.startswith("error:") and "not on the curve" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("Ay", ["200", "-2"])
+def test_ecc_unreduced_base_point_gives_the_reduced_output(capsys, Ay):
+    base = ["ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0", "--order", "97",
+            "--algo", "fully", "--k", "29", "--trace"]
+    code, out, err = run_cli(capsys, *base, "--Ay", Ay)
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, *base, "--Ay", "99")[1]
+
+
+def _decoded(fmt, out):
+    """The output documents, with CSV cells that hold JSON decoded."""
+    if fmt == "json":
+        return [json.loads(out)]
+    if fmt == "jsonl":
+        return [json.loads(line) for line in out.splitlines()]
+    return [{k: json.loads(v) if v[:1] in "[{" else v for k, v in row.items()}
+            for row in csv.DictReader(io.StringIO(out))]
+
+
+def _pairs(doc):
+    """Every list of two ints or nulls in a document: what json.dumps makes of a bare Point."""
+    if isinstance(doc, dict):
+        return [v for value in doc.values() for v in _pairs(value)]
+    if isinstance(doc, list):
+        here = [doc] if len(doc) == 2 and all(v is None or isinstance(v, int) for v in doc) else []
+        return here + [v for value in doc for v in _pairs(value)]
+    return []
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0", "--Ay", "99", "--order", "97",
+     "--algo", "fully", "--k", "123456789", "--trace"],
+    ["ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0", "--Ay", "99", "--order", "97",
+     "--algo", "semi", "--fresh-cP", "--k", "0", "--trace"],
+    ["attack", "--model", "3", "--target", "ecc-fully", "--bits", "6", "--trials", "2"],
+    ["attack", "--model", "2", "--target", "ecc-semi", "--bits", "6", "--trials", "2"],
+])
+def test_points_serialize_as_objects_never_as_tuples(capsys, fmt, argv):
+    # Point is a tuple: handed to json.dumps unconverted, it would print as [x, y]
+    code, out, _ = run_cli(capsys, "--format", fmt, *argv)
+    assert code == 0
+    docs = _decoded(fmt, out)
+    assert docs and _pairs(docs) == []
+    if argv[0] == "ecc":
+        doc, = docs
+        for P in [doc["result"], doc["companion"], *doc["trace"]]:
+            assert P == "infinity" or (list(P) == ["x", "y"] and all(isinstance(v, str) for v in P.values()))
 
 
 def test_ecc_order_must_annihilate_the_base_point(capsys):

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from ladderlab.errors import InvalidCoefficient, NotOnCurve
+from ladderlab import ecc
 from ladderlab.ecc import (
     INFINITY,
+    TABLE_MAX_P,
     Curve,
     Point,
     PointOps,
@@ -23,6 +28,10 @@ from ladderlab.ecc import (
     run_ecc_algorithm,
     semi_params,
     sqrt_mod_prime,
+    _add,
+    _dbl,
+    _log_table,
+    _neg,
 )
 from ladderlab.faults import FaultPlan, RegisterFault
 from ladderlab.ladders import KeyBits, Trace
@@ -252,3 +261,90 @@ def test_random_point_is_on_curve(small_curve):
     rng = random.Random(6)
     for _ in range(100):
         assert is_on_curve(curve, random_point(curve, rng))
+
+
+def _bit_loop(curve, c, P):
+    """c*P by the affine double-and-add loop over abs(c), with its (adds, doubles)."""
+    if c < 0:
+        c, P = -c, _neg(curve, P)
+    R, adds, doubles = INFINITY, 0, 0
+    for b in bin(c)[2:] if c else "":
+        R, doubles = _dbl(curve, R), doubles + 1
+        if b == "1":
+            R, adds = _add(curve, P, R), adds + 1
+    return R, adds, doubles
+
+
+def _assert_matches_affine(curve, pairs, points, coefs):
+    ops = PointOps(curve)
+    for P, Q in pairs:
+        assert ops.add(P, Q) == _add(curve, P, Q)
+    for P in points:
+        assert ops.dbl(P) == _dbl(curve, P)
+        assert ops.neg(P) == _neg(curve, P)
+    assert (ops.adds, ops.doubles) == (len(pairs), len(points))
+    for c in coefs:
+        for P in points:
+            ops.adds = ops.doubles = 0
+            R = ops.cmul(c, P)
+            assert (R, ops.adds, ops.doubles) == _bit_loop(curve, c, P), (c, P)
+
+
+class TestLogTable:
+    """`PointOps` on a prime-order curve looks results up; they must be the affine law's."""
+
+    def test_generated_curve_has_a_table(self, small_curve):
+        curve, _, N = small_curve
+        mults, log = _log_table(curve)
+        assert len(mults) == len(log) == N == len(curve_points(curve)) + 1
+        assert set(mults) == set(curve_points(curve)) | {INFINITY}
+
+    def test_every_pair(self, small_curve):
+        curve, _, _ = small_curve
+        points = [INFINITY] + curve_points(curve)
+        _assert_matches_affine(curve, [(P, Q) for P in points for Q in points], points, ())
+
+    def test_every_coefficient(self, small_curve):
+        curve, _, N = small_curve
+        points = [INFINITY] + curve_points(curve)
+        _assert_matches_affine(curve, (), points, range(-2 * N, 2 * N + 1))
+
+    def test_largest_tabulated_field(self):
+        curve = Curve(1013, 3, 5)  # group order 1033, prime
+        assert curve.p <= TABLE_MAX_P and _log_table(curve) is not None
+        rng = random.Random(7)
+        points = [INFINITY] + rng.sample(curve_points(curve), 40)
+        pairs = [(rng.choice(points), rng.choice(points)) for _ in range(400)]
+        _assert_matches_affine(curve, pairs, points, (-2067, -1033, -5, 0, 1, 3, 1032, 1034, 4096))
+
+    @pytest.mark.parametrize("curve", [
+        Curve(101, 3, 5),  # group order 115 = 5 * 23
+        Curve(1033, 1, 1),  # group order 1061, prime, but p > TABLE_MAX_P
+    ])
+    def test_other_curves_take_the_affine_law(self, curve):
+        assert _log_table(curve) is None
+        rng = random.Random(8)
+        points = [INFINITY] + rng.sample(curve_points(curve), 40)
+        pairs = [(rng.choice(points), rng.choice(points)) for _ in range(400)]
+        _assert_matches_affine(curve, pairs, points, (-230, -23, -5, 0, 1, 3, 22, 24, 4096))
+
+    @pytest.mark.parametrize("shift", [(1, 0), (0, -1)])
+    def test_unreduced_points_take_the_affine_law(self, small_curve, shift):
+        curve, _, _ = small_curve
+        p = curve.p
+        points = curve_points(curve)
+        unreduced = [Point(P.x + shift[0] * p, P.y + shift[1] * p) for P in points]
+        assert all(is_on_curve(curve, U) for U in unreduced)
+        # the affine law itself cannot add an unreduced x to the same x reduced
+        pairs = [(U, Q) for U in unreduced for Q in [INFINITY] + points[:8] if Q.x != U.x % p]
+        pairs += [(Q, U) for U, Q in pairs]
+        _assert_matches_affine(curve, pairs, unreduced, (-5, -3, -1, 0, 1, 2, 3, 5))
+
+    def test_built_on_first_use(self):
+        # neither the import nor the curve search pays for a table
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ecc.__file__)))
+        code = ("import ladderlab.ecc as e; e.find_small_curve(); "
+                "print(e._log_table.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "0"

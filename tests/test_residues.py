@@ -6,6 +6,7 @@ import pytest
 
 from ladderlab.errors import DomainTooLarge, NotCoprime
 from ladderlab.residues import (
+    CELL_LIMIT,
     REJECTIONS,
     census_suitable_constants,
     dsa_exhaustive_counts,
@@ -140,6 +141,14 @@ class TestDsaProbability:
     def test_requires_prime(self):
         with pytest.raises(ValueError):
             dsa_probability_formula(15)
+
+    def test_cell_guard(self):
+        # every census below the n guard still runs unless its (a, l) cells pass CELL_LIMIT
+        assert (16381 - 3) ** 2 <= CELL_LIMIT < (16411 - 3) ** 2
+        for census in (lambda: dsa_exhaustive_counts(16411), lambda: rsa_exhaustive_frequency(127, 131)):
+            with pytest.raises(DomainTooLarge, match="cells"):
+                census()
+        assert census_suitable_constants(2, 65537).total == 65533
 
 
 class TestRsaProbability:
