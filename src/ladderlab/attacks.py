@@ -17,6 +17,17 @@ Three attacker capabilities are modeled:
 Attack code sees the secret only through an ExecutionOracle; whether a
 recovered bit matches the true key is computed by the evaluation harness,
 never inside the attack.
+
+The attacks make many calls that differ only in where a fault or a
+stuck-at threshold starts, so the exp oracle checkpoints: on the first
+call for an input it keeps the clean run's register snapshots (an
+internal run, not counted in `calls`) and resumes every run at the first
+iteration its plan touches.  Semi under fresh masks draws one mask per
+iteration from the oracle's RNG; while the start registers satisfy
+y = a*x the mask cancels out of every clean step, so such an input keeps
+zero-mask snapshots and each call first replays the draws it skips.  An
+input that breaks the link runs in full.  Outputs and the RNG stream are
+exactly those of full runs.  The ECC oracle runs every call in full.
 """
 
 import random
@@ -34,7 +45,7 @@ from .ecc import (
 )
 from .errors import Coincidence
 from .faults import FaultPlan, RegisterFault
-from .ladders import as_key
+from .ladders import Trace, as_key
 from .modexp import LadderConstants, MaskPolicy, find_ladder_constant, run_exp_algorithm
 
 RETRY_BUDGET = 8
@@ -76,7 +87,12 @@ def make_exp_oracle(
     mask: MaskPolicy | None = None,
     constants: LadderConstants | None = None,
 ) -> ExecutionOracle:
-    """Oracle around one of the exponentiation variants, key captured inside."""
+    """Oracle around one of the exponentiation variants, key captured inside.
+
+    Each faulted run resumes from a checkpoint (see `_resuming_run`), so
+    its outputs, and the RNG stream semi's fresh masks draw from, are
+    those of a full run.
+    """
     bits = as_key(key)
     rng = random.Random(seed)
     if algo == "fully" and constants is None:
@@ -84,16 +100,68 @@ def make_exp_oracle(
     if algo == "semi" and mask is None:
         mask = MaskPolicy.fresh()
 
-    def run(x_init, y_init, plan):
-        return run_exp_algorithm(
-            algo, a, bits, n,
-            x0=x_init, y0=y_init, plan=plan, constants=constants, mask=mask, rng=rng,
-        )
-
     def sample_input(r):
         return r.randrange(1, n), r.randrange(1, n)
 
+    run = _resuming_run(algo, a, n, bits, constants, mask, rng)
     return ExecutionOracle(run, len(bits), sample_input, readable)
+
+
+def _resuming_run(algo, a, n, bits, constants, mask, rng):
+    """`run(x_init, y_init, plan)` that skips the clean prefix of every run.
+
+    A plan changes nothing before its first divergent iteration d, so the
+    first call for an input keeps the clean run's boundary snapshots (an
+    internal run, not an oracle call) and every call resumes from
+    snapshot d - 1; a plan that changes nothing returns the clean final
+    registers.  Semi under fresh masks draws one mask per iteration from
+    `rng`.  While y = a*x the mask cancels out of the step, so a linked
+    input keeps snapshots taken with zero masks and each call first
+    replays the d - 1 draws it skips, leaving `rng` where a full run
+    leaves it; an unlinked input runs in full every time.
+    """
+    nbits = len(bits)
+    fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
+    snapshots = {}
+
+    def clean_snapshots(x_init, y_init):
+        trace = Trace()
+        run_exp_algorithm(
+            algo, a, bits, n,
+            x0=x_init, y0=y_init, constants=constants,
+            mask=MaskPolicy.zero() if fresh else mask, rng=rng, trace=trace,
+        )
+        if fresh and trace.ys[0] != a * trace.xs[0] % n:
+            return None
+        return list(zip(trace.xs, trace.ys or [None] * len(trace.xs)))
+
+    def run(x_init, y_init, plan):
+        key = (x_init, y_init)
+        if key not in snapshots:
+            snapshots[key] = clean_snapshots(x_init, y_init)
+        states = snapshots[key]
+        if states is None:
+            return run_exp_algorithm(
+                algo, a, bits, n,
+                x0=x_init, y0=y_init, plan=plan, constants=constants, mask=mask, rng=rng,
+            )
+        if plan is None:
+            d = nbits + 1
+        else:
+            plan.validate(nbits)
+            d = plan.first_divergent(nbits)
+        if fresh:
+            for _ in range(d - 1):  # MaskPolicy.fresh()'s draws in the skipped iterations
+                rng.randrange(n)
+        if d > nbits:
+            return states[nbits]
+        x, y = states[d - 1]
+        return run_exp_algorithm(
+            algo, a, bits, n,
+            plan=plan, constants=constants, mask=mask, rng=rng, start=(d - 1, x, y),
+        )
+
+    return run
 
 
 def make_ecc_oracle(

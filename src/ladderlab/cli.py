@@ -212,7 +212,7 @@ def _ecc_point_json(P) -> dict | str:
 
 def cmd_ecc(args) -> tuple[dict, list | None]:
     curve = ecc.Curve(args.p, args.a, args.b, subgroup_order=args.order)
-    A = ecc.Point(args.Ax, args.Ay)
+    A = ecc.Point(args.Ax % args.p, args.Ay % args.p)
     if not ecc.double_and_add(curve, args.order, A).is_infinity:
         raise ValueError(f"--order {args.order} times the base point is not the point at infinity")
     rng = random.Random(args.seed)

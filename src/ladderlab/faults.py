@@ -68,6 +68,26 @@ class FaultPlan:
             return self.key_stuckat[1]
         return bits[i - 1]
 
+    def effective_bits(self, bits: tuple) -> tuple:
+        """Every bit the loop consumes, in order: `bit` for each iteration, as one slice."""
+        if self.key_stuckat is None:
+            return bits
+        threshold, bit = self.key_stuckat
+        return bits[:threshold] + (bit,) * (len(bits) - threshold)
+
+    def first_divergent(self, nbits: int) -> int:
+        """The first iteration the plan touches; iterations before it run as with no plan.
+
+        That is the earliest register fault or the stuck-at threshold + 1,
+        and nbits + 1 for a plan that changes nothing.
+        """
+        d = nbits + 1
+        if self.key_stuckat is not None:
+            d = min(d, self.key_stuckat[0] + 1)
+        for f in self.register_faults:
+            d = min(d, f.iteration)
+        return d
+
     def apply(self, i: int, x, y, draw):
         """Return the (x, y) register pair after the faults targeting iteration i."""
         for f in self.register_faults:

@@ -154,8 +154,14 @@ def _constants_for(a: int, ell: int, n: int, draws: int) -> LadderConstants | No
     )
 
 
+def _check_modulus(n: int) -> None:
+    if n < 7:
+        raise ValueError("need n >= 7 for a nontrivial constant interval")
+
+
 def ladder_constants(a: int, ell: int, n: int) -> LadderConstants:
     """Build constants for an explicitly chosen ladder constant, or reject it."""
+    _check_modulus(n)
     c = _constants_for(a % n, ell % n, n, 0)
     if c is None:
         raise InvalidCoefficient(f"ell={ell} violates the constant constraints for (a={a}, n={n})")
@@ -174,8 +180,7 @@ def find_ladder_constant(
     After `max_draws` failed samples, falls back to an exhaustive scan when n
     is below `sweep_limit`; raises NoConstantExists when nothing qualifies.
     """
-    if n < 7:
-        raise ValueError("need n >= 7 for a nontrivial constant interval")
+    _check_modulus(n)
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
     for attempt in range(1, max_draws + 1):
@@ -212,10 +217,12 @@ def _record(trace, x, y):
         trace.ys.append(y)
 
 
-def _drive(bits, n, x, y, step, ops, plan, trace, per_iter):
-    """Run `step(bit, x, y) -> (x, y)` once per key bit; the loop every runner shares.
+def _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0):
+    """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
 
-    Register faults are applied just before the iterations they name;
+    The loop every runner shares.  (x, y) are the registers after
+    iteration i0 (0 for a whole run); iteration numbers stay absolute, so
+    register faults are applied just before the iterations they name and
     stuck-at faults change the bits the loop consumes, never the key.
     Tallies are read from `ops` (then a counting _ModOps) only when
     `per_iter` asks for them.
@@ -223,11 +230,11 @@ def _drive(bits, n, x, y, step, ops, plan, trace, per_iter):
     faulted = ()
     if plan is not None:
         faulted = {f.iteration for f in plan.register_faults}
-        bits = [plan.bit(i, bits) for i in range(1, len(bits) + 1)]
+        bits = plan.effective_bits(bits)
     draw = _mod_draw(n)
     if trace is not None:
         _record(trace, x, y)
-    for i, bit in enumerate(bits, 1):
+    for i, bit in enumerate(bits[i0:], i0 + 1):
         if i in faulted:
             x, y = plan.apply(i, x, y, draw)
             if trace is not None:
@@ -244,7 +251,7 @@ def _drive(bits, n, x, y, step, ops, plan, trace, per_iter):
     return x, y
 
 
-def _run_sm(a, bits, n, x0, y0, plan, trace, per_iter, ops):
+def _run_sm(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops):
     if plan is not None:
         raise ValueError("the one-register variant takes no fault plan")
     sq, mul = ops.sq, ops.mul
@@ -254,10 +261,10 @@ def _run_sm(a, bits, n, x0, y0, plan, trace, per_iter, ops):
         return (mul(a, x) if bit else x), None
 
     x = 1 if x0 is None else x0 % n
-    return _drive(bits, n, x, None, step, ops, None, trace, per_iter)
+    return _drive(bits, n, x, None, step, ops, None, trace, per_iter, i0)
 
 
-def _run_sma(a, bits, n, x0, y0, plan, trace, per_iter, ops):
+def _run_sma(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops):
     sq, mul = ops.sq, ops.mul
     draw = _mod_draw(n)
     # the y register receives the multiplier output on 0 bits, so a fault
@@ -266,7 +273,7 @@ def _run_sma(a, bits, n, x0, y0, plan, trace, per_iter, ops):
     if plan is not None:
         products = {f.iteration: f for f in plan.register_faults if f.target == "y"}
         plan = replace(plan, register_faults=tuple(f for f in plan.register_faults if f.target == "x"))
-    iteration = count(1)
+    iteration = count(i0 + 1)
 
     def step(bit, x, y):
         x = sq(x)
@@ -278,10 +285,10 @@ def _run_sma(a, bits, n, x0, y0, plan, trace, per_iter, ops):
 
     x = 1 if x0 is None else x0 % n
     y = a if y0 is None else y0 % n  # sentinel until the first 0 bit writes it
-    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter)
+    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0)
 
 
-def _run_montgomery(a, bits, n, x0, y0, plan, trace, per_iter, ops):
+def _run_montgomery(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops):
     sq, mul = ops.sq, ops.mul
 
     def step(bit, x, y):
@@ -290,10 +297,10 @@ def _run_montgomery(a, bits, n, x0, y0, plan, trace, per_iter, ops):
         return sq(x), mul(y, x)
 
     x, y = _start(n, x0, y0, a)
-    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter)
+    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0)
 
 
-def _run_semi(a, bits, n, x0, y0, plan, trace, per_iter, ops, mask, rng):
+def _run_semi(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops, mask, rng):
     sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
     mask = mask or MaskPolicy.zero()
@@ -310,10 +317,10 @@ def _run_semi(a, bits, n, x0, y0, plan, trace, per_iter, ops, mask, rng):
         return (x, z) if bit else (z, x)
 
     x, y = _start(n, x0, y0, a)
-    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter)
+    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0)
 
 
-def _run_fully(a, bits, n, x0, y0, plan, trace, per_iter, ops, constants):
+def _run_fully(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops, constants):
     if constants is None:
         raise ValueError("fully-coupled runner needs LadderConstants")
     if constants.modulus != n or constants.base != a:
@@ -331,7 +338,7 @@ def _run_fully(a, bits, n, x0, y0, plan, trace, per_iter, ops, constants):
         return (x, y) if bit else (y, x)
 
     x, y = _start(n, x0, y0, constants.constant)
-    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter)
+    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0)
 
 
 def run_exp_algorithm(
@@ -348,17 +355,31 @@ def run_exp_algorithm(
     rng: random.Random | None = None,
     trace: Trace | None = None,
     per_iter: list | None = None,
+    start: tuple | None = None,
 ) -> tuple[int, int | None]:
-    """Uniform entry point over the five variants; used by the CLI and oracles."""
+    """Uniform entry point over the five variants; used by the CLI and oracles.
+
+    `start=(i, x, y)` resumes a run after iteration i with registers
+    (x, y) (y is None for sm), in place of `x0`/`y0`.  Fault iterations
+    and stuck-at thresholds stay absolute, a trace begins at snapshot i,
+    and semi draws masks only for the iterations it runs.
+    """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))
+    i0 = 0
+    if start is not None:
+        if x0 is not None or y0 is not None:
+            raise ValueError("give the start registers as x0/y0 or as start, not both")
+        i0, x0, y0 = start
+        if not 0 <= i0 <= len(bits):
+            raise ValueError(f"start iteration {i0} outside [0, {len(bits)}]")
     if trace is not None and trace.ys is None and algo != "sm":
         trace.ys = []
     ops = Ring(n) if per_iter is None else _ModOps(n)
-    args = (a % n, bits, n, x0, y0, plan, trace, per_iter, ops)
+    args = (a % n, bits, n, x0, y0, i0, plan, trace, per_iter, ops)
     if algo == "sm":
         return _run_sm(*args)
     if algo == "sma":

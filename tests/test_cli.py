@@ -60,6 +60,17 @@ def test_exp_fully_rejects_bad_constant(capsys):
     assert "constraint" in err
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_exp_fully_explicit_constant_needs_a_modulus(capsys, n):
+    code, out, err = run_cli(
+        capsys, "exp", "--algo", "fully", "--a", "2", "--k", "5", "--n", n, "--ell", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "n >= 7" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exp", "--algo", "warp", "--a", "1", "--k", "1", "--n", "7"])
@@ -218,6 +229,14 @@ def test_ecc_unreduced_base_point_gives_the_reduced_output(capsys, Ay):
     code, out, err = run_cli(capsys, *base, "--Ay", Ay)
     assert code == 0 and err == ""
     assert out == run_cli(capsys, *base, "--Ay", "99")[1]
+
+
+def test_ecc_base_x_equal_to_p_gives_the_reduced_output(capsys):
+    base = ["ecc", "--p", "101", "--a", "7", "--b", "4", "--Ay", "99", "--order", "97",
+            "--algo", "fully", "--k", "29"]
+    code, out, err = run_cli(capsys, *base, "--Ax", "101")
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, *base, "--Ax", "0")[1]
 
 
 def _decoded(fmt, out):

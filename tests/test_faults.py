@@ -73,6 +73,45 @@ class TestFaultSemantics:
         assert faulted.xs[2] != clean.xs[2]
 
 
+class TestPlanShortcuts:
+    """`effective_bits` and `first_divergent`, the forms the exp driver and oracle use."""
+
+    def test_effective_bits_match_bit(self):
+        bits = (1, 0, 0, 1, 1, 0)
+        for stuck in [None] + [(t, b) for t in range(7) for b in (0, 1)]:
+            plan = FaultPlan(key_stuckat=stuck)
+            assert plan.effective_bits(bits) == tuple(plan.bit(i, bits) for i in range(1, 7))
+
+    def test_first_divergent(self):
+        y6, x2 = RegisterFault("y", 6, seed=1), RegisterFault("x", 2, value=3)
+        assert FaultPlan().first_divergent(8) == 9
+        assert FaultPlan(key_stuckat=(8, 1)).first_divergent(8) == 9
+        assert FaultPlan(key_stuckat=(3, 0)).first_divergent(8) == 4
+        assert FaultPlan(key_stuckat=(0, 0)).first_divergent(8) == 1
+        assert FaultPlan((y6,)).first_divergent(8) == 6
+        assert FaultPlan((y6,), key_stuckat=(2, 1)).first_divergent(8) == 3
+        assert FaultPlan((y6, x2), key_stuckat=(4, 1)).first_divergent(8) == 2
+
+    def test_nothing_changes_before_first_divergent(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            key = KeyBits(tuple(rng.getrandbits(1) for _ in range(10)))
+            faults = tuple(
+                RegisterFault(rng.choice("xy"), i, seed=rng.getrandbits(32))
+                for i in rng.sample(range(1, 11), rng.randrange(3))
+            )
+            stuck = (rng.randrange(11), rng.getrandbits(1)) if rng.getrandbits(1) else None
+            plan = FaultPlan(faults, stuck)
+            d = plan.first_divergent(10)
+            assert plan.effective_bits(key.bits)[:d - 1] == key.bits[:d - 1]
+            clean, faulted = Trace(), Trace()
+            run_exp_algorithm("montgomery", 7, key, N_MOD, trace=clean)
+            run_exp_algorithm("montgomery", 7, key, N_MOD, plan=plan, trace=faulted)
+            # snapshot d - 1 shows what iteration d reads, a fault there included
+            assert faulted.xs[:d - 1] == clean.xs[:d - 1]
+            assert faulted.ys[:d - 1] == clean.ys[:d - 1]
+
+
 def traced_exp(algo, a, n, key, seed=0, **kw):
     def run(plan):
         trace = Trace()
