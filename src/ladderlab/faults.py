@@ -68,12 +68,14 @@ class FaultPlan:
             return self.key_stuckat[1]
         return bits[i - 1]
 
-    def effective_bits(self, bits: tuple) -> tuple:
+    def effective_bits(self, bits):
         """Every bit the loop consumes, in order: `bit` for each iteration, as one slice."""
         if self.key_stuckat is None:
             return bits
         threshold, bit = self.key_stuckat
-        return bits[:threshold] + (bit,) * (len(bits) - threshold)
+        pinned = list(bits)
+        pinned[threshold:] = [bit] * (len(bits) - threshold)
+        return pinned
 
     def first_divergent(self, nbits: int) -> int:
         """The first iteration the plan touches; iterations before it run as with no plan.

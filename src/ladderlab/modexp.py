@@ -14,7 +14,7 @@ the CLI's `--count-ops`); otherwise the step runs on the plain `Ring`.
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import gcd
 from typing import NamedTuple
 
@@ -234,7 +234,7 @@ def _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0):
     draw = _mod_draw(n)
     if trace is not None:
         _record(trace, x, y)
-    for i, bit in enumerate(bits[i0:], i0 + 1):
+    for i, bit in enumerate(islice(bits, i0, None), i0 + 1):
         if i in faulted:
             x, y = plan.apply(i, x, y, draw)
             if trace is not None:

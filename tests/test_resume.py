@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ladderlab.attacks import _resuming_run
 from ladderlab.faults import FaultPlan, RegisterFault
-from ladderlab.ladders import KeyBits
+from ladderlab.ladders import KeyBits, Trace
 from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
 
 ALGOS = [("sma", None), ("montgomery", None), ("fully", None),
@@ -108,3 +108,40 @@ def test_fixed_sequence_equals_full_runs(algo, mask, start):
     key = KeyBits.from_int(0b101100111010, width=12)
     calls = [(0, plan) for plan in FIXED_PLANS * 2]
     _check(algo, mask, 1_000_003, 7, key, [start], calls, 99)
+
+
+PLAN = FaultPlan((RegisterFault("y", 9, seed=4), RegisterFault("x", 11, value=5)), key_stuckat=(10, 1))
+
+
+@pytest.mark.parametrize("algo, mask", [("sm", None)] + ALGOS)
+def test_start_point_continues_the_run(algo, mask):
+    """From any snapshot before the plan acts, a resumed run traces the rest of the full one."""
+    n, key = 1_000_003, KeyBits.from_int(0b101100111010, width=12)
+    mask = MaskPolicy.parse(mask) if mask else None
+    plan = None if algo == "sm" else PLAN
+    constants = find_ladder_constant(7, n, random.Random(0)) if algo == "fully" else None
+    kw = dict(plan=plan, constants=constants, mask=mask)
+    full, tallies = Trace(), []
+    want = run_exp_algorithm(algo, 7, key, n, rng=random.Random(1), trace=full, per_iter=tallies, **kw)
+    for i in range(8):  # the fault at iteration 9 rewrites snapshot 8
+        rng = random.Random(1)
+        for _ in range(i if mask and mask.mode == "fresh" else 0):
+            rng.randrange(n)
+        ys = full.ys[i] if full.ys is not None else None
+        trace, per_iter = Trace(), []
+        got = run_exp_algorithm(
+            algo, 7, key, n, rng=rng, trace=trace, per_iter=per_iter, start=(i, full.xs[i], ys), **kw,
+        )
+        assert got == want
+        assert trace.xs == full.xs[i:]
+        assert trace.ys == (None if full.ys is None else full.ys[i:])
+        assert per_iter == tallies[i:]
+
+
+def test_start_point_is_checked():
+    with pytest.raises(ValueError):
+        run_exp_algorithm("montgomery", 7, 5, 101, start=(4, 1, 7))  # the key has 3 bits
+    with pytest.raises(ValueError):
+        run_exp_algorithm("montgomery", 7, 5, 101, start=(-1, 1, 7))
+    with pytest.raises(ValueError):
+        run_exp_algorithm("montgomery", 7, 5, 101, x0=1, start=(1, 1, 7))
