@@ -89,9 +89,7 @@ def make_exp_oracle(
 ) -> ExecutionOracle:
     """Oracle around one of the exponentiation variants, key captured inside.
 
-    Each faulted run resumes from a checkpoint (see `_resuming_run`), so
-    its outputs, and the RNG stream semi's fresh masks draw from, are
-    those of a full run.
+    Runs resume from checkpoints, as the module docstring describes.
     """
     bits = as_key(key)
     rng = random.Random(seed)
@@ -108,17 +106,12 @@ def make_exp_oracle(
 
 
 def _resuming_run(algo, a, n, bits, constants, mask, rng):
-    """`run(x_init, y_init, plan)` that skips the clean prefix of every run.
+    """`run(x_init, y_init, plan)` giving a full run's outputs and `rng` use.
 
-    A plan changes nothing before its first divergent iteration d, so the
-    first call for an input keeps the clean run's boundary snapshots (an
-    internal run, not an oracle call) and every call resumes from
-    snapshot d - 1; a plan that changes nothing returns the clean final
-    registers.  Semi under fresh masks draws one mask per iteration from
-    `rng`.  While y = a*x the mask cancels out of the step, so a linked
-    input keeps snapshots taken with zero masks and each call first
-    replays the d - 1 draws it skips, leaving `rng` where a full run
-    leaves it; an unlinked input runs in full every time.
+    A plan changes nothing before its first divergent iteration d, so a
+    call resumes from snapshot d - 1 of the input's clean run, and a plan
+    that changes nothing returns the clean final registers.  Snapshots
+    are None for an input that must run in full.
     """
     nbits = len(bits)
     fresh = algo == "semi" and mask is not None and mask.mode == "fresh"

@@ -74,7 +74,7 @@ class TestFaultSemantics:
 
 
 class TestPlanShortcuts:
-    """`effective_bits` and `first_divergent`, the forms the exp driver and oracle use."""
+    """`effective_bits` and `first_divergent`, the forms the exp loop and oracle use."""
 
     def test_effective_bits_match_bit(self):
         bits = (1, 0, 0, 1, 1, 0)

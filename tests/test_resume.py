@@ -2,11 +2,13 @@
 
 The oracle resumes each run at the first iteration its fault plan
 touches, from snapshots of the clean run it keeps per input, and under
-semi's fresh masks replays the mask draws it skips.  This property test
-drives `attacks._resuming_run` and plain `run_exp_algorithm` with equally
-seeded RNGs through one random call sequence (inputs linked, unlinked or
-left to the default, plans with register faults and a stuck-at) and
-requires equal outputs and equal RNG states at the end.
+semi's fresh masks replays the mask draws it skips.  A property test and
+a fixed sequence drive `attacks._resuming_run` and plain
+`run_exp_algorithm` with equally seeded RNGs through one call sequence
+(inputs linked, unlinked or left to the default, plans with register
+faults and a stuck-at) and require equal outputs and equal RNG states at
+the end.  The `start` point of `run_exp_algorithm` is also checked on
+its own.
 """
 
 import random
