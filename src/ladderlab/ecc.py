@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NotOnCurve
-from .faults import FaultPlan, effective_bit
-from .ladders import Trace, as_key
+from .faults import FaultPlan
+from .ladders import Trace, as_key, drive
 from .modarith import is_probable_prime
 
 
@@ -384,6 +384,24 @@ def _draw_semi_coef(order: int, rng: random.Random) -> int:
     return c
 
 
+def ladder_link(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None = None):
+    """(link, B): the map Q = link(P) a ladder keeps between its registers, and its offset B.
+
+    B is A for montgomery (Q = P + A) and semi (Q = -(P + A)), and
+    link_scale*A for fully (Q = P + B), computed once with `ops.cmul`.
+    """
+    if algo == "montgomery":
+        return (lambda P: ops.add(P, A)), A
+    if algo == "semi":
+        return (lambda P: ops.neg(ops.add(P, A))), A
+    if algo == "fully":
+        if params is None or params.link_scale is None:
+            raise InvalidCoefficient("fully-coupled ladder needs fully_params(...)")
+        B = ops.cmul(params.link_scale, A)
+        return (lambda P: ops.add(P, B)), B
+    raise ValueError(f"unknown algorithm {algo!r}")
+
+
 def run_ecc_algorithm(
     algo: str,
     curve: Curve,
@@ -403,104 +421,75 @@ def run_ecc_algorithm(
     for R in (A, x0, y0):
         if R is not None:
             _require_on_curve(curve, R)
-    bits = as_key(key).bits
-    if plan is not None:
-        plan.validate(len(bits))
-    ops = ops or PointOps(curve)
-
-    if algo == "daa":
-        if plan is not None:
-            raise ValueError("the reference double-and-add takes no fault plan")
-        P = INFINITY if x0 is None else x0
-        if trace is not None:
-            trace.xs.append(P)
-        for b in bits:
-            P = ops.dbl(P)
-            if b:
-                P = ops.add(A, P)
-            if trace is not None:
-                trace.xs.append(P)
-        return P, None
-
-    if algo == "montgomery":
-        def link(P):
-            return ops.add(P, A)
-
-        def main(P, Q, _c):
-            return ops.add(P, Q)
-
-        coupled = False
-    elif algo == "semi":
-        if params is None:
-            params = semi_params(3, _need_order(curve))
-
-        def link(P):
-            return ops.neg(ops.add(P, A))
-
-        def main(P, Q, c):
-            t = ops.cmul(c, ops.add(ops.add(P, Q), A))
-            return ops.add(t, ops.neg(ops.add(ops.dbl(Q), A)))
-
-        coupled = False
-    elif algo == "fully":
-        if params is None or params.link_scale is None:
-            raise InvalidCoefficient("fully-coupled ladder needs fully_params(...)")
-        wA = ops.cmul(params.link_scale, A)
-
-        def link(P):
-            return ops.add(P, wA)
-
-        def main(P, Q, c):
-            t = ops.add(ops.add(P, ops.neg(Q)), ops.neg(wA))
-            t = ops.cmul(c, t)
-            return ops.add(ops.add(t, ops.dbl(Q)), wA)
-
-        def sync(P, Q, _c):
-            s = ops.add(ops.add(ops.neg(P), ops.dbl(Q)), wA)
-            s = ops.cmul(params.coef_inv, s)
-            return ops.add(ops.add(P, s), ops.neg(wA))
-
-        coupled = True
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-
     if fresh_coef:
         if algo != "semi":
             raise ValueError("fresh coefficients only apply to the half-coupled ladder")
         if rng is None:
             raise ValueError("fresh coefficients need an RNG")
-        order = params.order
+    bits = as_key(key).bits
+    if plan is not None:
+        plan.validate(len(bits))
+    ops = ops or PointOps(curve)
+    add, dbl, neg, cmul = ops.add, ops.dbl, ops.neg, ops.cmul
+
+    if algo == "daa":
+        if plan is not None:
+            raise ValueError("the reference double-and-add takes no fault plan")
+
+        def step(bit, P, _):
+            P = dbl(P)
+            return (add(A, P) if bit else P), None
+
+        return drive(bits, INFINITY if x0 is None else x0, None, step, trace=trace)
+
+    if algo == "semi" and params is None:
+        params = semi_params(3, _need_order(curve))
+    link, B = ladder_link(algo, ops, A, params)
+    c0 = params.coef if params else 0
+
+    if algo == "fully":
+        def main(P, Q):
+            t = cmul(c0, add(add(P, neg(Q)), neg(B)))
+            return add(add(t, dbl(Q)), B)
+
+        def sync(P, Q):
+            s = cmul(params.coef_inv, add(add(neg(P), dbl(Q)), B))
+            return add(add(P, s), neg(B))
+
+        def step(bit, P, Q):
+            if bit:
+                P = main(P, Q)
+                return P, sync(P, Q)
+            Q = main(Q, P)
+            return sync(Q, P), Q
+    else:
+        if algo == "montgomery":
+            def main(P, Q, _c):
+                return add(P, Q)
+        else:
+            def main(P, Q, c):
+                t = cmul(c, add(add(P, Q), A))
+                return add(t, neg(add(dbl(Q), A)))
+
+        order = params.order if fresh_coef else None
+
+        def step(bit, P, Q):
+            c = _draw_semi_coef(order, rng) if fresh_coef else c0
+            if bit:
+                return main(P, Q, c), dbl(Q)
+            Q = main(Q, P, c)
+            return dbl(P), Q
+
+    def check(P, Q):
+        _require_on_curve(curve, P)
+        _require_on_curve(curve, Q)
 
     P = INFINITY if x0 is None else x0
     Q = link(P) if y0 is None else y0
-    if trace is not None:
-        if trace.ys is None:
-            trace.ys = []
-        trace.xs.append(P)
-        trace.ys.append(Q)
-
-    def draw(r):
-        return random_point(curve, r)
-
-    faulted = {f.iteration for f in plan.register_faults} if plan is not None else ()
-    for i in range(1, len(bits) + 1):
-        if i in faulted:
-            P, Q = plan.apply(i, P, Q, draw)
-            _require_on_curve(curve, P)
-            _require_on_curve(curve, Q)
-            if trace is not None:
-                trace.xs[-1], trace.ys[-1] = P, Q
-        c = _draw_semi_coef(order, rng) if fresh_coef else (params.coef if params else 0)
-        if effective_bit(plan, i, bits):
-            P = main(P, Q, c)
-            Q = sync(P, Q, c) if coupled else ops.dbl(Q)
-        else:
-            Q = main(Q, P, c)
-            P = sync(Q, P, c) if coupled else ops.dbl(P)
-        if trace is not None:
-            trace.xs.append(P)
-            trace.ys.append(Q)
-    return P, Q
+    if trace is not None and trace.ys is None:
+        trace.ys = []
+    return drive(bits, P, Q, step, plan=plan, draw=lambda r: random_point(curve, r),
+                 check=check, trace=trace)
 
 
 def _need_order(curve: Curve) -> int:

@@ -100,7 +100,3 @@ class FaultPlan:
             else:
                 y = f.pick(y, draw)
         return x, y
-
-
-def effective_bit(plan: FaultPlan | None, i: int, bits) -> int:
-    return bits[i - 1] if plan is None else plan.bit(i, bits)

@@ -14,9 +14,10 @@ product of two canonical values could overflow int64, whatever `limit` is.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import DomainTooLarge
-from .faults import FaultPlan, effective_bit
+from .faults import FaultPlan
 from .modarith import Ring
 
 DEFAULT_SWEEP_LIMIT = 2**20
@@ -205,22 +206,86 @@ class Trace:
         return list(zip(self.xs, self.ys))
 
 
-def _ring_draw(ring: Ring):
-    return lambda rng: rng.randrange(ring.n)
+def _record(trace, x, y):
+    trace.xs.append(x)
+    if y is not None:  # a one-register loop keeps trace.ys as None
+        trace.ys.append(y)
+
+
+def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
+          per_iter=None, counts=None, i0=0):
+    """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
+
+    The loop every ladder here shares, exp and ECC alike.  (x, y) are the
+    registers after iteration i0 (0 for a whole run; y is None for a
+    one-register loop).  Iteration numbers stay absolute: register faults
+    are applied just before the iterations they name, `draw(rng)` giving a
+    seeded fault's value, and `check(x, y)` sees the registers after them;
+    stuck-at faults change the bits the loop consumes, never the key.  With
+    `per_iter`, each iteration appends what it added to `counts`, the
+    `OpCounts` the step tallies on.
+    """
+    faulted = ()
+    if plan is not None:
+        faulted = {f.iteration for f in plan.register_faults}
+        bits = plan.effective_bits(bits)
+    if trace is not None:
+        _record(trace, x, y)
+    for i, bit in enumerate(islice(bits, i0, None), i0 + 1):
+        if i in faulted:
+            x, y = plan.apply(i, x, y, draw)
+            if check is not None:
+                check(x, y)
+            if trace is not None:
+                # the boundary snapshot must show what this iteration reads
+                trace.xs[-1], trace.ys[-1] = x, y
+        if per_iter is None:
+            x, y = step(bit, x, y)
+        else:
+            before = counts.copy()
+            x, y = step(bit, x, y)
+            per_iter.append(counts - before)
+        if trace is not None:
+            _record(trace, x, y)
+    return x, y
 
 
 def run_branching(ring: Ring, spec: LadderSpec, key, x_init: int) -> Trace:
     """Run the plain one-register conditional branching; trace of x only."""
     spec.validate(ring)
+    counts = OpCounts()
+    bit1, bit0 = spec.bit1_step, spec.bit0_step
+
+    def step(bit, x, _):
+        return (bit1 if bit else bit0).eval1(ring, x, counts), None
+
+    trace = Trace()
+    drive(as_key(key).bits, ring.reduce(x_init), None, step, trace=trace, per_iter=trace.ops, counts=counts)
+    return trace
+
+
+def _run_two_register(ring, spec, key, x_init, plan, y_init, other) -> Trace:
+    """The body both coupled forms share: the taken branch's register gets
+    `main_step` of both values, then the other one gets `other(t, y, counts)`
+    of the new value t and its own old value y."""
     bits = as_key(key).bits
+    if plan is not None:
+        plan.validate(len(bits))
+    counts = OpCounts()
+    main = spec.main_step
+
+    def step(bit, x, y):
+        if bit:
+            x = main.eval2(ring, x, y, counts)
+            return x, other(x, y, counts)
+        y = main.eval2(ring, y, x, counts)
+        return other(y, x, counts), y
+
     x = ring.reduce(x_init)
-    trace = Trace(xs=[x], ys=None)
-    for i in range(1, len(bits) + 1):
-        it_ops = OpCounts()
-        step = spec.bit1_step if bits[i - 1] else spec.bit0_step
-        x = step.eval1(ring, x, it_ops)
-        trace.xs.append(x)
-        trace.ops.append(it_ops)
+    y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
+    trace = Trace(ys=[])
+    drive(bits, x, y, step, plan=plan, draw=lambda rng: rng.randrange(ring.n),
+          trace=trace, per_iter=trace.ops, counts=counts)
     return trace
 
 
@@ -236,28 +301,10 @@ def run_semi_ladder(
     spec.validate(ring)
     if spec.sync_step is not None:
         raise ValueError("semi runner requires a spec without sync_step")
-    bits = as_key(key).bits
-    if plan is not None:
-        plan.validate(len(bits))
-    draw = _ring_draw(ring)
-    x = ring.reduce(x_init)
-    y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
-    trace = Trace(xs=[x], ys=[y])
-    for i in range(1, len(bits) + 1):
-        if plan is not None:
-            x, y = plan.apply(i, x, y, draw)
-            trace.xs[-1], trace.ys[-1] = x, y
-        it_ops = OpCounts()
-        if effective_bit(plan, i, bits):
-            x = spec.main_step.eval2(ring, x, y, it_ops)
-            y = spec.bit0_step.eval1(ring, y, it_ops)
-        else:
-            y = spec.main_step.eval2(ring, y, x, it_ops)
-            x = spec.bit0_step.eval1(ring, x, it_ops)
-        trace.xs.append(x)
-        trace.ys.append(y)
-        trace.ops.append(it_ops)
-    return trace
+    bit0 = spec.bit0_step
+    return _run_two_register(
+        ring, spec, key, x_init, plan, y_init, lambda t, y, counts: bit0.eval1(ring, y, counts)
+    )
 
 
 def run_fully_ladder(
@@ -272,28 +319,10 @@ def run_fully_ladder(
     spec.validate(ring)
     if spec.sync_step is None:
         raise ValueError("fully runner requires a spec with sync_step")
-    bits = as_key(key).bits
-    if plan is not None:
-        plan.validate(len(bits))
-    draw = _ring_draw(ring)
-    x = ring.reduce(x_init)
-    y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
-    trace = Trace(xs=[x], ys=[y])
-    for i in range(1, len(bits) + 1):
-        if plan is not None:
-            x, y = plan.apply(i, x, y, draw)
-            trace.xs[-1], trace.ys[-1] = x, y
-        it_ops = OpCounts()
-        if effective_bit(plan, i, bits):
-            x = spec.main_step.eval2(ring, x, y, it_ops)
-            y = spec.sync_step.eval2(ring, x, y, it_ops)
-        else:
-            y = spec.main_step.eval2(ring, y, x, it_ops)
-            x = spec.sync_step.eval2(ring, y, x, it_ops)
-        trace.xs.append(x)
-        trace.ys.append(y)
-        trace.ops.append(it_ops)
-    return trace
+    sync = spec.sync_step
+    return _run_two_register(
+        ring, spec, key, x_init, plan, y_init, lambda t, y, counts: sync.eval2(ring, t, y, counts)
+    )
 
 
 @dataclass

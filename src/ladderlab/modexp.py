@@ -14,13 +14,13 @@ the CLI's `--count-ops`); otherwise the step runs on the plain `Ring`.
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from math import gcd
 from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NoConstantExists
 from .faults import FaultPlan
-from .ladders import Affine1, LadderSpec, OpCounts, Quad2, Trace, as_key
+from .ladders import Affine1, LadderSpec, OpCounts, Quad2, Trace, as_key, drive
 from .modarith import Ring
 
 ALGORITHMS = ("sm", "sma", "montgomery", "semi", "fully")
@@ -211,60 +211,22 @@ def _mod_draw(n: int):
     return lambda rng: rng.randrange(n)
 
 
-def _record(trace, x, y):
-    trace.xs.append(x)
-    if y is not None:  # the one-register variant keeps trace.ys as None
-        trace.ys.append(y)
+# Each variant below is its per-bit step over `sq/mul/add/sub` bound from
+# `ops`, returned with its start registers; `run_exp_algorithm` drives it.
 
 
-def _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0):
-    """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
-
-    The loop every runner shares.  (x, y) are the registers after
-    iteration i0 (0 for a whole run); iteration numbers stay absolute, so
-    register faults are applied just before the iterations they name and
-    stuck-at faults change the bits the loop consumes, never the key.
-    Tallies are read from `ops` (then a counting _ModOps) only when
-    `per_iter` asks for them.
-    """
-    faulted = ()
-    if plan is not None:
-        faulted = {f.iteration for f in plan.register_faults}
-        bits = plan.effective_bits(bits)
-    draw = _mod_draw(n)
-    if trace is not None:
-        _record(trace, x, y)
-    for i, bit in enumerate(islice(bits, i0, None), i0 + 1):
-        if i in faulted:
-            x, y = plan.apply(i, x, y, draw)
-            if trace is not None:
-                # the boundary snapshot must show what this iteration reads
-                trace.xs[-1], trace.ys[-1] = x, y
-        if per_iter is None:
-            x, y = step(bit, x, y)
-        else:
-            before = ops.counts.copy()
-            x, y = step(bit, x, y)
-            per_iter.append(ops.counts - before)
-        if trace is not None:
-            _record(trace, x, y)
-    return x, y
-
-
-def _run_sm(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops):
-    if plan is not None:
-        raise ValueError("the one-register variant takes no fault plan")
+def _sm(a, n, x0, y0, ops):
     sq, mul = ops.sq, ops.mul
 
     def step(bit, x, y):
         x = sq(x)
         return (mul(a, x) if bit else x), None
 
-    x = 1 if x0 is None else x0 % n
-    return _drive(bits, n, x, None, step, ops, None, trace, per_iter, i0)
+    return step, 1 if x0 is None else x0 % n, None
 
 
-def _run_sma(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops):
+def _sma(a, n, x0, y0, ops, plan, i0):
+    """The step, its start registers, and the plan left for the driver."""
     sq, mul = ops.sq, ops.mul
     draw = _mod_draw(n)
     # the y register receives the multiplier output on 0 bits, so a fault
@@ -285,10 +247,10 @@ def _run_sma(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops):
 
     x = 1 if x0 is None else x0 % n
     y = a if y0 is None else y0 % n  # sentinel until the first 0 bit writes it
-    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0)
+    return step, x, y, plan
 
 
-def _run_montgomery(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops):
+def _montgomery(a, n, x0, y0, ops):
     sq, mul = ops.sq, ops.mul
 
     def step(bit, x, y):
@@ -296,11 +258,10 @@ def _run_montgomery(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops):
             return mul(x, y), sq(y)
         return sq(x), mul(y, x)
 
-    x, y = _start(n, x0, y0, a)
-    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0)
+    return step, *_start(n, x0, y0, a)
 
 
-def _run_semi(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops, mask, rng):
+def _semi(a, n, x0, y0, ops, mask, rng):
     sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
     mask = mask or MaskPolicy.zero()
@@ -316,11 +277,10 @@ def _run_semi(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops, mask, rng):
         x = add(t, mul(w, mul(x, y)))
         return (x, z) if bit else (z, x)
 
-    x, y = _start(n, x0, y0, a)
-    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0)
+    return step, *_start(n, x0, y0, a)
 
 
-def _run_fully(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops, constants):
+def _fully(a, n, x0, y0, ops, constants):
     if constants is None:
         raise ValueError("fully-coupled runner needs LadderConstants")
     if constants.modulus != n or constants.base != a:
@@ -337,8 +297,7 @@ def _run_fully(a, bits, n, x0, y0, i0, plan, trace, per_iter, ops, constants):
         y = add(mul(k2, z), mul(k3, x))
         return (x, y) if bit else (y, x)
 
-    x, y = _start(n, x0, y0, constants.constant)
-    return _drive(bits, n, x, y, step, ops, plan, trace, per_iter, i0)
+    return step, *_start(n, x0, y0, constants.constant)
 
 
 def run_exp_algorithm(
@@ -379,18 +338,25 @@ def run_exp_algorithm(
     if trace is not None and trace.ys is None and algo != "sm":
         trace.ys = []
     ops = Ring(n) if per_iter is None else _ModOps(n)
-    args = (a % n, bits, n, x0, y0, i0, plan, trace, per_iter, ops)
+    args = (a % n, n, x0, y0, ops)
     if algo == "sm":
-        return _run_sm(*args)
-    if algo == "sma":
-        return _run_sma(*args)
-    if algo == "montgomery":
-        return _run_montgomery(*args)
-    if algo == "semi":
-        return _run_semi(*args, mask, rng)
-    if algo == "fully":
-        return _run_fully(*args, constants)
-    raise ValueError(f"unknown algorithm {algo!r}")
+        if plan is not None:
+            raise ValueError("the one-register variant takes no fault plan")
+        step, x, y = _sm(*args)
+    elif algo == "sma":
+        step, x, y, plan = _sma(*args, plan, i0)
+    elif algo == "montgomery":
+        step, x, y = _montgomery(*args)
+    elif algo == "semi":
+        step, x, y = _semi(*args, mask, rng)
+    elif algo == "fully":
+        step, x, y = _fully(*args, constants)
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return drive(
+        bits, x, y, step, plan=plan, draw=_mod_draw(n), trace=trace,
+        per_iter=per_iter, counts=None if per_iter is None else ops.counts, i0=i0,
+    )
 
 
 def square_and_multiply(a: int, k, n: int) -> int:
