@@ -229,13 +229,8 @@ def cmd_ecc(args) -> tuple[dict, list | None]:
     )
     invariant_ok = None
     if Q is not None:
-        if args.algo == "montgomery":
-            link = lambda R: ecc.point_add(curve, R, A)
-        elif args.algo == "semi":
-            link = lambda R: ecc.point_neg(curve, ecc.point_add(curve, R, A))
-        else:
-            wA = ecc.double_and_add(curve, params.link_scale, A)
-            link = lambda R: ecc.point_add(curve, R, wA)
+        # on a PointOps of its own, so the reported tallies are the run's alone
+        link, _ = ecc.ladder_link(args.algo, ecc.PointOps(curve), A, params)
         invariant_ok = all(link(px) == py for px, py in zip(trace.xs, trace.ys))
     out = {
         "result": _ecc_point_json(P),

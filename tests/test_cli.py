@@ -289,6 +289,15 @@ def test_ecc_order_must_annihilate_the_base_point(capsys):
     assert err.startswith("error:") and "point at infinity" in err
 
 
+@pytest.mark.parametrize("algo", ["daa", "montgomery", "fully"])
+def test_ecc_fresh_coefficients_only_on_the_half_coupled_ladder(capsys, algo):
+    code, out, err = run_cli(capsys, "ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0",
+                             "--Ay", "99", "--order", "97", "--algo", algo, "--k", "29", "--fresh-cP")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "only apply to the half-coupled ladder" in err
+
+
 def test_byte_identical_output_for_same_seed(capsys):
     argv = ["--seed", "123", "attack", "--model", "3", "--target", "fully",
             "--bits", "6", "--trials", "2"]
