@@ -4,10 +4,15 @@ Everything runs on desk-scale curves: affine coordinates, one field
 inversion per addition, points enumerable for test oracles.  The ladder
 coefficients act on scalars modulo the order of the working subgroup.
 
+`run_ecc_algorithm` turns each ladder into a per-bit step for
+`ladders.drive`, the loop driver the exp ladders share; `ladder_link`
+defines each ladder's link map once, for the runner and the CLI.
+
 The public `point_add`/`point_double`/`point_neg` reject points off the
 curve.  A runner checks each point where it enters: the base point, the
-start registers and every injected fault value.  The group law inside a
-run is unchecked, since it maps curve points to curve points.
+start registers and every injected fault value (the driver's post-fault
+`check`).  The group law inside a run is unchecked, since it maps curve
+points to curve points.
 
 `PointOps`, the group law the runners use, looks results up in a
 discrete-log table when the whole group has prime order N and p is at

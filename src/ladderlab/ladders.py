@@ -11,6 +11,11 @@ recomputed from both previous values.  `check_semi_equations` and
 rewrites faithful for every ring element, evaluating the spec's own
 polynomials over int64 chunks of x; they refuse any n above 2**31, where a
 product of two canonical values could overflow int64, whatever `limit` is.
+
+`drive` is the one loop driver behind every ladder runner: the generic
+spec runners here, the five `modexp` variants and the `ecc` ladders each
+supply only a per-bit step, and `drive` applies the fault plan, records
+snapshots and tallies each iteration's operations.
 """
 
 from dataclasses import dataclass, field
@@ -265,9 +270,12 @@ def run_branching(ring: Ring, spec: LadderSpec, key, x_init: int) -> Trace:
 
 
 def _run_two_register(ring, spec, key, x_init, plan, y_init, other) -> Trace:
-    """The body both coupled forms share: the taken branch's register gets
-    `main_step` of both values, then the other one gets `other(t, y, counts)`
-    of the new value t and its own old value y."""
+    """The body both two-register forms share; they differ only in `other`.
+
+    The taken branch's register gets `main_step` of both values, then the
+    other register gets `other(t, y, counts)` of that new value t and its
+    own old value y.
+    """
     bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))

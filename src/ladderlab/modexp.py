@@ -4,11 +4,12 @@ Five left-to-right variants of a**k mod n: the plain square-and-multiply,
 its always-multiply sibling, the classic two-register ladder keeping
 y = a*x, a masked half-coupled ladder whose mask may be redrawn every
 iteration, and a fully-coupled ladder parameterized by a ladder constant.
-Each variant is one loop step run by a shared driver, which optionally
-consumes a fault plan and records register snapshots.  Modular
-multiplications / squarings / additions are tallied per iteration only
-when a caller asks for them (`per_iter`, `cost_per_bit`, and through it
-the CLI's `--count-ops`); otherwise the step runs on the plain `Ring`.
+Each variant is one loop step run by `ladders.drive`, the driver every
+ladder shares, which optionally consumes a fault plan and records
+register snapshots.  Modular multiplications / squarings / additions are
+tallied per iteration only when a caller asks for them (`per_iter`,
+`cost_per_bit`, and through it the CLI's `--count-ops`); otherwise the
+step runs on the plain `Ring`.
 """
 
 import random
