@@ -450,40 +450,35 @@ def run_ecc_algorithm(
     if algo == "semi" and params is None:
         params = semi_params(3, _need_order(curve))
     link, B = ladder_link(algo, ops, A, params)
-    c0 = params.coef if params else 0
 
-    if algo == "fully":
-        def main(P, Q):
-            t = cmul(c0, add(add(P, neg(Q)), neg(B)))
-            return add(add(t, dbl(Q)), B)
-
-        def sync(P, Q):
-            s = cmul(params.coef_inv, add(add(neg(P), dbl(Q)), B))
-            return add(add(P, s), neg(B))
-
+    if algo == "montgomery":
         def step(bit, P, Q):
             if bit:
-                P = main(P, Q)
-                return P, sync(P, Q)
-            Q = main(Q, P)
-            return sync(Q, P), Q
-    else:
-        if algo == "montgomery":
-            def main(P, Q, _c):
-                return add(P, Q)
-        else:
-            def main(P, Q, c):
-                t = cmul(c, add(add(P, Q), A))
-                return add(t, neg(add(dbl(Q), A)))
-
-        order = params.order if fresh_coef else None
+                return add(P, Q), dbl(Q)
+            Q = add(Q, P)
+            return dbl(P), Q
+    elif algo == "semi":
+        c0, order = params.coef, params.order
 
         def step(bit, P, Q):
             c = _draw_semi_coef(order, rng) if fresh_coef else c0
-            if bit:
-                return main(P, Q, c), dbl(Q)
-            Q = main(Q, P, c)
-            return dbl(P), Q
+            if not bit:  # a 0 bit runs the same body with the registers' roles swapped
+                P, Q = Q, P
+            t = cmul(c, add(add(P, Q), A))
+            P = add(t, neg(add(dbl(Q), A)))
+            Q = dbl(Q)
+            return (P, Q) if bit else (Q, P)
+    else:
+        c0, c1 = params.coef, params.coef_inv
+
+        def step(bit, P, Q):
+            if not bit:  # a 0 bit runs the same body with the registers' roles swapped
+                P, Q = Q, P
+            t = cmul(c0, add(add(P, neg(Q)), neg(B)))
+            P = add(add(t, dbl(Q)), B)
+            s = cmul(c1, add(add(neg(P), dbl(Q)), B))
+            Q = add(add(P, s), neg(B))
+            return (P, Q) if bit else (Q, P)
 
     def check(P, Q):
         _require_on_curve(curve, P)
