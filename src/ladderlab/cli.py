@@ -17,7 +17,9 @@ from fractions import Fraction
 
 from . import attacks, ecc, modexp, residues
 from .errors import LadderError
-from .ladders import KeyBits, Trace, check_fully_equations, check_semi_equations, spec_from_json
+from .ladders import (
+    DEFAULT_SWEEP_LIMIT, KeyBits, Trace, check_fully_equations, check_semi_equations, spec_from_json,
+)
 
 
 def _int(text: str) -> int:
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sweep the ladder equations of a JSON spec")
     p.add_argument("--spec", required=True, help="path to the spec JSON, '-' for stdin")
-    p.add_argument("--limit", type=_int, default=2**20)
+    p.add_argument("--limit", type=_int, default=DEFAULT_SWEEP_LIMIT)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

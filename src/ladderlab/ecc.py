@@ -127,15 +127,10 @@ def point_double(curve: Curve, P: Point) -> Point:
 def double_and_add(curve: Curve, k, A: Point) -> Point:
     """Left-to-right scalar multiplication k*A; the oracle for every ladder here."""
     _require_on_curve(curve, A)
-    bits = as_key(k).bits if not isinstance(k, int) else None
-    if bits is None:
-        if k < 0:
-            return double_and_add(curve, -k, _neg(curve, A))
-        if k == 0:
-            return INFINITY
-        bits = as_key(k).bits
+    if isinstance(k, int) and k < 0:
+        k, A = -k, _neg(curve, A)
     P = INFINITY
-    for b in bits:
+    for b in as_key(k).bits:
         P = _dbl(curve, P)
         if b:
             P = _add(curve, A, P)
@@ -224,16 +219,14 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def find_small_curve(
-    min_order: int = 80, max_order: int = 200, p_start: int = 101
-) -> tuple[Curve, Point, int]:
-    """Scan for a small curve with a prime-order subgroup in [min_order, max_order].
+def find_small_curve() -> tuple[Curve, Point, int]:
+    """Scan for a small curve, from p = 101 up, with a prime-order subgroup in [80, 200].
 
     Deterministic: returns the first (curve, generator, order) found, verified
     by exhaustive enumeration rather than taken on faith.
     """
-    p = p_start
-    while p < 10 * max_order:
+    p = 101
+    while p < 2000:
         if is_probable_prime(p):
             for b in range(1, 20):
                 for a in range(0, 8):
@@ -241,7 +234,7 @@ def find_small_curve(
                         continue
                     curve = Curve(p, a, b)
                     order = curve_order(curve)
-                    primes = [q for q in _prime_factors(order) if min_order <= q <= max_order]
+                    primes = [q for q in _prime_factors(order) if 80 <= q <= 200]
                     if not primes:
                         continue
                     n_sub = max(primes)

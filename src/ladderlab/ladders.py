@@ -15,7 +15,9 @@ product of two canonical values could overflow int64, whatever `limit` is.
 `drive` is the one loop driver behind every ladder runner: the generic
 spec runners here, the five `modexp` variants and the `ecc` ladders each
 supply only a per-bit step, and `drive` applies the fault plan, records
-snapshots and tallies each iteration's operations.
+snapshots and tallies each iteration's operations.  Ring operations are
+counted one way only: the step runs on a `CountingRing`, whose `counts`
+the runner hands to `drive`.
 """
 
 from dataclasses import dataclass, field
@@ -52,6 +54,32 @@ class OpCounts:
         return (self.mul, self.sq, self.add)
 
 
+class CountingRing:
+    """Mod-n arithmetic that tallies every operation in `counts`; a stand-in for `Ring`."""
+
+    __slots__ = ("n", "counts")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.counts = OpCounts()
+
+    def mul(self, x, y):
+        self.counts.mul += 1
+        return x * y % self.n
+
+    def sq(self, x):
+        self.counts.sq += 1
+        return x * x % self.n
+
+    def add(self, x, y):
+        self.counts.add += 1
+        return (x + y) % self.n
+
+    def sub(self, x, y):
+        self.counts.add += 1
+        return (x - y) % self.n
+
+
 @dataclass(frozen=True)
 class Quad2:
     """Quadratic form c20*x^2 + c11*x*y + c02*y^2 + c10*x + c01*y + c00 over a ring."""
@@ -63,34 +91,24 @@ class Quad2:
     c01: int = 0
     c00: int = 0
 
-    def eval2(self, ring: Ring, x: int, y: int, ops: OpCounts | None = None) -> int:
+    def eval2(self, ring: Ring, x: int, y: int) -> int:
         # fixed operation pattern regardless of zero coefficients, so that
         # both branches of a ladder cost exactly the same
-        x2 = ring.mul(x, x)
-        y2 = ring.mul(y, y)
+        x2 = ring.sq(x)
+        y2 = ring.sq(y)
         xy = ring.mul(x, y)
         acc = ring.mul(self.c20, x2)
         acc = ring.add(acc, ring.mul(self.c11, xy))
         acc = ring.add(acc, ring.mul(self.c02, y2))
         acc = ring.add(acc, ring.mul(self.c10, x))
         acc = ring.add(acc, ring.mul(self.c01, y))
-        acc = ring.add(acc, self.c00)
-        if ops is not None:
-            ops.mul += 6
-            ops.sq += 2
-            ops.add += 5
-        return acc
+        return ring.add(acc, self.c00)
 
-    def eval1(self, ring: Ring, x: int, ops: OpCounts | None = None) -> int:
+    def eval1(self, ring: Ring, x: int) -> int:
         """Evaluate at (x, 0); the univariate view used for the branch steps."""
-        x2 = ring.mul(x, x)
+        x2 = ring.sq(x)
         acc = ring.add(ring.mul(self.c20, x2), ring.mul(self.c10, x))
-        acc = ring.add(acc, self.c00)
-        if ops is not None:
-            ops.mul += 2
-            ops.sq += 1
-            ops.add += 2
-        return acc
+        return ring.add(acc, self.c00)
 
     def depends_on_x(self, ring: Ring) -> bool:
         return ring.reduce(self.c20) != 0 or ring.reduce(self.c10) != 0
@@ -106,10 +124,7 @@ class Affine1:
     l1: int
     l0: int = 0
 
-    def eval(self, ring: Ring, x: int, ops: OpCounts | None = None) -> int:
-        if ops is not None:
-            ops.mul += 1
-            ops.add += 1
+    def eval(self, ring: Ring, x: int) -> int:
         return ring.add(ring.mul(self.l1, x), self.l0)
 
 
@@ -258,14 +273,14 @@ def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
 def run_branching(ring: Ring, spec: LadderSpec, key, x_init: int) -> Trace:
     """Run the plain one-register conditional branching; trace of x only."""
     spec.validate(ring)
-    counts = OpCounts()
+    ops = CountingRing(ring.n)
     bit1, bit0 = spec.bit1_step, spec.bit0_step
 
     def step(bit, x, _):
-        return (bit1 if bit else bit0).eval1(ring, x, counts), None
+        return (bit1 if bit else bit0).eval1(ops, x), None
 
     trace = Trace()
-    drive(as_key(key).bits, ring.reduce(x_init), None, step, trace=trace, per_iter=trace.ops, counts=counts)
+    drive(as_key(key).bits, ring.reduce(x_init), None, step, trace=trace, per_iter=trace.ops, counts=ops.counts)
     return trace
 
 
@@ -273,27 +288,27 @@ def _run_two_register(ring, spec, key, x_init, plan, y_init, other) -> Trace:
     """The body both two-register forms share; they differ only in `other`.
 
     The taken branch's register gets `main_step` of both values, then the
-    other register gets `other(t, y, counts)` of that new value t and its
-    own old value y.
+    other register gets `other(ops, t, y)` of that new value t and its own
+    old value y, both evaluated on the counting ring `ops`.
     """
     bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))
-    counts = OpCounts()
+    ops = CountingRing(ring.n)
     main = spec.main_step
 
     def step(bit, x, y):
         if bit:
-            x = main.eval2(ring, x, y, counts)
-            return x, other(x, y, counts)
-        y = main.eval2(ring, y, x, counts)
-        return other(y, x, counts), y
+            x = main.eval2(ops, x, y)
+            return x, other(ops, x, y)
+        y = main.eval2(ops, y, x)
+        return other(ops, y, x), y
 
     x = ring.reduce(x_init)
     y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
     trace = Trace(ys=[])
     drive(bits, x, y, step, plan=plan, draw=lambda rng: rng.randrange(ring.n),
-          trace=trace, per_iter=trace.ops, counts=counts)
+          trace=trace, per_iter=trace.ops, counts=ops.counts)
     return trace
 
 
@@ -311,7 +326,7 @@ def run_semi_ladder(
         raise ValueError("semi runner requires a spec without sync_step")
     bit0 = spec.bit0_step
     return _run_two_register(
-        ring, spec, key, x_init, plan, y_init, lambda t, y, counts: bit0.eval1(ring, y, counts)
+        ring, spec, key, x_init, plan, y_init, lambda ops, t, y: bit0.eval1(ops, y)
     )
 
 
@@ -329,7 +344,7 @@ def run_fully_ladder(
         raise ValueError("fully runner requires a spec with sync_step")
     sync = spec.sync_step
     return _run_two_register(
-        ring, spec, key, x_init, plan, y_init, lambda t, y, counts: sync.eval2(ring, t, y, counts)
+        ring, spec, key, x_init, plan, y_init, lambda ops, t, y: sync.eval2(ops, t, y)
     )
 
 

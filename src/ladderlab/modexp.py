@@ -8,8 +8,8 @@ Each variant is one loop step run by `ladders.drive`, the driver every
 ladder shares, which optionally consumes a fault plan and records
 register snapshots.  Modular multiplications / squarings / additions are
 tallied per iteration only when a caller asks for them (`per_iter`,
-`cost_per_bit`, and through it the CLI's `--count-ops`); otherwise the
-step runs on the plain `Ring`.
+`cost_per_bit`, and through it the CLI's `--count-ops`), by running the
+step on a `ladders.CountingRing`; otherwise it runs on the plain `Ring`.
 """
 
 import random
@@ -21,36 +21,13 @@ from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NoConstantExists
 from .faults import FaultPlan
-from .ladders import Affine1, LadderSpec, OpCounts, Quad2, Trace, as_key, drive
+from .ladders import (
+    DEFAULT_SWEEP_LIMIT, Affine1, CountingRing, LadderSpec, OpCounts, Quad2, Trace, as_key, drive,
+)
 from .modarith import Ring
 
 ALGORITHMS = ("sm", "sma", "montgomery", "semi", "fully")
-
-
-class _ModOps:
-    """Counting mod-n arithmetic, used in place of `Ring` when tallies are asked for."""
-
-    __slots__ = ("n", "counts")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.counts = OpCounts()
-
-    def mul(self, x, y):
-        self.counts.mul += 1
-        return x * y % self.n
-
-    def sq(self, x):
-        self.counts.sq += 1
-        return x * x % self.n
-
-    def add(self, x, y):
-        self.counts.add += 1
-        return (x + y) % self.n
-
-    def sub(self, x, y):
-        self.counts.add += 1
-        return (x - y) % self.n
+MAX_DRAWS = 64  # random draws of `find_ladder_constant` before its exhaustive scan
 
 
 @dataclass(frozen=True)
@@ -106,12 +83,6 @@ class LadderConstants:
     base: int
     modulus: int
     constant: int
-    delta: int  # constant - base, nonzero
-    square_delta: int  # constant^2 - 1, a unit
-    cube_delta: int  # constant^3 - base, a unit
-    inv_constant: int
-    inv_square_delta: int
-    inv_cube_delta: int
     xy_coef: int
     sq_coef: int
     sync_sq_coef: int
@@ -133,20 +104,14 @@ def _constants_for(a: int, ell: int, n: int, draws: int) -> LadderConstants | No
     """The coefficients of `ell` when it meets the four constraints, else None."""
     if not _suits(a, ell, n):
         return None
-    v0 = (ell - a) % n
-    v2 = (ell * ell - 1) % n
+    v0 = (ell - a) % n  # nonzero
+    v2 = (ell * ell - 1) % n  # a unit, as are ell and v3
     v3 = (ell * ell % n * ell - a) % n
     u1, u2, u3 = pow(ell, -1, n), pow(v2, -1, n), pow(v3, -1, n)
     return LadderConstants(
         base=a % n,
         modulus=n,
         constant=ell % n,
-        delta=v0,
-        square_delta=v2,
-        cube_delta=v3,
-        inv_constant=u1,
-        inv_square_delta=u2,
-        inv_cube_delta=u3,
         xy_coef=u1 * u2 % n * v3 % n,
         sq_coef=-v0 * u2 % n,
         sync_sq_coef=a * v2 % n * u3 % n,
@@ -169,22 +134,17 @@ def ladder_constants(a: int, ell: int, n: int) -> LadderConstants:
     return c
 
 
-def find_ladder_constant(
-    a: int,
-    n: int,
-    rng: random.Random,
-    max_draws: int = 64,
-    sweep_limit: int = 2**20,
-) -> LadderConstants:
+def find_ladder_constant(a: int, n: int, rng: random.Random) -> LadderConstants:
     """Sample a ladder constant from [2, n-2] minus {a} until all constraints hold.
 
-    After `max_draws` failed samples, falls back to an exhaustive scan when n
-    is below `sweep_limit`; raises NoConstantExists when nothing qualifies.
+    After `MAX_DRAWS` failed samples, falls back to an exhaustive scan when n
+    is at most `DEFAULT_SWEEP_LIMIT`; raises NoConstantExists when nothing
+    qualifies.
     """
     _check_modulus(n)
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
-    for attempt in range(1, max_draws + 1):
+    for attempt in range(1, MAX_DRAWS + 1):
         idx = rng.randrange(n - 4)
         ell = 2 + idx
         if ell >= a:
@@ -192,11 +152,11 @@ def find_ladder_constant(
         c = _constants_for(a, ell, n, attempt)
         if c is not None:
             return c
-    if n <= sweep_limit:
+    if n <= DEFAULT_SWEEP_LIMIT:
         for ell in range(2, n - 1):
             if ell == a:
                 continue
-            c = _constants_for(a, ell, n, max_draws)
+            c = _constants_for(a, ell, n, MAX_DRAWS)
             if c is not None:
                 return c
     raise NoConstantExists(f"no suitable ladder constant for a={a}, n={n}")
@@ -322,7 +282,8 @@ def run_exp_algorithm(
     `start=(i, x, y)` resumes a run after iteration i with registers
     (x, y) (y is None for sm), in place of `x0`/`y0`.  Fault iterations
     and stuck-at thresholds stay absolute, a trace begins at snapshot i,
-    and semi draws masks only for the iterations it runs.
+    and semi draws masks only for the iterations it runs.  A plan that
+    acts at or before iteration i is refused with ValueError.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
@@ -336,9 +297,11 @@ def run_exp_algorithm(
         i0, x0, y0 = start
         if not 0 <= i0 <= len(bits):
             raise ValueError(f"start iteration {i0} outside [0, {len(bits)}]")
+        if plan is not None and plan.first_divergent(len(bits)) <= i0:
+            raise ValueError(f"the fault plan acts at or before start iteration {i0}")
     if trace is not None and trace.ys is None and algo != "sm":
         trace.ys = []
-    ops = Ring(n) if per_iter is None else _ModOps(n)
+    ops = Ring(n) if per_iter is None else CountingRing(n)
     args = (a % n, n, x0, y0, ops)
     if algo == "sm":
         if plan is not None:

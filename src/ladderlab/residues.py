@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainTooLarge, NotCoprime
+from .ladders import DEFAULT_SWEEP_LIMIT
 from .modarith import is_probable_prime
 from .modexp import _suits
 
-SWEEP_LIMIT = 2**20
 CELL_LIMIT = 2**28  # (a, l) cells one census may evaluate
 
 
@@ -32,14 +32,14 @@ def _semiprime(p: int, q: int) -> int:
     return p * q
 
 
-def _tables(n: int, limit: int, bases: int):
+def _tables(n: int, bases: int):
     """The suitability tables of every constant for n, once the census passes the work guards.
 
     The census evaluates the n - 3 constants of the table for each of `bases`
     bases; both n and that cell count are bounded before any work is done.
     """
-    if n > limit:
-        raise DomainTooLarge(f"census over n={n} exceeds guard {limit}")
+    if n > DEFAULT_SWEEP_LIMIT:
+        raise DomainTooLarge(f"census over n={n} exceeds guard {DEFAULT_SWEEP_LIMIT}")
     cells = bases * (n - 3)
     if cells > CELL_LIMIT:
         raise DomainTooLarge(f"census over n={n} evaluates {cells} (a, l) cells, above guard {CELL_LIMIT}")
@@ -67,11 +67,11 @@ class GaussCensus:
     roots_per_residue: dict  # residue -> number of r-th roots
 
 
-def gauss_residue_census(p: int, r: int = 3, limit: int = SWEEP_LIMIT) -> GaussCensus:
+def gauss_residue_census(p: int, r: int = 3) -> GaussCensus:
     """Exhaustive census of r-th power residues modulo p and their root counts."""
     _require_prime(p, "p")
-    if p > limit:
-        raise DomainTooLarge(f"census over p={p} exceeds guard {limit}")
+    if p > DEFAULT_SWEEP_LIMIT:
+        raise DomainTooLarge(f"census over p={p} exceeds guard {DEFAULT_SWEEP_LIMIT}")
     roots = Counter(pow(ell, r, p) for ell in range(1, p))
     return GaussCensus(p, r, math.gcd(p - 1, r), len(roots), roots)
 
@@ -93,13 +93,13 @@ class ConstantCensus:
         return Fraction(self.suitable, self.total)
 
 
-def census_suitable_constants(a: int, n: int, limit: int = SWEEP_LIMIT) -> ConstantCensus:
+def census_suitable_constants(a: int, n: int) -> ConstantCensus:
     """Sweep every candidate constant and classify it by the first failed constraint."""
     if n < 7:
         raise ValueError("need n >= 7")
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
-    tables = _tables(n, limit, bases=1)
+    tables = _tables(n, bases=1)
     rest = tables.ells != a
     rejected = {}
     for reason, ok in zip(REJECTIONS, tables.constraints(a)):
@@ -120,17 +120,17 @@ def dsa_probability_formula(n: int) -> Fraction:
     return Fraction(1) - Fraction(1, n - 4) + Fraction(2 * (b - 1), (n - 3) * (n - 4))
 
 
-def dsa_exhaustive_counts(n: int, limit: int = SWEEP_LIMIT) -> tuple[int, int]:
+def dsa_exhaustive_counts(n: int) -> tuple[int, int]:
     """(suitable, total) census sums over every base a in [2, n-2], unreduced."""
     _require_prime(n, "n")
     if n < 7:
         raise ValueError("need a prime n >= 7")
-    return _tables(n, limit, bases=n - 3).count_suitable()
+    return _tables(n, bases=n - 3).count_suitable()
 
 
-def dsa_exhaustive_ratio(n: int, limit: int = SWEEP_LIMIT) -> Fraction:
+def dsa_exhaustive_ratio(n: int) -> Fraction:
     """Census ratio over every base a in [2, n-2]; must equal the closed formula."""
-    return Fraction(*dsa_exhaustive_counts(n, limit))
+    return Fraction(*dsa_exhaustive_counts(n))
 
 
 def rsa_probability_bound(p: int, q: int) -> Fraction:
@@ -139,13 +139,13 @@ def rsa_probability_bound(p: int, q: int) -> Fraction:
     return Fraction(1) - Fraction(p + q + 9, n - 4)
 
 
-def rsa_exhaustive_frequency(p: int, q: int, limit: int = SWEEP_LIMIT) -> Fraction:
+def rsa_exhaustive_frequency(p: int, q: int) -> Fraction:
     """Exact aggregate suitable-constant frequency over all (a, ell) pairs, n = pq.
 
     Same predicate and count as `dsa_exhaustive_counts`, over a composite modulus.
     """
     n = _semiprime(p, q)
-    return Fraction(*_tables(n, limit, bases=n - 3).count_suitable())
+    return Fraction(*_tables(n, bases=n - 3).count_suitable())
 
 
 def rsa_sampled_frequency(

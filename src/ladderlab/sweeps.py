@@ -61,14 +61,14 @@ def _mod(v, n: int):
     return v - v // n * n
 
 
-def sweep_masked_semi(n_max: int = 200, n_min: int = 2, stop_early: bool = True) -> list:
+def sweep_masked_semi(n_max: int = 200, n_min: int = 2) -> list:
     """Check the three half-coupled equations for every (n, a, m, x) in range.
 
-    Returns a list of (n, a, m, x, equation) violations, empty when the
-    whole family verifies.  The base a runs over nonzero ring elements
-    (a = 0 gives a degenerate link and is outside the family).
+    Returns the (n, a, m, x, equation) violations of the first (n, a,
+    equation) that fails, empty when the whole family verifies.  The base a
+    runs over nonzero ring elements (a = 0 gives a degenerate link and is
+    outside the family).
     """
-    failures = []
     for n in range(n_min, n_max + 1):
         xs = np.arange(n, dtype=np.int64)
         ms = np.arange(n, dtype=np.int64)[:, None]
@@ -79,10 +79,7 @@ def sweep_masked_semi(n_max: int = 200, n_min: int = 2, stop_early: bool = True)
             # equation 1 is mask-free: bit0(link(x)) == link(bit1(x))
             e1 = (lx * lx - a * theta) % n
             if e1.any():
-                for x in np.nonzero(e1)[0]:
-                    failures.append((n, a, None, int(x), 1))
-                if stop_early:
-                    return failures
+                return [(n, a, None, int(x), 1) for x in np.nonzero(e1)[0]]
             ma = ms * a % n
             f11 = (1 - ms * ((a * a + 1) % n)) % n
             xy = xs * lx % n  # x * link(x)
@@ -92,11 +89,8 @@ def sweep_masked_semi(n_max: int = 200, n_min: int = 2, stop_early: bool = True)
             fval = _mod(ma * sq_sum + f11 * xy, n)
             for eq, grid in ((2, fval != theta), (3, fval != a * x2 % n)):
                 if grid.any():
-                    for m, x in zip(*np.nonzero(grid)):
-                        failures.append((n, a, int(m), int(x), eq))
-                    if stop_early:
-                        return failures
-    return failures
+                    return [(n, a, int(m), int(x), eq) for m, x in zip(*np.nonzero(grid))]
+    return []
 
 
 def _valid_constants(tables: ConstantTables, a: int):
@@ -111,13 +105,14 @@ def _valid_constants(tables: ConstantTables, a: int):
             a * v2 % n * u3 % n, ell * v0 % n * u3 % n)
 
 
-def sweep_fully_constants(n_max: int = 200, n_min: int = 7, stop_early: bool = True) -> list:
+def sweep_fully_constants(n_max: int = 200, n_min: int = 7) -> list:
     """Check the four fully-coupled equations for every (n, a, constant, x) in range.
 
     Bases run over [2, n-2]; constants over every value passing the four
-    suitability constraints.  Returns (n, a, ell, x, equation) violations.
+    suitability constraints.  Returns the (n, a, ell, x, equation)
+    violations of the first (n, a, equation) that fails, empty when the
+    whole family verifies.
     """
-    failures = []
     for n in range(n_min, n_max + 1):
         xs = np.arange(n, dtype=np.int64)
         x2 = xs * xs % n
@@ -139,8 +134,5 @@ def sweep_fully_constants(n_max: int = 200, n_min: int = 7, stop_early: bool = T
             e4 = _mod(K2 * x2 + K3 * main_rev - x2, n)
             for eq, grid in ((1, e1), (2, e2), (3, e3), (4, e4)):
                 if grid.any():
-                    for j, x in zip(*np.nonzero(grid)):
-                        failures.append((n, a, int(ells[j]), int(x), eq))
-                    if stop_early:
-                        return failures
-    return failures
+                    return [(n, a, int(ells[j]), int(x), eq) for j, x in zip(*np.nonzero(grid))]
+    return []

@@ -147,3 +147,11 @@ def test_start_point_is_checked():
         run_exp_algorithm("montgomery", 7, 5, 101, start=(-1, 1, 7))
     with pytest.raises(ValueError):
         run_exp_algorithm("montgomery", 7, 5, 101, x0=1, start=(1, 1, 7))
+    # a plan that acts at or before the start iteration would be dropped
+    for algo, plan in [
+        ("montgomery", FaultPlan((RegisterFault("x", 2, value=5),))),
+        ("sma", FaultPlan((RegisterFault("y", 2, value=5),))),  # sma's product fault
+        ("montgomery", FaultPlan(key_stuckat=(2, 0))),
+    ]:
+        with pytest.raises(ValueError):
+            run_exp_algorithm(algo, 7, 0b1011011, 101, start=(4, 3, 21), plan=plan)
