@@ -28,6 +28,8 @@ y = a*x the mask cancels out of every clean step, so such an input keeps
 zero-mask snapshots and each call first replays the draws it skips.  An
 input that breaks the link runs in full.  Outputs and the RNG stream are
 exactly those of full runs.  The ECC oracle runs every call in full.
+Under fresh masks or coefficients the pool inputs attack 3 swaps in leave
+y0 to the ladder's link, so the randomness cancels from every output.
 """
 
 import random
@@ -98,8 +100,11 @@ def make_exp_oracle(
     if algo == "semi" and mask is None:
         mask = MaskPolicy.fresh()
 
+    fresh = algo == "semi" and mask.mode == "fresh"
+
     def sample_input(r):
-        return r.randrange(1, n), r.randrange(1, n)
+        # under fresh masks y0 is left to the link y = a*x, so the masks cancel
+        return r.randrange(1, n), (None if fresh else r.randrange(1, n))
 
     run = _resuming_run(algo, a, n, bits, constants, mask, rng)
     return ExecutionOracle(run, len(bits), sample_input, readable)
@@ -186,7 +191,8 @@ def make_ecc_oracle(
         )
 
     def sample_input(r):
-        return random_point(curve, r), random_point(curve, r)
+        # under fresh coefficients y0 is left to semi's link Q = -(P + A), so they cancel
+        return random_point(curve, r), (None if fresh_coef else random_point(curve, r))
 
     return ExecutionOracle(run, len(bits), sample_input, readable)
 

@@ -1,12 +1,15 @@
 """Bulk exhaustive verification of the exponentiation ladder families.
 
 These sweeps cover every modulus up to a bound, every base, every mask or
-every valid ladder constant, and every ring element, in closed form on
-int64 grids (values are reduced after each product, so the widest
-intermediate is below n**2); `ladders.check_*_equations` evaluate one spec's
-own polynomials over int64 chunks of x, for n up to 2**31, and the tests
-cross-check the two routes.  `ConstantTables` is `modexp._suits`'s
-predicate in numpy.
+every valid ladder constant, and every ring element x, in closed form on
+int64 arrays (values are reduced after each product, so the widest
+intermediate is below n**2).  x is discharged, not enumerated: the link is
+a*x or l*x, so every equation entry is x**2 times its value at x = 1 mod
+n, prime or composite, and the x = 1 column decides each (n, a).  The full
+x grid only lists the violations of the first failing (n, a).
+`ladders.check_*_equations` evaluate one spec's own polynomials at every
+x, and the tests cross-check the routes.  `ConstantTables` is
+`modexp._suits`'s predicate in numpy.
 """
 
 from functools import cached_property
@@ -48,11 +51,8 @@ class ConstantTables:
     def count_suitable(self) -> tuple[int, int]:
         """(suitable, total) over every base a in [2, n-2] and every l != a in that range."""
         n = self.n
-        rows = max(1, SWEEP_CHUNK // (n - 3))
-        suitable = 0
-        for lo in range(2, n - 1, rows):
-            bases = np.arange(lo, min(lo + rows, n - 1), dtype=np.int64)[:, None]
-            suitable += int(np.count_nonzero(self.suitable(bases)))
+        suitable = sum(int(np.count_nonzero(self.suitable(bases)))
+                       for bases in _base_chunks(2, n - 1, n - 3))
         return suitable, (n - 3) * (n - 4)
 
 
@@ -61,48 +61,93 @@ def _mod(v, n: int):
     return v - v // n * n
 
 
+def _base_chunks(lo: int, hi: int, width: int):
+    """int64 columns of the bases in [lo, hi), max(1, SWEEP_CHUNK // width) rows each."""
+    rows = max(1, SWEEP_CHUNK // max(1, width))
+    return (np.arange(s, min(s + rows, hi), dtype=np.int64)[:, None] for s in range(lo, hi, rows))
+
+
+def _first_violations(n: int, a: int, grids, rows) -> list:
+    """(n, a, row, x, equation) of each failing cell of the first failing grid; rows name its rows."""
+    for eq, (grid, names) in enumerate(zip(grids, rows), 1):
+        if grid.any():
+            return [(n, a, names[j], int(x), eq) for j, x in zip(*np.nonzero(np.atleast_2d(grid)))]
+    return []
+
+
+def _semi_coefficients(n: int, a, m):
+    """The mask's loop coefficients (m*a, 1 - m*(a^2 + 1)) mod n."""
+    return m * a % n, (1 - m * ((a * a + 1) % n)) % n
+
+
+def _semi_grids(n: int, a, m, x):
+    """Failure masks of the three half-coupled equations, broadcasting a, m and x."""
+    x2 = x * x % n
+    lx = a * x % n  # link values
+    theta = a * x2 % n
+    # equation 1 is mask-free: bit0(link(x)) == link(bit1(x))
+    e1 = (lx * lx - a * theta) % n != 0
+    ma, f11 = _semi_coefficients(n, a, m)
+    # f(x, lx) and f(lx, x) coincide termwise: both quadratic terms are
+    # symmetric, so one value serves equations 2 and 3
+    fval = _mod(ma * ((x2 + lx * lx) % n) + f11 * (x * lx % n), n)
+    return e1, fval != theta, fval != a * x2 % n
+
+
+def _semi_violations(n: int, a: int) -> list:
+    xs = np.arange(n, dtype=np.int64)
+    return _first_violations(n, a, _semi_grids(n, a, xs[:, None], xs), ([None], range(n), range(n)))
+
+
 def sweep_masked_semi(n_max: int = 200, n_min: int = 2) -> list:
     """Check the three half-coupled equations for every (n, a, m, x) in range.
 
     Returns the (n, a, m, x, equation) violations of the first (n, a,
     equation) that fails, empty when the whole family verifies.  The base a
     runs over nonzero ring elements (a = 0 gives a degenerate link and is
-    outside the family).
+    outside the family).  x is discharged by the degree-2 identity: one
+    (a, m) array at x = 1 per n decides every (n, a).
     """
     for n in range(n_min, n_max + 1):
-        xs = np.arange(n, dtype=np.int64)
-        ms = np.arange(n, dtype=np.int64)[:, None]
-        x2 = xs * xs % n
-        for a in range(1, n):
-            lx = a * xs % n  # link values
-            theta = a * x2 % n
-            # equation 1 is mask-free: bit0(link(x)) == link(bit1(x))
-            e1 = (lx * lx - a * theta) % n
-            if e1.any():
-                return [(n, a, None, int(x), 1) for x in np.nonzero(e1)[0]]
-            ma = ms * a % n
-            f11 = (1 - ms * ((a * a + 1) % n)) % n
-            xy = xs * lx % n  # x * link(x)
-            sq_sum = (x2 + lx * lx) % n
-            # f(x, lx) and f(lx, x) coincide termwise: both quadratic terms
-            # are symmetric, so one grid serves equations 2 and 3
-            fval = _mod(ma * sq_sum + f11 * xy, n)
-            for eq, grid in ((2, fval != theta), (3, fval != a * x2 % n)):
-                if grid.any():
-                    return [(n, a, int(m), int(x), eq) for m, x in zip(*np.nonzero(grid))]
+        for bases in _base_chunks(1, n, n):
+            e1, e2, e3 = _semi_grids(n, bases, np.arange(n, dtype=np.int64), 1)
+            failed = (e1 | e2 | e3).any(axis=1)
+            if failed.any():
+                return _semi_violations(n, int(bases[failed.argmax(), 0]))
     return []
 
 
-def _valid_constants(tables: ConstantTables, a: int):
-    """All valid ladder constants for (a, n) with their four loop coefficients."""
+def _valid_constants(tables: ConstantTables, bases):
+    """(a, l, loop coefficients) of every valid l of each base (int or int64 column), base-major."""
     n, inv = tables.n, tables.inverse
-    ok = tables.suitable(a)
-    ell, v2 = tables.ells[ok], tables.square[ok]
+    ok = tables.suitable(bases)
+    a, ell, v2, cube = (np.broadcast_to(c, ok.shape)[ok]
+                        for c in (bases, tables.ells, tables.square, tables.cube))
     v0 = (ell - a) % n
-    v3 = (tables.cube[ok] - a) % n
+    v3 = (cube - a) % n
     u2, u3 = inv[v2], inv[v3]
-    return (ell, inv[ell] * u2 % n * v3 % n, -v0 * u2 % n,
+    return (a, ell, inv[ell] * u2 % n * v3 % n, -v0 * u2 % n,
             a * v2 % n * u3 % n, ell * v0 % n * u3 % n)
+
+
+def _fully_grids(n: int, a, L, K0, K1, K2, K3, x):
+    """Failure masks of the four fully-coupled equations, broadcasting a, l, coefficients and x."""
+    x2 = x * x % n
+    theta = a * x2 % n
+    lx = _mod(L * x, n)
+    lx2 = _mod(lx * lx, n)
+    uv = _mod(x * lx, n)  # x * link(x), symmetric in the two eval orders
+    main_fwd = _mod(K0 * uv + K1 * lx2, n)  # f(x, link(x))
+    main_rev = _mod(K0 * uv + K1 * x2, n)  # f(link(x), x)
+    return (_mod(K2 * lx2 + (K3 - L) * theta, n) != 0, main_fwd != theta,
+            main_rev != _mod(L * x2, n), _mod(K2 * x2 + K3 * main_rev - x2, n) != 0)
+
+
+def _fully_violations(tables: ConstantTables, a: int) -> list:
+    _, ells, *coefs = _valid_constants(tables, a)
+    xs = np.arange(tables.n, dtype=np.int64)
+    grids = _fully_grids(tables.n, a, *(c[:, None] for c in (ells, *coefs)), xs)
+    return _first_violations(tables.n, a, grids, [ells.tolist()] * 4)
 
 
 def sweep_fully_constants(n_max: int = 200, n_min: int = 7) -> list:
@@ -111,28 +156,14 @@ def sweep_fully_constants(n_max: int = 200, n_min: int = 7) -> list:
     Bases run over [2, n-2]; constants over every value passing the four
     suitability constraints.  Returns the (n, a, ell, x, equation)
     violations of the first (n, a, equation) that fails, empty when the
-    whole family verifies.
+    whole family verifies.  x is discharged by the degree-2 identity: the
+    (a, l) cells at x = 1, SWEEP_CHUNK at a time, decide every (n, a).
     """
     for n in range(n_min, n_max + 1):
-        xs = np.arange(n, dtype=np.int64)
-        x2 = xs * xs % n
         tables = ConstantTables(n)
-        for a in range(2, n - 1):
-            ells, *coefs = _valid_constants(tables, a)
-            if not ells.size:
-                continue
-            L, K0, K1, K2, K3 = (c[:, None] for c in (ells, *coefs))
-            theta = a * x2 % n
-            lx = _mod(L * xs, n)
-            lx2 = _mod(lx * lx, n)
-            uv = _mod(xs * lx, n)  # x * link(x), symmetric in the two eval orders
-            main_fwd = _mod(K0 * uv + K1 * lx2, n)  # f(x, link(x))
-            main_rev = _mod(K0 * uv + K1 * x2, n)  # f(link(x), x)
-            e1 = _mod(K2 * lx2 + (K3 - L) * theta, n)
-            e2 = main_fwd != theta
-            e3 = main_rev != _mod(L * x2, n)
-            e4 = _mod(K2 * x2 + K3 * main_rev - x2, n)
-            for eq, grid in ((1, e1), (2, e2), (3, e3), (4, e4)):
-                if grid.any():
-                    return [(n, a, int(ells[j]), int(x), eq) for j, x in zip(*np.nonzero(grid))]
+        for bases in _base_chunks(2, n - 1, n - 3):
+            a, *cells = _valid_constants(tables, bases)
+            failed = np.logical_or.reduce(_fully_grids(n, a, *cells, 1))
+            if failed.any():
+                return _fully_violations(tables, int(a[failed.argmax()]))
     return []

@@ -38,8 +38,8 @@ def _cases():
         for readable in ("x", "y"):
             for model in (1, 3):
                 yield f"m{model}-{target}-16-{readable}", (model, target, 16, 7, readable, N)
-    # Fermat-prime moduli, where squaring collides: model 3 swaps in pool inputs,
-    # which break the link, so semi's fresh masks reach its outputs
+    # Fermat-prime moduli, where squaring collides: model 3 swaps in pool inputs;
+    # semi's keep the link y = a*x, so its fresh masks still cancel
     for n in (17, 257):
         for target in EXP_TARGETS:
             yield f"m3-{target}-16-n{n}", (3, target, 16, 3, "both", n)

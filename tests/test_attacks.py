@@ -10,10 +10,12 @@ from ladderlab.attacks import (
     attack2_semi,
     attack3_stuckat,
     evaluate_report,
+    make_ecc_oracle,
     make_exp_oracle,
     make_oracle_for_target,
     run_attack,
 )
+from ladderlab.ecc import INFINITY, Curve, Point, double_and_add, semi_params
 from ladderlab.ladders import KeyBits
 
 A_BASE = 7
@@ -182,6 +184,36 @@ class TestAttack3:
                                        curve_bundle=small_curve)
             report = attack3_stuckat(o, random.Random(rng.getrandbits(32)))
             assert report.recovered == key.bits
+
+    @staticmethod
+    def _wrong_claims(make_oracle, seed, keys=10):
+        rng = random.Random(seed)
+        wrong = claimed = 0
+        for _ in range(keys):
+            key = random_key(rng)
+            report = attack3_stuckat(make_oracle(key, rng.getrandbits(64)),
+                                     random.Random(rng.getrandbits(64)))
+            wrong += sum(b is not None and b != k for b, k in zip(report.recovered, key.bits))
+            claimed += report.claimed()
+        return wrong, claimed
+
+    @pytest.mark.parametrize("n", [17, 257])
+    def test_semi_fresh_masks_claim_no_wrong_bit(self, n):
+        # squaring collides mod a Fermat prime, so attack 3 swaps in pool
+        # inputs; they keep the link y = a*x, or the fresh masks would reach
+        # the outputs and make every comparison differ
+        wrong, claimed = self._wrong_claims(
+            lambda key, seed: make_oracle_for_target("semi", key, seed=seed, n=n), n)
+        assert wrong == 0 and claimed > 0
+
+    def test_ecc_semi_fresh_coefficients_claim_no_wrong_bit(self):
+        # a base point of order 16 collides as 17 does for exp
+        curve, A = Curve(101, 2, 3, subgroup_order=16), Point(23, 46)
+        assert double_and_add(curve, 16, A) == INFINITY != double_and_add(curve, 8, A)
+        wrong, claimed = self._wrong_claims(
+            lambda key, seed: make_ecc_oracle("semi", curve, A, key, params=semi_params(3, 16),
+                                              seed=seed, fresh_coef=True), 16, keys=4)
+        assert wrong == 0 and claimed > 0
 
     def test_single_bit_key(self):
         for bit in (0, 1):

@@ -1,11 +1,19 @@
 import math
 import random
 
+import numpy as np
+import pytest
+
+from ladderlab import sweeps
 from ladderlab.ladders import check_fully_equations, check_semi_equations
 from ladderlab.modarith import Ring
 from ladderlab.modexp import _constants_for, fully_ladder_spec, ladder_constants, masked_semi_spec
 from ladderlab.sweeps import (
     ConstantTables,
+    _fully_grids,
+    _fully_violations,
+    _semi_grids,
+    _semi_violations,
     _valid_constants,
     sweep_fully_constants,
     sweep_masked_semi,
@@ -56,7 +64,7 @@ def test_constant_tables_match_scalar_predicate():
         ]
         for a in range(2, n - 1):
             want = [c for ell in range(2, n - 1) if (c := _constants_for(a, ell, n, 0)) is not None]
-            got = [col.tolist() for col in _valid_constants(tables, a)]
+            got = [col.tolist() for col in _valid_constants(tables, a)[1:]]
             assert got == [
                 [c.constant for c in want],
                 [c.xy_coef for c in want],
@@ -64,6 +72,11 @@ def test_constant_tables_match_scalar_predicate():
                 [c.sync_sq_coef for c in want],
                 [c.sync_x_coef for c in want],
             ], (n, a)
+        # a column of bases gives the same cells, base-major
+        column = _valid_constants(tables, np.arange(2, n - 1, dtype=np.int64)[:, None])
+        per_base = [_valid_constants(tables, a) for a in range(2, n - 1)]
+        for j, col in enumerate(column):
+            assert col.tolist() == [v for cells in per_base for v in cells[j].tolist()], (n, j)
 
 
 def test_count_suitable_matches_scalar_predicate_across_chunks():
@@ -76,3 +89,74 @@ def test_count_suitable_matches_scalar_predicate_across_chunks():
             if ell != a
         )
         assert ConstantTables(n).count_suitable() == (suitable, (n - 3) * (n - 4))
+
+
+def _full_grid_sweeps(n_max, semi_min=2, fully_min=7):
+    """The two sweeps' results, read off the full x grid of every (n, a) in turn."""
+    semi = ((n, a) for n in range(semi_min, n_max + 1) for a in range(1, n))
+    fully = ((tables, a) for tables in map(ConstantTables, range(fully_min, n_max + 1))
+             for a in range(2, tables.n - 1))
+    return (next(filter(None, (_semi_violations(*case) for case in semi)), []),
+            next(filter(None, (_fully_violations(*case) for case in fully)), []))
+
+
+@pytest.fixture(params=[
+    (60, None, None),
+    # equation 2 fails first
+    (30, lambda n, a, ell, k0, k1, k2, k3: (k0, (k1 + 1) % n, k2, k3), {2}),
+    # equation 1 still holds; equation 4 moves by l^3 - a, a unit
+    (30, lambda n, a, ell, k0, k1, k2, k3: (k0, k1, (k2 - a) % n, (k3 + ell * ell) % n), {4}),
+], ids=["clean", "broken-sq-coef", "broken-sync-coefs"])
+def coefficients(request, monkeypatch):
+    """(n_max, equations the fully sweep fails on) with the case's coefficient helpers installed.
+
+    Both routes read their loop coefficients from one helper each, so a
+    broken formula reaches both.
+    """
+    n_max, break_fully, failing = request.param
+    if break_fully:
+        semi_coefficients, valid_constants = sweeps._semi_coefficients, sweeps._valid_constants
+
+        def broken_semi(n, a, m):
+            ma, f11 = semi_coefficients(n, a, m)
+            return ma, (f11 + m) % n
+
+        def broken_fully(tables, bases):
+            a, ell, *coefs = valid_constants(tables, bases)
+            return a, ell, *break_fully(tables.n, a, ell, *coefs)
+
+        monkeypatch.setattr(sweeps, "_semi_coefficients", broken_semi)
+        monkeypatch.setattr(sweeps, "_valid_constants", broken_fully)
+    return n_max, failing
+
+
+def test_unit_column_decides_every_base(coefficients):
+    # every entry is x^2 times its x = 1 value, so the x = 1 verdict of each
+    # (n, a, equation) is its full grid's verdict
+    n_max, _ = coefficients
+    for n in range(2, n_max + 1):
+        xs = np.arange(n, dtype=np.int64)
+        bases = np.arange(1, n, dtype=np.int64)[:, None]
+        column = [g.reshape(n - 1, -1).any(axis=1) for g in _semi_grids(n, bases, xs, 1)]
+        for a in range(1, n):
+            full = [g.any() for g in _semi_grids(n, a, xs[:, None], xs)]
+            assert [bool(c[a - 1]) for c in column] == full, (n, a)
+        if n < 5:
+            continue
+        tables = ConstantTables(n)
+        owner, *cells = sweeps._valid_constants(tables, bases[1:-1])
+        column = _fully_grids(n, owner, *cells, 1)
+        for a in range(2, n - 1):
+            _, *consts = sweeps._valid_constants(tables, a)
+            full = [g.any() for g in _fully_grids(n, a, *(c[:, None] for c in consts), xs)]
+            assert [bool(c[owner == a].any()) for c in column] == full, (n, a)
+
+
+def test_unit_column_and_full_grid_give_the_same_lists(coefficients):
+    n_max, failing = coefficients
+    for n in range(2, n_max + 1):
+        assert (sweep_masked_semi(n, n), sweep_fully_constants(n, n)) == _full_grid_sweeps(n, n, n)
+    if failing:
+        semi, fully = _full_grid_sweeps(n_max)
+        assert semi and {v[4] for v in fully} == failing
+        assert (sweep_masked_semi(n_max), sweep_fully_constants(n_max)) == (semi, fully)
