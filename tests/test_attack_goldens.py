@@ -1,12 +1,12 @@
-"""Pinned results of the three attack protocols against the exponentiation targets.
+"""Pinned results of the three attack protocols against the exp and ECC targets.
 
 Every case draws its key and seeds the way `ladderlab attack` does, runs
 one protocol on one target, and records the recovered bits, the oracle
 call count and a sha256 over every output the oracle returned, in call
 order.  The hash pins the oracle's behaviour call by call, so a change in
 how it runs (resumed from a checkpoint or not) must leave each output,
-and the oracle's own RNG stream that semi's fresh masks draw from,
-untouched.  Regenerate only on a deliberate change of behaviour:
+and the oracle's own RNG stream that semi's fresh masks or coefficients
+draw from, untouched.  Regenerate only on a deliberate change of behaviour:
 
     PYTHONPATH=src python tests/test_attack_goldens.py
 """
@@ -18,7 +18,8 @@ import random
 
 import pytest
 
-from ladderlab.attacks import EXP_TARGETS, make_oracle_for_target, run_attack
+from ladderlab.attacks import ECC_TARGETS, EXP_TARGETS, make_ecc_oracle, make_oracle_for_target, run_attack
+from ladderlab.ecc import Curve, Point, find_small_curve, semi_params
 from ladderlab.ladders import KeyBits
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "data", "attack_goldens.json")
@@ -26,6 +27,9 @@ GOLDENS = os.path.join(os.path.dirname(__file__), "data", "attack_goldens.json")
 # (bits, seed) pairs: a short and a long key, each at its own fixed seed
 KEYS = ((16, 3), (48, 5))
 N = 1_000_003  # the CLI's attack modulus
+SMALL_CURVE = find_small_curve()  # the CLI's attack curve
+# a base point of order 16, where squaring collides as it does mod 17
+ORDER16 = (Curve(101, 2, 3, subgroup_order=16), Point(23, 46), 16)
 
 
 def _cases():
@@ -43,6 +47,17 @@ def _cases():
     for n in (17, 257):
         for target in EXP_TARGETS:
             yield f"m3-{target}-16-n{n}", (3, target, 16, 3, "both", n)
+    for target in ECC_TARGETS:
+        for model in (1, 2, 3):
+            for bits, seed in KEYS:
+                yield f"m{model}-{target}-{bits}", (model, target, bits, seed, "both", None)
+        for readable in ("x", "y"):
+            for model in (1, 3):
+                yield f"m{model}-{target}-16-{readable}", (model, target, 16, 7, readable, None)
+    # fresh coefficients on the order-16 point: model 3 swaps in pool inputs,
+    # which keep the link Q = -(P + A), so the coefficients cancel
+    for model in (1, 2, 3):
+        yield f"m{model}-ecc-semi-16-fresh", (model, "ecc-semi", 16, 3, "both", "fresh")
 
 
 CASES = dict(_cases())
@@ -52,12 +67,14 @@ def _record(case):
     model, target, bits, seed, readable, n = case
     rng = random.Random(seed)
     key = KeyBits.from_int(rng.getrandbits(bits), width=bits)
-    oracle = make_oracle_for_target(
-        target, key,
-        seed=rng.getrandbits(64),
-        readable=("x", "y") if readable == "both" else (readable,),
-        n=n,
-    )
+    kw = dict(seed=rng.getrandbits(64), readable=("x", "y") if readable == "both" else (readable,))
+    if n == "fresh":
+        curve, A, order = ORDER16
+        oracle = make_ecc_oracle("semi", curve, A, key, params=semi_params(3, order), fresh_coef=True, **kw)
+    elif n is None:
+        oracle = make_oracle_for_target(target, key, curve_bundle=SMALL_CURVE, **kw)
+    else:
+        oracle = make_oracle_for_target(target, key, n=n, **kw)
     digest = hashlib.sha256()
     exe = oracle.exe
 
