@@ -1,11 +1,23 @@
-"""The concrete exp runners trace what the generic spec runners trace, under random fault plans.
+"""Independent routes to each ladder's snapshots agree under random fault plans.
 
-Hypothesis draws a prime modulus, a base, a key and a fault plan (0-3
-seeded or explicit register faults and an optional stuck-at, from the
-strategy the resume tests use).  The concrete montgomery, semi (zero and
-fixed mask) and fully runners must give the snapshots that
+Exp half: hypothesis draws a prime modulus, a base, a key and a fault
+plan (0-3 seeded or explicit register faults and an optional stuck-at,
+from the strategy the resume tests use).  The concrete montgomery, semi
+(zero and fixed mask) and fully runners must give the snapshots that
 `ladders.run_semi_ladder` / `run_fully_ladder` give on the matching specs,
 and with no plan x must end at pow(a, k, n).
+
+ECC half: hypothesis draws the generated small curve (whose `PointOps`
+looks the group law up in a discrete-log table) or a prime-order curve
+above `ecc.TABLE_MAX_P` (affine law only), a base point, a scalar, ladder
+coefficients and a plan of the same shape with point-valued faults.  The
+montgomery, semi (fixed and fresh coefficients) and fully ladders must
+give the same outputs, snapshots and add/double tallies whether
+`PointOps` uses its table or the affine law, and with no plan x must
+equal `double_and_add`.
+
+In both halves each ladder's link holds at every snapshot a plan leaves
+untouched.
 """
 
 import random
@@ -14,6 +26,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_resume import _plan
 
+from ladderlab.ecc import (
+    Curve,
+    Point,
+    PointOps,
+    double_and_add,
+    find_small_curve,
+    fully_params,
+    ladder_link,
+    random_point,
+    run_ecc_algorithm,
+    semi_params,
+)
 from ladderlab.ladders import KeyBits, Trace, run_fully_ladder, run_semi_ladder
 from ladderlab.modarith import Ring, is_probable_prime
 from ladderlab.modexp import (
@@ -27,13 +51,29 @@ from ladderlab.modexp import (
 PRIMES = [p for p in range(7, 400) if is_probable_prime(p)] + [65537, 1_000_003]
 
 
+def _untouched(plan, nbits):
+    """How many leading snapshots a plan leaves as a clean run has them.
+
+    Snapshot i follows iteration i, and a register fault at iteration d
+    rewrites snapshot d - 1, which the trace shows as iteration d reads it.
+    """
+    if plan is None:
+        return nbits + 1
+    d = plan.first_divergent(nbits)
+    return d - 1 if any(f.iteration == d for f in plan.register_faults) else d
+
+
+def _key(draw, max_bits):
+    nbits = draw(st.integers(1, max_bits))
+    return KeyBits(tuple(draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits))))
+
+
 @st.composite
 def _case(draw):
     n = draw(st.sampled_from(PRIMES))
-    nbits = draw(st.integers(1, 24))
-    key = KeyBits(tuple(draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits))))
+    key = _key(draw, 24)
     a, mask, seed = draw(st.integers(2, n - 2)), draw(st.integers(1, n - 1)), draw(st.integers(0, 2**32))
-    return n, a, key, draw(_plan(nbits, n)), mask, seed
+    return n, a, key, draw(_plan(len(key.bits), st.integers(0, n - 1))), mask, seed
 
 
 @settings(max_examples=40, deadline=None)
@@ -44,15 +84,77 @@ def test_concrete_runners_equal_generic_ladders(case):
     constants = find_ladder_constant(a, n, random.Random(seed))
     semi_zero = masked_semi_spec(ring, a, 0)
     runs = [
-        ("montgomery", {}, run_semi_ladder, semi_zero),
-        ("semi", {"mask": MaskPolicy.zero()}, run_semi_ladder, semi_zero),
-        ("semi", {"mask": MaskPolicy.fixed(m)}, run_semi_ladder, masked_semi_spec(ring, a, m)),
-        ("fully", {"constants": constants}, run_fully_ladder, fully_ladder_spec(ring, constants)),
+        ("montgomery", {}, run_semi_ladder, semi_zero, a),
+        ("semi", {"mask": MaskPolicy.zero()}, run_semi_ladder, semi_zero, a),
+        ("semi", {"mask": MaskPolicy.fixed(m)}, run_semi_ladder, masked_semi_spec(ring, a, m), a),
+        ("fully", {"constants": constants}, run_fully_ladder, fully_ladder_spec(ring, constants),
+         constants.constant),
     ]
-    for algo, kw, generic, spec in runs:
+    clean = _untouched(plan, len(key.bits))
+    for algo, kw, generic, spec, scale in runs:
         trace = Trace()
         x, _ = run_exp_algorithm(algo, a, key, n, plan=plan, trace=trace, **kw)
         want = generic(ring, spec, key, 1, plan)
         assert (trace.xs, trace.ys) == (want.xs, want.ys), (algo, kw)
+        for xi, yi in zip(trace.xs[:clean], trace.ys[:clean]):
+            assert yi == scale * xi % n, algo
         if plan is None:
             assert x == pow(a, key.to_int(), n), algo
+
+
+SMALL = find_small_curve()
+# prime group order 971 at p = 1031 > TABLE_MAX_P: every PointOps call takes the affine law
+LARGE = (Curve(1031, 2, 2, subgroup_order=971), Point(0, 473), 971)
+
+
+def test_both_group_law_routes_are_drawn():
+    for (curve, A, order), tabled in ((SMALL, True), (LARGE, False)):
+        assert (PointOps(curve)._log is not None) == tabled
+        assert double_and_add(curve, order, A).is_infinity
+
+
+@st.composite
+def _ecc_case(draw):
+    curve, G, order = draw(st.sampled_from([SMALL, LARGE]))
+    A = double_and_add(curve, draw(st.integers(1, order - 1)), G)
+    key = _key(draw, 16)
+    points = st.integers(0, 2**32).map(lambda s: random_point(curve, random.Random(s)))
+    semi_coef = draw(st.integers(1, order - 1).filter(lambda c: c != 2))
+    fully_coef = draw(st.integers(3, order - 1).filter(lambda c: (3 - 2 * c) % order))
+    plan = draw(_plan(len(key.bits), points))
+    return curve, A, key, plan, semi_params(semi_coef, order), fully_params(fully_coef, order), draw(
+        st.integers(0, 2**32))
+
+
+def _traced(algo, curve, A, key, plan, seed, tabled, **kw):
+    ops, trace = PointOps(curve), Trace()
+    if not tabled:
+        ops._log = None
+    out = run_ecc_algorithm(algo, curve, A, key, plan=plan, ops=ops, trace=trace,
+                            rng=random.Random(seed), **kw)
+    return out, trace.xs, trace.ys, (ops.adds, ops.doubles)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ecc_case())
+def test_ecc_ladders_agree_across_group_law_routes(case):
+    curve, A, key, plan, semi, fully, seed = case
+    runs = [
+        ("montgomery", {}),
+        ("semi", {"params": semi}),
+        ("semi", {"params": semi, "fresh_coef": True}),
+        ("fully", {"params": fully}),
+    ]
+    clean = _untouched(plan, len(key.bits))
+    want = double_and_add(curve, key, A)
+    for algo, kw in runs:
+        got = _traced(algo, curve, A, key, plan, seed, True, **kw)
+        assert got == _traced(algo, curve, A, key, plan, seed, False, **kw), (algo, kw)
+        (x, _), xs, ys, _ = got
+        link, _ = ladder_link(algo, PointOps(curve), A, kw.get("params"))
+        for P, Q in zip(xs[:clean], ys[:clean]):
+            assert Q == link(P), (algo, kw)
+        if plan is None:
+            assert x == want, (algo, kw)
+    if plan is None:
+        assert run_ecc_algorithm("daa", curve, A, key)[0] == want

@@ -27,7 +27,8 @@ ALGOS = [("sma", None), ("montgomery", None), ("fully", None),
 
 
 @st.composite
-def _plan(draw, nbits, n):
+def _plan(draw, nbits, values):
+    """None or a plan: 0-3 register faults, seeded or with a value drawn from `values`, and an optional stuck-at."""
     iterations = draw(st.lists(st.integers(1, nbits), unique=True, max_size=min(3, nbits)))
     faults = []
     for i in iterations:
@@ -35,7 +36,7 @@ def _plan(draw, nbits, n):
         if draw(st.booleans()):
             faults.append(RegisterFault(target, i, seed=draw(st.integers(0, 2**32))))
         else:
-            faults.append(RegisterFault(target, i, value=draw(st.integers(0, n - 1))))
+            faults.append(RegisterFault(target, i, value=draw(values)))
     stuck = draw(st.none() | st.tuples(st.integers(0, nbits), st.integers(0, 1)))
     if not faults and stuck is None and draw(st.booleans()):
         return None
@@ -51,7 +52,7 @@ def _case(draw):
     key = KeyBits(tuple(draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits))))
     starts = draw(st.lists(st.sampled_from(["default", "linked", "unlinked"]), min_size=1, max_size=3))
     calls = draw(st.lists(
-        st.tuples(st.integers(0, len(starts) - 1), _plan(nbits, n)), min_size=1, max_size=8,
+        st.tuples(st.integers(0, len(starts) - 1), _plan(nbits, st.integers(0, n - 1))), min_size=1, max_size=8,
     ))
     return algo, mask, n, a, key, starts, calls, draw(st.integers(0, 2**32))
 
