@@ -19,21 +19,28 @@ recovered bit matches the true key is computed by the evaluation harness,
 never inside the attack.
 
 The attacks make many calls that differ only in where a fault or a
-stuck-at threshold starts, so the exp oracle checkpoints: on the first
-call for an input it keeps the clean run's register snapshots (an
-internal run, not counted in `calls`) and resumes every run at the first
-iteration its plan touches.  Semi under fresh masks draws one mask per
-iteration from the oracle's RNG; while the start registers satisfy
-y = a*x the mask cancels out of every clean step, so such an input keeps
-zero-mask snapshots and each call first replays the draws it skips.  An
-input that breaks the link runs in full.  Outputs and the RNG stream are
-exactly those of full runs.  The ECC oracle runs every call in full.
-Under fresh masks or coefficients the pool inputs attack 3 swaps in leave
-y0 to the ladder's link, so the randomness cancels from every output.
+stuck-at threshold starts, so the exp and ECC oracles checkpoint through
+one wrapper, `_resuming_run`: on the first call for an input it keeps
+the clean run's register snapshots (an internal run, not counted in
+`calls`) and resumes every run at the first iteration its plan touches.
+Semi under fresh masks (exp) or fresh coefficients (ECC) draws once per
+iteration from the oracle's RNG.  While the registers keep the ladder's
+link, y = a*x or Q = -(P + A), that draw cancels out of every clean step:
+a mask multiplies (a*x - y)(x - a*y), a coefficient multiplies
+P + Q + A = infinity.  Such an input keeps the snapshots of a zero-mask or
+fixed-coefficient run, and each call first skips the draws of the
+iterations it does not run (`_skip_draws`, which consumes the same
+Mersenne Twister words in one `getrandbits` call).  An input that breaks
+the link runs in full.  Outputs and the RNG stream are exactly those of
+full runs.  Under fresh masks or coefficients the pool inputs attack 3
+swaps in leave y0 to the ladder's link, so the randomness cancels from
+every output.
 """
 
 import random
+import struct
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .ecc import (
     Curve,
@@ -106,60 +113,76 @@ def make_exp_oracle(
         # under fresh masks y0 is left to the link y = a*x, so the masks cancel
         return r.randrange(1, n), (None if fresh else r.randrange(1, n))
 
-    run = _resuming_run(algo, a, n, bits, constants, mask, rng)
+    run = _exp_run(algo, a, n, bits, constants, mask, rng)
     return ExecutionOracle(run, len(bits), sample_input, readable)
 
 
-def _resuming_run(algo, a, n, bits, constants, mask, rng):
-    """`run(x_init, y_init, plan)` giving a full run's outputs and `rng` use.
-
-    A plan changes nothing before its first divergent iteration d, so a
-    call resumes from snapshot d - 1 of the input's clean run, and a plan
-    that changes nothing returns the clean final registers.  Snapshots
-    are None for an input that must run in full.
-    """
-    nbits = len(bits)
+def _exp_run(algo, a, n, bits, constants, mask, rng):
+    """The exp oracle's `run`; clean runs take zero masks, which fresh ones equal while y = a*x."""
     fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
+    run = partial(run_exp_algorithm, algo, a, bits, n, constants=constants)
+    return _resuming_run(len(bits), partial(run, mask=mask, rng=rng),
+                         partial(run, mask=MaskPolicy.zero() if fresh else mask),
+                         (lambda k: _skip_draws(rng, n, k)) if fresh else None)
+
+
+def _resuming_run(nbits, run, clean, skip=None):
+    """`run(x_init, y_init, plan)` giving a full run's outputs and RNG use.
+
+    `run(plan=, x0=, y0=)` runs the target, in full or resumed after
+    iteration i when given `start=(i, x, y)` in place of x0/y0.
+    `clean(x0=, y0=, trace=)` traces a clean run without drawing from the
+    RNG.  With `skip`, the target draws its randomness per iteration and
+    `skip(k)` replays the draws of k skipped iterations; only an input
+    whose y0 is the ladder's own link (None, or what `clean` starts from
+    for y0=None) cancels that randomness, and any other runs in full.  A
+    plan changes nothing before its first divergent iteration d, so a call
+    resumes from snapshot d - 1 of the input's clean run, and a plan that
+    changes nothing returns the clean final registers.
+    """
     snapshots = {}
 
-    def clean_snapshots(x_init, y_init):
-        trace = Trace()
-        run_exp_algorithm(
-            algo, a, bits, n,
-            x0=x_init, y0=y_init, constants=constants,
-            mask=MaskPolicy.zero() if fresh else mask, rng=rng, trace=trace,
-        )
-        if fresh and trace.ys[0] != a * trace.xs[0] % n:
-            return None
-        return list(zip(trace.xs, trace.ys or [None] * len(trace.xs)))
-
-    def run(x_init, y_init, plan):
+    def resumed(x_init, y_init, plan):
         key = (x_init, y_init)
         if key not in snapshots:
-            snapshots[key] = clean_snapshots(x_init, y_init)
+            trace = Trace()
+            clean(x0=x_init, y0=None if skip else y_init, trace=trace)
+            linked = skip is None or y_init is None or y_init == trace.ys[0]
+            snapshots[key] = trace.snapshots() if linked else None
         states = snapshots[key]
         if states is None:
-            return run_exp_algorithm(
-                algo, a, bits, n,
-                x0=x_init, y0=y_init, plan=plan, constants=constants, mask=mask, rng=rng,
-            )
-        if plan is None:
-            d = nbits + 1
-        else:
+            return run(plan=plan, x0=x_init, y0=y_init)
+        d = nbits + 1
+        if plan is not None:
             plan.validate(nbits)
             d = plan.first_divergent(nbits)
-        if fresh:
-            for _ in range(d - 1):  # MaskPolicy.fresh()'s draws in the skipped iterations
-                rng.randrange(n)
+        if skip is not None:
+            skip(d - 1)
         if d > nbits:
             return states[nbits]
-        x, y = states[d - 1]
-        return run_exp_algorithm(
-            algo, a, bits, n,
-            plan=plan, constants=constants, mask=mask, rng=rng, start=(d - 1, x, y),
-        )
+        return run(plan=plan, start=(d - 1, *states[d - 1]))
 
-    return run
+    return resumed
+
+
+def _skip_draws(rng, n, k, avoid=()):
+    """Advance `rng` as k draws that each repeat `rng.randrange(n)` while it is in `avoid`.
+
+    For n < 2**32 CPython's `randrange(n)` takes one 32-bit word per try
+    and keeps it iff word >> (32 - n.bit_length()) < n, so one
+    `getrandbits(32 * k)` consumes k words and the rejected ones are
+    drawn again; larger n replays the draws one by one.
+    """
+    if n >= 2**32:
+        for _ in range(k):
+            while rng.randrange(n) in avoid:
+                pass
+        return
+    shift = 32 - n.bit_length()
+    limit = n << shift
+    while k:
+        words = struct.unpack(f"<{k}I", rng.getrandbits(32 * k).to_bytes(4 * k, "little"))
+        k -= sum(1 for w in words if w < limit and w >> shift not in avoid)
 
 
 def make_ecc_oracle(
@@ -173,28 +196,28 @@ def make_ecc_oracle(
     readable=("x", "y"),
     fresh_coef: bool = False,
 ) -> ExecutionOracle:
-    """Oracle around one of the scalar-multiplication ladders."""
+    """Oracle around one of the scalar-multiplication ladders.
+
+    Runs resume from checkpoints, as the module docstring describes.
+    """
     bits = as_key(key)
     rng = random.Random(seed)
-    order = curve.subgroup_order
-    if params is None:
-        if algo == "semi":
-            params = semi_params(3, order)
-        elif algo == "fully":
-            params = fully_params(3, order)
-
-    def run(x_init, y_init, plan):
-        return run_ecc_algorithm(
-            algo, curve, A, bits,
-            params=params, fresh_coef=fresh_coef, rng=rng,
-            x0=x_init, y0=y_init, plan=plan,
-        )
+    if params is None and algo in ("semi", "fully"):
+        params = (semi_params if algo == "semi" else fully_params)(3, curve.subgroup_order)
 
     def sample_input(r):
         # under fresh coefficients y0 is left to semi's link Q = -(P + A), so they cancel
         return random_point(curve, r), (None if fresh_coef else random_point(curve, r))
 
+    run = _ecc_run(algo, curve, A, bits, params, fresh_coef, rng)
     return ExecutionOracle(run, len(bits), sample_input, readable)
+
+
+def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
+    """The ECC oracle's `run`; clean runs keep one coefficient, which fresh ones equal while Q = -(P + A)."""
+    run = partial(run_ecc_algorithm, algo, curve, A, bits, params=params)
+    return _resuming_run(len(bits), partial(run, fresh_coef=fresh_coef, rng=rng), run,
+                         (lambda k: _skip_draws(rng, params.order, k, (0, 2))) if fresh_coef else None)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NotOnCurve
 from .faults import FaultPlan
-from .ladders import Trace, as_key, drive
+from .ladders import Trace, as_key, drive, start_point
 from .modarith import is_probable_prime
 
 
@@ -414,8 +414,18 @@ def run_ecc_algorithm(
     plan: FaultPlan | None = None,
     trace: Trace | None = None,
     ops: PointOps | None = None,
+    start: tuple | None = None,
 ) -> tuple[Point, Point | None]:
-    """Uniform entry point; NotOnCurve for an off-curve base, start or fault point."""
+    """Uniform entry point; NotOnCurve for an off-curve base, start or fault point.
+
+    `start=(i, P, Q)` resumes a run after iteration i with registers
+    (P, Q) (Q is None for daa), in place of `x0`/`y0`.  Fault iterations
+    and stuck-at thresholds stay absolute, a trace begins at snapshot i,
+    and fresh coefficients are drawn only for the iterations that run.
+    A plan that acts at or before iteration i is refused with ValueError.
+    """
+    bits = as_key(key).bits
+    i0, x0, y0 = start_point(start, x0, y0, plan, len(bits))
     for R in (A, x0, y0):
         if R is not None:
             _require_on_curve(curve, R)
@@ -424,7 +434,6 @@ def run_ecc_algorithm(
             raise ValueError("fresh coefficients only apply to the half-coupled ladder")
         if rng is None:
             raise ValueError("fresh coefficients need an RNG")
-    bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))
     ops = ops or PointOps(curve)
@@ -438,7 +447,7 @@ def run_ecc_algorithm(
             P = dbl(P)
             return (add(A, P) if bit else P), None
 
-        return drive(bits, INFINITY if x0 is None else x0, None, step, trace=trace)
+        return drive(bits, INFINITY if x0 is None else x0, None, step, trace=trace, i0=i0)
 
     if algo == "semi" and params is None:
         params = semi_params(3, _need_order(curve))
@@ -482,7 +491,7 @@ def run_ecc_algorithm(
     if trace is not None and trace.ys is None:
         trace.ys = []
     return drive(bits, P, Q, step, plan=plan, draw=lambda r: random_point(curve, r),
-                 check=check, trace=trace)
+                 check=check, trace=trace, i0=i0)
 
 
 def _need_order(curve: Curve) -> int:

@@ -232,6 +232,24 @@ def _record(trace, x, y):
         trace.ys.append(y)
 
 
+def start_point(start, x0, y0, plan, nbits):
+    """(i0, x0, y0) for a runner's `start=(i, x, y)` keyword, or (0, x0, y0) without it.
+
+    Refuses `start` together with x0/y0, i outside [0, nbits], and a plan
+    that acts at or before iteration i, which a resumed run cannot apply.
+    """
+    if start is None:
+        return 0, x0, y0
+    if x0 is not None or y0 is not None:
+        raise ValueError("give the start registers as x0/y0 or as start, not both")
+    i0, x0, y0 = start
+    if not 0 <= i0 <= nbits:
+        raise ValueError(f"start iteration {i0} outside [0, {nbits}]")
+    if plan is not None and plan.first_divergent(nbits) <= i0:
+        raise ValueError(f"the fault plan acts at or before start iteration {i0}")
+    return i0, x0, y0
+
+
 def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
           per_iter=None, counts=None, i0=0):
     """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.

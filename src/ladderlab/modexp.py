@@ -23,6 +23,7 @@ from .errors import InvalidCoefficient, NoConstantExists
 from .faults import FaultPlan
 from .ladders import (
     DEFAULT_SWEEP_LIMIT, Affine1, CountingRing, LadderSpec, OpCounts, Quad2, Trace, as_key, drive,
+    start_point,
 )
 from .modarith import Ring
 
@@ -290,15 +291,7 @@ def run_exp_algorithm(
     bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))
-    i0 = 0
-    if start is not None:
-        if x0 is not None or y0 is not None:
-            raise ValueError("give the start registers as x0/y0 or as start, not both")
-        i0, x0, y0 = start
-        if not 0 <= i0 <= len(bits):
-            raise ValueError(f"start iteration {i0} outside [0, {len(bits)}]")
-        if plan is not None and plan.first_divergent(len(bits)) <= i0:
-            raise ValueError(f"the fault plan acts at or before start iteration {i0}")
+    i0, x0, y0 = start_point(start, x0, y0, plan, len(bits))
     if trace is not None and trace.ys is None and algo != "sm":
         trace.ys = []
     ops = Ring(n) if per_iter is None else CountingRing(n)

@@ -1,14 +1,15 @@
-"""A checkpointed exp oracle gives what full runs give, call by call.
+"""A checkpointed oracle gives what full runs give, call by call, for exp and ECC.
 
-The oracle resumes each run at the first iteration its fault plan
-touches, from snapshots of the clean run it keeps per input, and under
-semi's fresh masks replays the mask draws it skips.  A property test and
-a fixed sequence drive `attacks._resuming_run` and plain
-`run_exp_algorithm` with equally seeded RNGs through one call sequence
+Both oracles resume each run at the first iteration its fault plan
+touches, from snapshots of the clean run they keep per input; under
+semi's fresh masks (exp) or fresh coefficients (ECC) a linked input
+replays the draws it skips.  Property tests and a fixed sequence drive
+`attacks._exp_run` / `_ecc_run` and plain `run_exp_algorithm` /
+`run_ecc_algorithm` with equally seeded RNGs through one call sequence
 (inputs linked, unlinked or left to the default, plans with register
 faults and a stuck-at) and require equal outputs and equal RNG states at
-the end.  The `start` point of `run_exp_algorithm` is also checked on
-its own.
+the end.  The `start` point of both runners is also checked on its own,
+and so is the skip that stands in for the replayed draws.
 """
 
 import random
@@ -17,7 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderlab.attacks import _resuming_run
+from ladderlab.attacks import _ecc_run, _exp_run, _skip_draws
+from ladderlab.ecc import (
+    Curve,
+    Point,
+    PointOps,
+    find_small_curve,
+    fully_params,
+    ladder_link,
+    random_point,
+    run_ecc_algorithm,
+    semi_params,
+)
 from ladderlab.faults import FaultPlan, RegisterFault
 from ladderlab.ladders import KeyBits, Trace
 from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
@@ -77,7 +89,7 @@ def _check(algo, mask, n, a, key, starts, calls, seed):
     constants = find_ladder_constant(a, n, random.Random(seed)) if algo == "fully" else None
     scale = constants.constant if constants else a
     inputs = _inputs(starts, scale, n, random.Random(seed))
-    run = _resuming_run(algo, a, n, key, constants, mask, rng)
+    run = _exp_run(algo, a, n, key, constants, mask, rng)
     for index, plan in calls:
         x0, y0 = inputs[index]
         want = run_exp_algorithm(
@@ -156,3 +168,142 @@ def test_start_point_is_checked():
     ]:
         with pytest.raises(ValueError):
             run_exp_algorithm(algo, 7, 0b1011011, 101, start=(4, 3, 21), plan=plan)
+
+
+ECC_ALGOS = [("montgomery", False), ("semi", False), ("semi", True), ("fully", False)]
+# the generated curve (table group law) and a base point of order 16 (affine law)
+CURVES = [find_small_curve(), (Curve(101, 2, 3, subgroup_order=16), Point(23, 46), 16)]
+
+
+def _ecc_params(algo, order):
+    return {"semi": semi_params, "fully": fully_params}.get(algo, lambda c, o: None)(3, order)
+
+
+def _ecc_inputs(starts, curve, link, rng):
+    out = []
+    for kind in starts:
+        if kind == "default":
+            out.append((None, None))
+            continue
+        P = random_point(curve, rng)
+        Q = link(P)
+        while kind == "unlinked" and Q == link(P):
+            Q = random_point(curve, rng)
+        out.append((P, Q))
+    return out
+
+
+@st.composite
+def _ecc_case(draw):
+    algo, fresh = draw(st.sampled_from(ECC_ALGOS))
+    curve, A, order = draw(st.sampled_from(CURVES))
+    nbits = draw(st.integers(1, 16))
+    key = KeyBits(tuple(draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits))))
+    starts = draw(st.lists(st.sampled_from(["default", "linked", "unlinked"]), min_size=1, max_size=3))
+    points = st.integers(0, 2**32).map(lambda s: random_point(curve, random.Random(s)))
+    calls = draw(st.lists(
+        st.tuples(st.integers(0, len(starts) - 1), _plan(nbits, points)), min_size=1, max_size=8,
+    ))
+    return algo, fresh, curve, A, order, key, starts, calls, draw(st.integers(0, 2**32))
+
+
+def _ecc_check(algo, fresh, curve, A, order, key, starts, calls, seed):
+    params = _ecc_params(algo, order)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    link, _ = ladder_link(algo, PointOps(curve), A, params)
+    inputs = _ecc_inputs(starts, curve, link, random.Random(seed))
+    run = _ecc_run(algo, curve, A, key, params, fresh, rng)
+    for index, plan in calls:
+        x0, y0 = inputs[index]
+        want = run_ecc_algorithm(
+            algo, curve, A, key, params=params, fresh_coef=fresh, rng=ref_rng, x0=x0, y0=y0, plan=plan,
+        )
+        assert run(x0, y0, plan) == want
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ecc_case())
+def test_checkpointed_ecc_oracle_equals_full_runs(case):
+    _ecc_check(*case)
+
+
+ECC_PLANS = (
+    None,
+    FaultPlan(key_stuckat=(3, 0)),
+    FaultPlan((RegisterFault("x", 5, seed=1),)),
+    FaultPlan(key_stuckat=(12, 1)),
+    FaultPlan((RegisterFault("y", 2, seed=5), RegisterFault("x", 9, seed=2)), key_stuckat=(6, 1)),
+    FaultPlan((RegisterFault("y", 12, seed=3),)),
+    FaultPlan(key_stuckat=(0, 1)),
+)
+
+
+@pytest.mark.parametrize("start", ["default", "linked", "unlinked"])
+@pytest.mark.parametrize("bundle", CURVES, ids=["table", "affine"])
+@pytest.mark.parametrize("algo, fresh", ECC_ALGOS)
+def test_fixed_ecc_sequence_equals_full_runs(algo, fresh, bundle, start):
+    """Every plan twice on one input, the second time from the kept snapshots."""
+    key = KeyBits.from_int(0b101100111010, width=12)
+    calls = [(0, plan) for plan in ECC_PLANS * 2]
+    _ecc_check(algo, fresh, *bundle, key, [start], calls, 99)
+
+
+@pytest.mark.parametrize("algo, fresh", [("daa", False)] + ECC_ALGOS)
+def test_ecc_start_point_continues_the_run(algo, fresh):
+    """From any snapshot before the plan acts, a resumed ECC run traces the rest of the full one."""
+    curve, A, order = CURVES[0]
+    key = KeyBits.from_int(0b101100111010, width=12)
+    plan = FaultPlan((RegisterFault("y", 9, seed=4), RegisterFault("x", 11, value=A)), key_stuckat=(10, 1))
+    kw = dict(params=_ecc_params(algo, order), fresh_coef=fresh, plan=None if algo == "daa" else plan)
+    full = Trace()
+    want = run_ecc_algorithm(algo, curve, A, key, rng=random.Random(1), trace=full, **kw)
+    for i in range(8):  # the fault at iteration 9 rewrites snapshot 8
+        rng = random.Random(1)
+        _skip_draws(rng, order, i if fresh else 0, (0, 2))
+        ys = full.ys[i] if full.ys is not None else None
+        trace = Trace()
+        got = run_ecc_algorithm(algo, curve, A, key, rng=rng, trace=trace, start=(i, full.xs[i], ys), **kw)
+        assert got == want
+        assert trace.xs == full.xs[i:]
+        assert trace.ys == (None if full.ys is None else full.ys[i:])
+
+
+def test_ecc_start_point_is_checked():
+    curve, A, order = CURVES[0]
+    params = semi_params(3, order)
+    P = A
+    Q = run_ecc_algorithm("semi", curve, A, 1, params=params)[1]
+    with pytest.raises(ValueError):
+        run_ecc_algorithm("semi", curve, A, 5, params=params, start=(4, P, Q))  # the key has 3 bits
+    with pytest.raises(ValueError):
+        run_ecc_algorithm("semi", curve, A, 5, params=params, start=(-1, P, Q))
+    with pytest.raises(ValueError):
+        run_ecc_algorithm("semi", curve, A, 5, params=params, x0=P, start=(1, P, Q))
+    with pytest.raises(ValueError):
+        run_ecc_algorithm("semi", curve, A, 5, params=params, y0=Q, start=(1, P, Q))
+    # a plan that acts at or before the start iteration would be dropped
+    for plan in [
+        FaultPlan((RegisterFault("x", 2, value=A),)),
+        FaultPlan((RegisterFault("y", 4, seed=1),)),
+        FaultPlan(key_stuckat=(3, 0)),
+    ]:
+        with pytest.raises(ValueError):
+            run_ecc_algorithm("semi", curve, A, 0b1011011, params=params, start=(4, P, Q), plan=plan)
+
+
+@pytest.mark.parametrize("avoid", [(), (0, 2)])
+def test_skipped_draws_leave_the_state_of_replayed_ones(avoid):
+    """The word-counting skip ends where k plain `randrange(n)` draws (redrawn while in `avoid`) end."""
+    rng = random.Random(7)
+    sizes = [3, 4, 5, 17, 97, 257, 1_000_003, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 5, 2**32 - 1,
+             2**32, 2**40 + 3] + [rng.randrange(3, 2**32) for _ in range(20)]
+    for n in sizes:
+        for k in (0, 1, 2, 10, 32, 63, 64, 200):
+            seed = rng.getrandbits(32)
+            skipped, replayed = random.Random(seed), random.Random(seed)
+            _skip_draws(skipped, n, k, avoid)
+            for _ in range(k):
+                while replayed.randrange(n) in avoid:
+                    pass
+            assert skipped.getstate() == replayed.getstate(), (n, k)
