@@ -126,16 +126,17 @@ def _exp_run(algo, a, n, bits, constants, mask, rng):
                          (lambda k: _skip_draws(rng, n, k)) if fresh else None)
 
 
-def _resuming_run(nbits, run, clean, skip=None):
+def _resuming_run(nbits, run, clean, skip):
     """`run(x_init, y_init, plan)` giving a full run's outputs and RNG use.
 
     `run(plan=, x0=, y0=)` runs the target, in full or resumed after
     iteration i when given `start=(i, x, y)` in place of x0/y0.
     `clean(x0=, y0=, trace=)` traces a clean run without drawing from the
-    RNG.  With `skip`, the target draws its randomness per iteration and
-    `skip(k)` replays the draws of k skipped iterations; only an input
-    whose y0 is the ladder's own link (None, or what `clean` starts from
-    for y0=None) cancels that randomness, and any other runs in full.  A
+    RNG.  `skip` is None for a target that draws nothing per iteration;
+    otherwise `skip(k)` advances the RNG past the draws of k iterations,
+    and only an input whose y0 is the ladder's own link (None, or what
+    `clean` starts from for y0=None) cancels those draws; any other input
+    runs in full.  A
     plan changes nothing before its first divergent iteration d, so a call
     resumes from snapshot d - 1 of the input's clean run, and a plan that
     changes nothing returns the clean final registers.
