@@ -29,9 +29,9 @@ link, y = a*x or Q = -(P + A), that draw cancels out of every clean step:
 a mask multiplies (a*x - y)(x - a*y), a coefficient multiplies
 P + Q + A = infinity.  Such an input keeps the snapshots of a zero-mask or
 fixed-coefficient run, and each call first skips the draws of the
-iterations it does not run (`_skip_draws`, which consumes the same
-Mersenne Twister words in one `getrandbits` call).  An input that breaks
-the link runs in full.  Outputs and the RNG stream are exactly those of
+iterations it does not run (`_skip_draws`, which takes the Mersenne
+Twister words those draws would take through `getrandbits`).  An input
+that breaks the link runs in full.  Outputs and the RNG stream are exactly those of
 full runs.  Under fresh masks or coefficients the pool inputs attack 3
 swaps in leave y0 to the ladder's link, so the randomness cancels from
 every output.
@@ -118,7 +118,7 @@ def make_exp_oracle(
 
 
 def _exp_run(algo, a, n, bits, constants, mask, rng):
-    """The exp oracle's `run`; clean runs take zero masks, which fresh ones equal while y = a*x."""
+    """The exp oracle's `run`; zero-mask clean runs equal fresh-mask ones while y = a*x."""
     fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
     run = partial(run_exp_algorithm, algo, a, bits, n, constants=constants)
     return _resuming_run(len(bits), partial(run, mask=mask, rng=rng),
@@ -136,10 +136,10 @@ def _resuming_run(nbits, run, clean, skip):
     otherwise `skip(k)` advances the RNG past the draws of k iterations,
     and only an input whose y0 is the ladder's own link (None, or what
     `clean` starts from for y0=None) cancels those draws; any other input
-    runs in full.  A
-    plan changes nothing before its first divergent iteration d, so a call
-    resumes from snapshot d - 1 of the input's clean run, and a plan that
-    changes nothing returns the clean final registers.
+    runs in full.  A plan changes nothing before its first divergent
+    iteration d, so a call resumes from snapshot d - 1 of the input's
+    clean run, and a plan that changes nothing returns the clean final
+    registers.
     """
     snapshots = {}
 
@@ -203,8 +203,12 @@ def make_ecc_oracle(
     """
     bits = as_key(key)
     rng = random.Random(seed)
-    if params is None and algo in ("semi", "fully"):
-        params = (semi_params if algo == "semi" else fully_params)(3, curve.subgroup_order)
+    order = curve.subgroup_order
+    if params is None:
+        if algo == "semi":
+            params = semi_params(3, order)
+        elif algo == "fully":
+            params = fully_params(3, order)
 
     def sample_input(r):
         # under fresh coefficients y0 is left to semi's link Q = -(P + A), so they cancel
@@ -215,10 +219,10 @@ def make_ecc_oracle(
 
 
 def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
-    """The ECC oracle's `run`; clean runs keep one coefficient, which fresh ones equal while Q = -(P + A)."""
+    """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A)."""
     run = partial(run_ecc_algorithm, algo, curve, A, bits, params=params)
-    return _resuming_run(len(bits), partial(run, fresh_coef=fresh_coef, rng=rng), run,
-                         (lambda k: _skip_draws(rng, params.order, k, (0, 2))) if fresh_coef else None)
+    skip = (lambda k: _skip_draws(rng, params.order, k, (0, 2))) if fresh_coef else None
+    return _resuming_run(len(bits), partial(run, fresh_coef=fresh_coef, rng=rng), run, skip)
 
 
 @dataclass(frozen=True)
