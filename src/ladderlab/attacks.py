@@ -171,19 +171,20 @@ def _skip_draws(rng, n, k, avoid=()):
 
     For n < 2**32 CPython's `randrange(n)` takes one 32-bit word per try
     and keeps it iff word >> (32 - n.bit_length()) < n, so one
-    `getrandbits(32 * k)` consumes k words and the rejected ones are
-    drawn again; larger n replays the draws one by one.
+    `getrandbits(32 * k)` consumes the next k words, and the draws left
+    by rejected words are taken the same way, the last few one by one.
     """
-    if n >= 2**32:
-        for _ in range(k):
-            while rng.randrange(n) in avoid:
-                pass
-        return
-    shift = 32 - n.bit_length()
-    limit = n << shift
-    while k:
-        words = struct.unpack(f"<{k}I", rng.getrandbits(32 * k).to_bytes(4 * k, "little"))
-        k -= sum(1 for w in words if w < limit and w >> shift not in avoid)
+    if n < 2**32:
+        shift = 32 - n.bit_length()
+        limit = n << shift
+        while k >= 8:  # below about 8 words plain draws are cheaper
+            words = struct.unpack(f"<{k}I", rng.getrandbits(32 * k).to_bytes(4 * k, "little"))
+            k -= sum(map(limit.__gt__, words))
+            if avoid:
+                k += sum(w >> shift in avoid for w in words)
+    for _ in range(k):
+        while rng.randrange(n) in avoid:
+            pass
 
 
 def make_ecc_oracle(

@@ -121,9 +121,8 @@ def _ecc_case(draw):
     points = st.integers(0, 2**32).map(lambda s: random_point(curve, random.Random(s)))
     semi_coef = draw(st.integers(1, order - 1).filter(lambda c: c != 2))
     fully_coef = draw(st.integers(3, order - 1).filter(lambda c: (3 - 2 * c) % order))
-    plan = draw(_plan(len(key.bits), points))
-    return curve, A, key, plan, semi_params(semi_coef, order), fully_params(fully_coef, order), draw(
-        st.integers(0, 2**32))
+    plan, seed = draw(_plan(len(key.bits), points)), draw(st.integers(0, 2**32))
+    return curve, A, key, plan, semi_params(semi_coef, order), fully_params(fully_coef, order), seed
 
 
 def _traced(algo, curve, A, key, plan, seed, tabled, **kw):
