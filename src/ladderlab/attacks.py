@@ -181,7 +181,7 @@ def _skip_draws(rng, n, k, avoid=()):
             words = struct.unpack(f"<{k}I", rng.getrandbits(32 * k).to_bytes(4 * k, "little"))
             k -= sum(map(limit.__gt__, words))
             if avoid:
-                k += sum(w >> shift in avoid for w in words)
+                k += sum(w >> shift in avoid for w in words if w < limit)
     for _ in range(k):
         while rng.randrange(n) in avoid:
             pass

@@ -295,7 +295,7 @@ def test_ecc_start_point_is_checked():
 def test_skipped_draws_leave_the_state_of_replayed_ones(avoid):
     """The word-counting skip ends where k plain `randrange(n)` draws (redrawn while in `avoid`) end."""
     rng = random.Random(7)
-    sizes = [3, 4, 5, 17, 97, 257, 1_000_003, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 5, 2**32 - 1,
+    sizes = [2, 3, 4, 5, 17, 97, 257, 1_000_003, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 5, 2**32 - 1,
              2**32, 2**40 + 3] + [rng.randrange(3, 2**32) for _ in range(20)]
     for n in sizes:
         for k in (0, 1, 2, 7, 8, 9, 10, 32, 63, 64, 200):
