@@ -18,7 +18,13 @@ import random
 
 import pytest
 
-from ladderlab.attacks import ECC_TARGETS, EXP_TARGETS, make_ecc_oracle, make_oracle_for_target, run_attack
+from ladderlab.attacks import (
+    ECC_TARGETS,
+    EXP_TARGETS,
+    make_ecc_oracle,
+    make_oracle_for_target,
+    run_attack,
+)
 from ladderlab.ecc import Curve, Point, find_small_curve, semi_params
 from ladderlab.ladders import KeyBits
 
@@ -70,7 +76,8 @@ def _record(case):
     kw = dict(seed=rng.getrandbits(64), readable=("x", "y") if readable == "both" else (readable,))
     if n == "fresh":
         curve, A, order = ORDER16
-        oracle = make_ecc_oracle("semi", curve, A, key, params=semi_params(3, order), fresh_coef=True, **kw)
+        params = semi_params(3, order)
+        oracle = make_ecc_oracle("semi", curve, A, key, params=params, fresh_coef=True, **kw)
     elif n is None:
         oracle = make_oracle_for_target(target, key, curve_bundle=SMALL_CURVE, **kw)
     else:

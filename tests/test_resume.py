@@ -175,7 +175,11 @@ CURVES = [find_small_curve(), (Curve(101, 2, 3, subgroup_order=16), Point(23, 46
 
 
 def _ecc_params(algo, order):
-    return {"semi": semi_params, "fully": fully_params}.get(algo, lambda c, o: None)(3, order)
+    if algo == "semi":
+        return semi_params(3, order)
+    if algo == "fully":
+        return fully_params(3, order)
+    return None
 
 
 def _ecc_inputs(starts, curve, link, rng):
@@ -271,8 +275,7 @@ def test_ecc_start_point_continues_the_run(algo, fresh):
 def test_ecc_start_point_is_checked():
     curve, A, order = CURVES[0]
     params = semi_params(3, order)
-    P = A
-    Q = run_ecc_algorithm("semi", curve, A, 1, params=params)[1]
+    P, Q = run_ecc_algorithm("semi", curve, A, 1, params=params)  # snapshot 1 of a run
     with pytest.raises(ValueError):
         run_ecc_algorithm("semi", curve, A, 5, params=params, start=(4, P, Q))  # the key has 3 bits
     with pytest.raises(ValueError):
