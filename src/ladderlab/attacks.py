@@ -28,17 +28,14 @@ iteration from the oracle's RNG.  While the registers keep the ladder's
 link, y = a*x or Q = -(P + A), that draw cancels out of every clean step:
 a mask multiplies (a*x - y)(x - a*y), a coefficient multiplies
 P + Q + A = infinity.  Such an input keeps the snapshots of a zero-mask or
-fixed-coefficient run, and each call first skips the draws of the
-iterations it does not run (`_skip_draws`, which takes the Mersenne
-Twister words those draws would take through `getrandbits`).  An input
-that breaks the link runs in full.  Outputs and the RNG stream are exactly those of
-full runs.  Under fresh masks or coefficients the pool inputs attack 3
-swaps in leave y0 to the ladder's link, so the randomness cancels from
-every output.
+fixed-coefficient run, and each call first replays the draws of the
+iterations it does not run.  An input that breaks the link runs in full.
+Outputs and the RNG stream are exactly those of full runs.  Under fresh
+masks or coefficients the pool inputs attack 3 swaps in leave y0 to the
+ladder's link, so the randomness cancels from every output.
 """
 
 import random
-import struct
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -46,6 +43,7 @@ from .ecc import (
     Curve,
     EccLadderParams,
     Point,
+    _draw_semi_coef,
     find_small_curve,
     fully_params,
     random_point,
@@ -96,10 +94,7 @@ def make_exp_oracle(
     mask: MaskPolicy | None = None,
     constants: LadderConstants | None = None,
 ) -> ExecutionOracle:
-    """Oracle around one of the exponentiation variants, key captured inside.
-
-    Runs resume from checkpoints, as the module docstring describes.
-    """
+    """Oracle around one of the exponentiation variants, key captured inside; runs resume."""
     bits = as_key(key)
     rng = random.Random(seed)
     if algo == "fully" and constants is None:
@@ -123,23 +118,21 @@ def _exp_run(algo, a, n, bits, constants, mask, rng):
     run = partial(run_exp_algorithm, algo, a, bits, n, constants=constants)
     return _resuming_run(len(bits), partial(run, mask=mask, rng=rng),
                          partial(run, mask=MaskPolicy.zero() if fresh else mask),
-                         (lambda k: _skip_draws(rng, n, k)) if fresh else None)
+                         partial(rng.randrange, n) if fresh else None)
 
 
-def _resuming_run(nbits, run, clean, skip):
+def _resuming_run(nbits, run, clean, draw):
     """`run(x_init, y_init, plan)` giving a full run's outputs and RNG use.
 
     `run(plan=, x0=, y0=)` runs the target, in full or resumed after
-    iteration i when given `start=(i, x, y)` in place of x0/y0.
-    `clean(x0=, y0=, trace=)` traces a clean run without drawing from the
-    RNG.  `skip` is None for a target that draws nothing per iteration;
-    otherwise `skip(k)` advances the RNG past the draws of k iterations,
-    and only an input whose y0 is the ladder's own link (None, or what
-    `clean` starts from for y0=None) cancels those draws; any other input
-    runs in full.  A plan changes nothing before its first divergent
-    iteration d, so a call resumes from snapshot d - 1 of the input's
-    clean run, and a plan that changes nothing returns the clean final
-    registers.
+    iteration i when given `start=(i, x, y)` in place of x0/y0, and
+    `clean(x0=, y0=, trace=)` traces a clean run without the RNG.  `draw()`
+    takes one iteration's draw from the RNG, or is None for a target that
+    draws nothing; then only an input whose y0 is the ladder's link (None,
+    or what `clean` starts from for y0=None) resumes, replaying the draws
+    of the iterations it skips, and any other runs in full.  A plan
+    changes nothing before its first divergent iteration d, so a call
+    resumes from snapshot d - 1 of the input's clean run.
     """
     snapshots = {}
 
@@ -147,8 +140,8 @@ def _resuming_run(nbits, run, clean, skip):
         key = (x_init, y_init)
         if key not in snapshots:
             trace = Trace()
-            clean(x0=x_init, y0=None if skip else y_init, trace=trace)
-            linked = skip is None or y_init is None or y_init == trace.ys[0]
+            clean(x0=x_init, y0=None if draw else y_init, trace=trace)
+            linked = draw is None or y_init is None or y_init == trace.ys[0]
             snapshots[key] = trace.snapshots() if linked else None
         states = snapshots[key]
         if states is None:
@@ -157,34 +150,13 @@ def _resuming_run(nbits, run, clean, skip):
         if plan is not None:
             plan.validate(nbits)
             d = plan.first_divergent(nbits)
-        if skip is not None:
-            skip(d - 1)
+        for _ in range(d - 1 if draw else 0):
+            draw()
         if d > nbits:
             return states[nbits]
         return run(plan=plan, start=(d - 1, *states[d - 1]))
 
     return resumed
-
-
-def _skip_draws(rng, n, k, avoid=()):
-    """Advance `rng` as k draws that each repeat `rng.randrange(n)` while it is in `avoid`.
-
-    For n < 2**32 CPython's `randrange(n)` takes one 32-bit word per try
-    and keeps it iff word >> (32 - n.bit_length()) < n, so one
-    `getrandbits(32 * k)` consumes the next k words, and the draws left
-    by rejected words are taken the same way, the last few one by one.
-    """
-    if n < 2**32:
-        shift = 32 - n.bit_length()
-        limit = n << shift
-        while k >= 8:  # below about 8 words plain draws are cheaper
-            words = struct.unpack(f"<{k}I", rng.getrandbits(32 * k).to_bytes(4 * k, "little"))
-            k -= sum(map(limit.__gt__, words))
-            if avoid:
-                k += sum(w >> shift in avoid for w in words if w < limit)
-    for _ in range(k):
-        while rng.randrange(n) in avoid:
-            pass
 
 
 def make_ecc_oracle(
@@ -198,10 +170,9 @@ def make_ecc_oracle(
     readable=("x", "y"),
     fresh_coef: bool = False,
 ) -> ExecutionOracle:
-    """Oracle around one of the scalar-multiplication ladders.
-
-    Runs resume from checkpoints, as the module docstring describes.
-    """
+    """Oracle around one of the scalar-multiplication ladders; runs resume."""
+    if fresh_coef and algo != "semi":
+        raise ValueError("fresh coefficients only apply to the half-coupled ladder")
     bits = as_key(key)
     rng = random.Random(seed)
     order = curve.subgroup_order
@@ -222,8 +193,8 @@ def make_ecc_oracle(
 def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
     """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A)."""
     run = partial(run_ecc_algorithm, algo, curve, A, bits, params=params)
-    skip = (lambda k: _skip_draws(rng, params.order, k, (0, 2))) if fresh_coef else None
-    return _resuming_run(len(bits), partial(run, fresh_coef=fresh_coef, rng=rng), run, skip)
+    draw = partial(_draw_semi_coef, params.order, rng) if fresh_coef else None
+    return _resuming_run(len(bits), partial(run, fresh_coef=fresh_coef, rng=rng), run, draw)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,12 @@
 Both oracles resume each run at the first iteration its fault plan
 touches, from snapshots of the clean run they keep per input; under
 semi's fresh masks (exp) or fresh coefficients (ECC) a linked input
-advances the RNG past the draws it skips.  Property tests and a fixed sequence drive
+replays the draws it skips.  Property tests and a fixed sequence drive
 `attacks._exp_run` / `_ecc_run` and plain `run_exp_algorithm` /
 `run_ecc_algorithm` with equally seeded RNGs through one call sequence
 (inputs linked, unlinked or left to the default, plans with register
 faults and a stuck-at) and require equal outputs and equal RNG states at
-the end.  The `start` point of both runners is also checked on its own,
-and so is the skip that stands in for the replayed draws.
+the end.  The `start` point of both runners is also checked on its own.
 """
 
 import random
@@ -18,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderlab.attacks import _ecc_run, _exp_run, _skip_draws
+from ladderlab.attacks import _ecc_run, _exp_run, make_ecc_oracle
 from ladderlab.ecc import (
     Curve,
     Point,
     PointOps,
+    _draw_semi_coef,
     find_small_curve,
     fully_params,
     ladder_link,
@@ -263,7 +263,8 @@ def test_ecc_start_point_continues_the_run(algo, fresh):
     want = run_ecc_algorithm(algo, curve, A, key, rng=random.Random(1), trace=full, **kw)
     for i in range(8):  # the fault at iteration 9 rewrites snapshot 8
         rng = random.Random(1)
-        _skip_draws(rng, order, i if fresh else 0, (0, 2))
+        for _ in range(i if fresh else 0):
+            _draw_semi_coef(order, rng)
         ys = full.ys[i] if full.ys is not None else None
         trace = Trace()
         got = run_ecc_algorithm(algo, curve, A, key, rng=rng, trace=trace, start=(i, full.xs[i], ys), **kw)
@@ -294,18 +295,8 @@ def test_ecc_start_point_is_checked():
             run_ecc_algorithm("semi", curve, A, 0b1011011, params=params, start=(4, P, Q), plan=plan)
 
 
-@pytest.mark.parametrize("avoid", [(), (0, 2)])
-def test_skipped_draws_leave_the_state_of_replayed_ones(avoid):
-    """The word-counting skip ends where k plain `randrange(n)` draws (redrawn while in `avoid`) end."""
-    rng = random.Random(7)
-    sizes = [2, 3, 4, 5, 17, 97, 257, 1_000_003, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 5, 2**32 - 1,
-             2**32, 2**40 + 3] + [rng.randrange(3, 2**32) for _ in range(20)]
-    for n in sizes:
-        for k in (0, 1, 2, 7, 8, 9, 10, 32, 63, 64, 200):
-            seed = rng.getrandbits(32)
-            skipped, replayed = random.Random(seed), random.Random(seed)
-            _skip_draws(skipped, n, k, avoid)
-            for _ in range(k):
-                while replayed.randrange(n) in avoid:
-                    pass
-            assert skipped.getstate() == replayed.getstate(), (n, k)
+@pytest.mark.parametrize("algo", ["montgomery", "fully"])
+def test_ecc_oracle_refuses_fresh_coefficients_off_semi(algo):
+    curve, A, _ = CURVES[0]
+    with pytest.raises(ValueError, match="half-coupled"):
+        make_ecc_oracle(algo, curve, A, 0b1011, fresh_coef=True).exe()
