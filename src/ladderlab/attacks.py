@@ -115,24 +115,32 @@ def make_exp_oracle(
 def _exp_run(algo, a, n, bits, constants, mask, rng):
     """The exp oracle's `run`; zero-mask clean runs equal fresh-mask ones while y = a*x."""
     fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
-    run = partial(run_exp_algorithm, algo, a, bits, n, constants=constants)
-    return _resuming_run(len(bits), partial(run, mask=mask, rng=rng),
-                         partial(run, mask=MaskPolicy.zero() if fresh else mask),
-                         partial(rng.randrange, n) if fresh else None)
+
+    def run(plan=None, x0=None, y0=None, start=None, trace=None, mask=mask):
+        # a closure, not a partial, which would merge its keywords anew on every short call
+        return run_exp_algorithm(algo, a, bits, n, x0=x0, y0=y0, plan=plan, start=start,
+                                 trace=trace, constants=constants, mask=mask, rng=rng)
+
+    def skip(k):  # the masks of k skipped iterations
+        for _ in range(k):
+            rng.randrange(n)
+
+    return _resuming_run(len(bits), run, partial(run, mask=MaskPolicy.zero()) if fresh else run,
+                         skip if fresh else None)
 
 
-def _resuming_run(nbits, run, clean, draw):
+def _resuming_run(nbits, run, clean, skip):
     """`run(x_init, y_init, plan)` giving a full run's outputs and RNG use.
 
     `run(plan=, x0=, y0=)` runs the target, in full or resumed after
     iteration i when given `start=(i, x, y)` in place of x0/y0, and
-    `clean(x0=, y0=, trace=)` traces a clean run without the RNG.  `draw()`
-    takes one iteration's draw from the RNG, or is None for a target that
-    draws nothing; then only an input whose y0 is the ladder's link (None,
-    or what `clean` starts from for y0=None) resumes, replaying the draws
-    of the iterations it skips, and any other runs in full.  A plan
-    changes nothing before its first divergent iteration d, so a call
-    resumes from snapshot d - 1 of the input's clean run.
+    `clean(x0=, y0=, trace=)` traces a clean run without the RNG.  `skip`
+    is None for a target that draws nothing per iteration; otherwise
+    `skip(k)` replays the draws of k iterations, and only an input whose
+    y0 is the ladder's link (None, or what `clean` starts from for
+    y0=None) resumes; any other runs in full.  A plan changes nothing
+    before its first divergent iteration d, so a call resumes from
+    snapshot d - 1 of the input's clean run.
     """
     snapshots = {}
 
@@ -140,8 +148,8 @@ def _resuming_run(nbits, run, clean, draw):
         key = (x_init, y_init)
         if key not in snapshots:
             trace = Trace()
-            clean(x0=x_init, y0=None if draw else y_init, trace=trace)
-            linked = draw is None or y_init is None or y_init == trace.ys[0]
+            clean(x0=x_init, y0=None if skip else y_init, trace=trace)
+            linked = skip is None or y_init is None or y_init == trace.ys[0]
             snapshots[key] = trace.snapshots() if linked else None
         states = snapshots[key]
         if states is None:
@@ -150,11 +158,12 @@ def _resuming_run(nbits, run, clean, draw):
         if plan is not None:
             plan.validate(nbits)
             d = plan.first_divergent(nbits)
-        for _ in range(d - 1 if draw else 0):
-            draw()
+        if skip is not None:
+            skip(d - 1)
         if d > nbits:
             return states[nbits]
-        return run(plan=plan, start=(d - 1, *states[d - 1]))
+        x, y = states[d - 1]
+        return run(plan=plan, start=(d - 1, x, y))
 
     return resumed
 
@@ -193,8 +202,13 @@ def make_ecc_oracle(
 def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
     """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A)."""
     run = partial(run_ecc_algorithm, algo, curve, A, bits, params=params)
-    draw = partial(_draw_semi_coef, params.order, rng) if fresh_coef else None
-    return _resuming_run(len(bits), partial(run, fresh_coef=fresh_coef, rng=rng), run, draw)
+
+    def skip(k):  # the coefficients of k skipped iterations
+        for _ in range(k):
+            _draw_semi_coef(params.order, rng)
+
+    return _resuming_run(len(bits), partial(run, fresh_coef=fresh_coef, rng=rng), run,
+                         skip if fresh_coef else None)
 
 
 @dataclass(frozen=True)
