@@ -134,7 +134,7 @@ def _resuming_run(nbits, run, clean, skip):
 
     `run(plan=, x0=, y0=)` runs the target, in full or resumed after
     iteration i when given `start=(i, x, y)` in place of x0/y0, and
-    `clean(x0=, y0=, trace=)` traces a clean run without the RNG.  `skip`
+    `clean(x0=, y0=, trace=)` traces a clean run that draws nothing.  `skip`
     is None for a target that draws nothing per iteration; otherwise
     `skip(k)` replays the draws of k iterations, and only an input whose
     y0 is the ladder's link (None, or what `clean` starts from for
