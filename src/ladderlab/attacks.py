@@ -22,15 +22,21 @@ The attacks make many calls that differ only in where a fault or a
 stuck-at threshold starts, so the exp and ECC oracles checkpoint through
 one wrapper, `_resuming_run`: on the first call for an input it keeps
 the clean run's register snapshots (an internal run, not counted in
-`calls`) and resumes every run at the first iteration its plan touches.
+`calls`) and resumes every run at the first iteration its plan touches,
+driving the step the oracle built once (`modexp.exp_step`,
+`ecc.ecc_step`; sma's takes the plan's y faults, so it is built per call).
+It also keeps the outputs of an input's calls without register faults,
+which attack 3 repeats: such a plan keeps the link (below), so its
+outputs never change.  Register faults are seeded anew on every call.
 Semi under fresh masks (exp) or fresh coefficients (ECC) draws once per
 iteration from the oracle's RNG.  While the registers keep the ladder's
 link, y = a*x or Q = -(P + A), that draw cancels out of every clean step:
 a mask multiplies (a*x - y)(x - a*y), a coefficient multiplies
 P + Q + A = infinity.  Such an input keeps the snapshots of a zero-mask or
 fixed-coefficient run, and each call first replays the draws of the
-iterations it does not run.  An input that breaks the link runs in full.
-Outputs and the RNG stream are exactly those of full runs.  Under fresh
+iterations it does not run, all of them for a call answered from memory.
+An input that breaks the link runs in full, every time.  Outputs,
+`calls` and the RNG stream are exactly those of full runs.  Under fresh
 masks or coefficients the pool inputs attack 3 swaps in leave y0 to the
 ladder's link, so the randomness cancels from every output.
 """
@@ -43,7 +49,11 @@ from .ecc import (
     Curve,
     EccLadderParams,
     Point,
+    PointOps,
     _draw_semi_coef,
+    _fault_hooks,
+    _require_on_curve,
+    ecc_step,
     find_small_curve,
     fully_params,
     random_point,
@@ -52,8 +62,11 @@ from .ecc import (
 )
 from .errors import Coincidence
 from .faults import FaultPlan, RegisterFault
-from .ladders import Trace, as_key
-from .modexp import LadderConstants, MaskPolicy, find_ladder_constant, run_exp_algorithm
+from .ladders import Trace, as_key, drive
+from .modarith import Ring
+from .modexp import (
+    LadderConstants, MaskPolicy, _mod_draw, exp_step, find_ladder_constant, run_exp_algorithm,
+)
 
 RETRY_BUDGET = 8
 INPUT_POOL = 16
@@ -115,55 +128,71 @@ def make_exp_oracle(
 def _exp_run(algo, a, n, bits, constants, mask, rng):
     """The exp oracle's `run`; zero-mask clean runs equal fresh-mask ones while y = a*x."""
     fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
+    ring, draw, key = Ring(n), _mod_draw(n), as_key(bits).bits
+    kept = None if algo in ("sm", "sma") else exp_step(algo, a, n, ring, constants=constants,
+                                                      mask=mask, rng=rng)[0]
 
-    def run(plan=None, x0=None, y0=None, start=None, trace=None, mask=mask):
+    def run(plan=None, x0=None, y0=None, trace=None, mask=mask):
         # a closure, not a partial, which would merge its keywords anew on every short call
-        return run_exp_algorithm(algo, a, bits, n, x0=x0, y0=y0, plan=plan, start=start,
-                                 trace=trace, constants=constants, mask=mask, rng=rng)
+        return run_exp_algorithm(algo, a, bits, n, x0=x0, y0=y0, plan=plan, trace=trace,
+                                 constants=constants, mask=mask, rng=rng)
+
+    def resume(plan, i, x, y):
+        step = kept
+        if step is None:  # sma's step takes the plan's y faults, and sm refuses any plan
+            step, _, _, plan = exp_step(algo, a, n, ring, plan=plan, i0=i)
+        return drive(key, x, y, step, plan=plan, draw=draw, i0=i)
 
     def skip(k):  # the masks of k skipped iterations
         for _ in range(k):
             rng.randrange(n)
 
-    return _resuming_run(len(bits), run, partial(run, mask=MaskPolicy.zero()) if fresh else run,
-                         skip if fresh else None)
+    return _resuming_run(len(key), run, partial(run, mask=MaskPolicy.zero()) if fresh else run,
+                         resume, skip if fresh else None)
 
 
-def _resuming_run(nbits, run, clean, skip):
+def _resuming_run(nbits, run, clean, resume, skip):
     """`run(x_init, y_init, plan)` giving a full run's outputs and RNG use.
 
-    `run(plan=, x0=, y0=)` runs the target, in full or resumed after
-    iteration i when given `start=(i, x, y)` in place of x0/y0, and
+    `run(plan=, x0=, y0=)` runs the target in full, `resume(plan, i, x, y)`
+    runs it after iteration i from registers (x, y), and
     `clean(x0=, y0=, trace=)` traces a clean run that draws nothing.  `skip`
     is None for a target that draws nothing per iteration; otherwise
     `skip(k)` replays the draws of k iterations, and only an input whose
     y0 is the ladder's link (None, or what `clean` starts from for
     y0=None) resumes; any other runs in full.  A plan changes nothing
     before its first divergent iteration d, so a call resumes from
-    snapshot d - 1 of the input's clean run.
+    snapshot d - 1 of the input's clean run.  A plan without register
+    faults keeps the link, so its outputs are fixed: they are kept per
+    input and plan, and a repeated call only replays its nbits draws.
     """
-    snapshots = {}
+    inputs = {}
 
     def resumed(x_init, y_init, plan):
         key = (x_init, y_init)
-        if key not in snapshots:
+        if key not in inputs:
             trace = Trace()
             clean(x0=x_init, y0=None if skip else y_init, trace=trace)
             linked = skip is None or y_init is None or y_init == trace.ys[0]
-            snapshots[key] = trace.snapshots() if linked else None
-        states = snapshots[key]
-        if states is None:
+            inputs[key] = (trace.snapshots(), {}) if linked else None
+        if inputs[key] is None:
             return run(plan=plan, x0=x_init, y0=y_init)
+        states, outputs = inputs[key]
+        keep = plan is None or not plan.register_faults  # a register fault is seeded anew per call
+        if keep and plan in outputs:
+            if skip is not None:
+                skip(nbits)
+            return outputs[plan]
         d = nbits + 1
         if plan is not None:
             plan.validate(nbits)
             d = plan.first_divergent(nbits)
         if skip is not None:
             skip(d - 1)
-        if d > nbits:
-            return states[nbits]
-        x, y = states[d - 1]
-        return run(plan=plan, start=(d - 1, x, y))
+        out = states[nbits] if d > nbits else resume(plan, d - 1, *states[d - 1])
+        if keep:
+            outputs[plan] = out
+        return out
 
     return resumed
 
@@ -202,13 +231,23 @@ def make_ecc_oracle(
 def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
     """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A)."""
     run = partial(run_ecc_algorithm, algo, curve, A, bits, params=params)
+    fresh = partial(run, fresh_coef=fresh_coef, rng=rng)
+    key, (draw, check) = as_key(bits).bits, _fault_hooks(curve)
+    kept = None
+    if algo != "daa":
+        _require_on_curve(curve, A)
+        kept = ecc_step(algo, PointOps(curve), A, params, fresh_coef, rng)[0]
+
+    def resume(plan, i, P, Q):
+        if kept is None:  # double-and-add refuses any plan
+            return fresh(plan=plan, start=(i, P, Q))
+        return drive(key, P, Q, kept, plan=plan, draw=draw, check=check, i0=i)
 
     def skip(k):  # the coefficients of k skipped iterations
         for _ in range(k):
             _draw_semi_coef(params.order, rng)
 
-    return _resuming_run(len(bits), partial(run, fresh_coef=fresh_coef, rng=rng), run,
-                         skip if fresh_coef else None)
+    return _resuming_run(len(key), fresh, run, resume, skip if fresh_coef else None)
 
 
 @dataclass(frozen=True)

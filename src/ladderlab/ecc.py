@@ -4,9 +4,10 @@ Everything runs on desk-scale curves: affine coordinates, one field
 inversion per addition, points enumerable for test oracles.  The ladder
 coefficients act on scalars modulo the order of the working subgroup.
 
-`run_ecc_algorithm` turns each ladder into a per-bit step for
-`ladders.drive`, the loop driver the exp ladders share; `ladder_link`
-defines each ladder's link map once, for the runner and the CLI.
+`ecc_step` turns each two-register ladder into a per-bit step for
+`ladders.drive`, the loop driver the exp ladders share, and
+`run_ecc_algorithm` drives it; `ladder_link` defines each ladder's link
+map once, for the runner and the CLI.
 
 The public `point_add`/`point_double`/`point_neg` reject points off the
 curve.  A runner checks each point where it enters: the base point, the
@@ -437,11 +438,10 @@ def run_ecc_algorithm(
     if plan is not None:
         plan.validate(len(bits))
     ops = ops or PointOps(curve)
-    add, dbl, neg, cmul = ops.add, ops.dbl, ops.neg, ops.cmul
-
     if algo == "daa":
         if plan is not None:
             raise ValueError("the reference double-and-add takes no fault plan")
+        add, dbl = ops.add, ops.dbl
 
         def step(bit, P, _):
             P = dbl(P)
@@ -451,8 +451,25 @@ def run_ecc_algorithm(
 
     if algo == "semi" and params is None:
         params = semi_params(3, _need_order(curve))
-    link, B = ladder_link(algo, ops, A, params)
+    step, link = ecc_step(algo, ops, A, params, fresh_coef, rng)
+    P = INFINITY if x0 is None else x0
+    Q = link(P) if y0 is None else y0
+    if trace is not None and trace.ys is None:
+        trace.ys = []
+    draw, check = _fault_hooks(curve)
+    return drive(bits, P, Q, step, plan=plan, draw=draw, check=check, trace=trace, i0=i0)
 
+
+def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None,
+             fresh_coef: bool = False, rng: random.Random | None = None):
+    """`(step, link)`: the per-bit step of a two-register ladder on `ops`, and its link map.
+
+    The one builder of ECC ladder steps, for `run_ecc_algorithm` and for the
+    ECC oracle, which keeps one step per oracle.  Semi with `fresh_coef`
+    draws its coefficient from `rng` on every iteration.
+    """
+    link, B = ladder_link(algo, ops, A, params)
+    add, dbl, neg, cmul = ops.add, ops.dbl, ops.neg, ops.cmul
     if algo == "montgomery":
         def step(bit, P, Q):
             if bit:
@@ -481,17 +498,17 @@ def run_ecc_algorithm(
             s = cmul(c1, add(add(neg(P), dbl(Q)), B))
             Q = add(add(P, s), neg(B))
             return (P, Q) if bit else (Q, P)
+    return step, link
+
+
+def _fault_hooks(curve: Curve):
+    """`drive`'s `draw` and `check`: a seeded fault's point, and NotOnCurve off the curve."""
 
     def check(P, Q):
         _require_on_curve(curve, P)
         _require_on_curve(curve, Q)
 
-    P = INFINITY if x0 is None else x0
-    Q = link(P) if y0 is None else y0
-    if trace is not None and trace.ys is None:
-        trace.ys = []
-    return drive(bits, P, Q, step, plan=plan, draw=lambda r: random_point(curve, r),
-                 check=check, trace=trace, i0=i0)
+    return (lambda r: random_point(curve, r)), check
 
 
 def _need_order(curve: Curve) -> int:

@@ -4,12 +4,13 @@ Five left-to-right variants of a**k mod n: the plain square-and-multiply,
 its always-multiply sibling, the classic two-register ladder keeping
 y = a*x, a masked half-coupled ladder whose mask may be redrawn every
 iteration, and a fully-coupled ladder parameterized by a ladder constant.
-Each variant is one loop step run by `ladders.drive`, the driver every
-ladder shares, which optionally consumes a fault plan and records
-register snapshots.  Modular multiplications / squarings / additions are
-tallied per iteration only when a caller asks for them (`per_iter`,
-`cost_per_bit`, and through it the CLI's `--count-ops`), by running the
-step on a `ladders.CountingRing`; otherwise it runs on the plain `Ring`.
+Each variant is one loop step, built by `exp_step` and run by
+`ladders.drive`, the driver every ladder shares, which optionally
+consumes a fault plan and records register snapshots.  Modular
+multiplications / squarings / additions are tallied per iteration only
+when a caller asks for them (`per_iter`, `cost_per_bit`, and through it
+the CLI's `--count-ops`), by running the step on a
+`ladders.CountingRing`; otherwise it runs on the plain `Ring`.
 """
 
 import random
@@ -174,7 +175,7 @@ def _mod_draw(n: int):
 
 
 # Each variant below is its per-bit step over `sq/mul/add/sub` bound from
-# `ops`, returned with its start registers; `run_exp_algorithm` drives it.
+# `ops`, returned with its start registers; `exp_step` picks one.
 
 
 def _sm(a, n, x0, y0, ops):
@@ -280,6 +281,7 @@ def run_exp_algorithm(
 ) -> tuple[int, int | None]:
     """Uniform entry point over the five variants; used by the CLI and oracles.
 
+    It drives the step built by `exp_step`, which the exp oracle shares.
     `start=(i, x, y)` resumes a run after iteration i with registers
     (x, y) (y is None for sm), in place of `x0`/`y0`.  Fault iterations
     and stuck-at thresholds stay absolute, a trace begins at snapshot i,
@@ -295,25 +297,36 @@ def run_exp_algorithm(
     if trace is not None and trace.ys is None and algo != "sm":
         trace.ys = []
     ops = Ring(n) if per_iter is None else CountingRing(n)
-    args = (a % n, n, x0, y0, ops)
-    if algo == "sm":
-        if plan is not None:
-            raise ValueError("the one-register variant takes no fault plan")
-        step, x, y = _sm(*args)
-    elif algo == "sma":
-        step, x, y, plan = _sma(*args, plan, i0)
-    elif algo == "montgomery":
-        step, x, y = _montgomery(*args)
-    elif algo == "semi":
-        step, x, y = _semi(*args, mask, rng)
-    elif algo == "fully":
-        step, x, y = _fully(*args, constants)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    step, x, y, plan = exp_step(algo, a, n, ops, x0=x0, y0=y0, plan=plan, i0=i0,
+                                constants=constants, mask=mask, rng=rng)
     return drive(
         bits, x, y, step, plan=plan, draw=_mod_draw(n), trace=trace,
         per_iter=per_iter, counts=None if per_iter is None else ops.counts, i0=i0,
     )
+
+
+def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, i0=0, constants=None, mask=None,
+             rng=None):
+    """`(step, x, y, plan)`: `algo`'s step on `ops`, start registers and plan left for `drive`.
+
+    The one builder of exp steps, for `run_exp_algorithm` and for the exp
+    oracle, which keeps one step per oracle.  Only sma's step depends on
+    the plan: it takes the y faults, which land on the multiplier output.
+    """
+    args = (a % n, n, x0, y0, ops)
+    if algo == "sm":
+        if plan is not None:
+            raise ValueError("the one-register variant takes no fault plan")
+        return *_sm(*args), None
+    if algo == "sma":
+        return _sma(*args, plan, i0)
+    if algo == "montgomery":
+        return *_montgomery(*args), plan
+    if algo == "semi":
+        return *_semi(*args, mask, rng), plan
+    if algo == "fully":
+        return *_fully(*args, constants), plan
+    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def square_and_multiply(a: int, k, n: int) -> int:

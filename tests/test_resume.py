@@ -7,8 +7,12 @@ replays the draws it skips.  Property tests and a fixed sequence drive
 `attacks._exp_run` / `_ecc_run` and plain `run_exp_algorithm` /
 `run_ecc_algorithm` with equally seeded RNGs through one call sequence
 (inputs linked, unlinked or left to the default, plans with register
-faults and a stuck-at) and require equal outputs and equal RNG states at
-the end.  The `start` point of both runners is also checked on its own.
+faults and a stuck-at) and require equal outputs, equal RNG states at
+the end and one counted oracle call per `exe`.  Calls that repeat a plan
+without register faults, which the oracle answers from memory, replay
+their draws like any other; register faults and unlinked inputs under
+fresh randomness, whose outputs change between calls, are never kept.
+The `start` point of both runners is also checked on its own.
 """
 
 import random
@@ -17,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderlab.attacks import _ecc_run, _exp_run, make_ecc_oracle
+from ladderlab.attacks import ExecutionOracle, _ecc_run, _exp_run, make_ecc_oracle
 from ladderlab.ecc import (
     Curve,
     Point,
@@ -88,14 +92,17 @@ def _check(algo, mask, n, a, key, starts, calls, seed):
     constants = find_ladder_constant(a, n, random.Random(seed)) if algo == "fully" else None
     scale = constants.constant if constants else a
     inputs = _inputs(starts, scale, n, random.Random(seed))
-    run = _exp_run(algo, a, n, key, constants, mask, rng)
+    oracle = ExecutionOracle(_exp_run(algo, a, n, key, constants, mask, rng), len(key), None)
+    outputs = []
     for index, plan in calls:
         x0, y0 = inputs[index]
-        want = run_exp_algorithm(
+        outputs.append(run_exp_algorithm(
             algo, a, key, n, x0=x0, y0=y0, plan=plan, constants=constants, mask=mask, rng=ref_rng,
-        )
-        assert run(x0, y0, plan) == want
+        ))
+        assert oracle.exe(x0, y0, plan) == outputs[-1]
     assert rng.getstate() == ref_rng.getstate()
+    assert oracle.calls == len(calls)
+    return outputs
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,14 +222,17 @@ def _ecc_check(algo, fresh, curve, A, order, key, starts, calls, seed):
     rng, ref_rng = random.Random(seed), random.Random(seed)
     link, _ = ladder_link(algo, PointOps(curve), A, params)
     inputs = _ecc_inputs(starts, curve, link, random.Random(seed))
-    run = _ecc_run(algo, curve, A, key, params, fresh, rng)
+    oracle = ExecutionOracle(_ecc_run(algo, curve, A, key, params, fresh, rng), len(key), None)
+    outputs = []
     for index, plan in calls:
         x0, y0 = inputs[index]
-        want = run_ecc_algorithm(
+        outputs.append(run_ecc_algorithm(
             algo, curve, A, key, params=params, fresh_coef=fresh, rng=ref_rng, x0=x0, y0=y0, plan=plan,
-        )
-        assert run(x0, y0, plan) == want
+        ))
+        assert oracle.exe(x0, y0, plan) == outputs[-1]
     assert rng.getstate() == ref_rng.getstate()
+    assert oracle.calls == len(calls)
+    return outputs
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,6 +260,43 @@ def test_fixed_ecc_sequence_equals_full_runs(algo, fresh, bundle, start):
     key = KeyBits.from_int(0b101100111010, width=12)
     calls = [(0, plan) for plan in ECC_PLANS * 2]
     _ecc_check(algo, fresh, *bundle, key, [start], calls, 99)
+
+
+# plans without register faults, whose outputs each oracle keeps per input
+KEPT_PLANS = (None, FaultPlan(), FaultPlan(key_stuckat=(3, 0)), FaultPlan(key_stuckat=(12, 1)),
+              FaultPlan(key_stuckat=(0, 1)))
+REGISTER = FaultPlan((RegisterFault("y", 7, seed=6),))
+STARTS = ["default", "linked", "unlinked"]
+# every kept plan on every input twice, each call followed by a register fault on that input
+REPEATS = [(index, p) for _ in range(2) for plan in KEPT_PLANS for index in range(len(STARTS))
+           for p in (plan, REGISTER)]
+
+
+@pytest.mark.parametrize("algo, mask", ALGOS)
+def test_repeated_calls_equal_full_runs(algo, mask):
+    key = KeyBits.from_int(0b101100111010, width=12)
+    _check(algo, mask, 1_000_003, 7, key, STARTS, REPEATS, 5)
+
+
+def test_repeated_ecc_calls_equal_full_runs():
+    """Semi with fresh coefficients on the order-16 base point, where a lost draw shows."""
+    key = KeyBits.from_int(0b101100111010, width=12)
+    _ecc_check("semi", True, *CURVES[1], key, STARTS, REPEATS, 5)
+
+
+@pytest.mark.parametrize("start, plan", [("default", REGISTER), ("linked", REGISTER),
+                                         ("unlinked", KEPT_PLANS[2]), ("unlinked", None)])
+def test_calls_under_fresh_randomness_are_not_kept(start, plan):
+    """A register fault, or an unlinked input, lets the fresh draws reach the outputs.
+
+    Two identical calls must then give what two successive full runs give,
+    and those differ, so an output kept from the first call would fail.
+    """
+    key = KeyBits.from_int(0b101100111010, width=12)
+    first, second = _check("semi", "fresh", 1_000_003, 7, key, [start], [(0, plan)] * 2, 5)
+    assert first != second
+    first, second = _ecc_check("semi", True, *CURVES[1], key, [start], [(0, plan)] * 2, 5)
+    assert first != second
 
 
 @pytest.mark.parametrize("algo, fresh", [("daa", False)] + ECC_ALGOS)
