@@ -25,6 +25,8 @@ the clean run's register snapshots (an internal run, not counted in
 `calls`) and resumes every run at the first iteration its plan touches,
 driving the step the oracle built once (`modexp.exp_step`,
 `ecc.ecc_step`; sma's takes the plan's y faults, so it is built per call).
+Square-and-multiply and double-and-add take no fault plan, so building
+their oracles raises ValueError.
 It also keeps the outputs of an input's calls without register faults,
 which attack 3 repeats: such a plan keeps the link (below), so its
 outputs never change.  Register faults are seeded anew on every call.
@@ -129,8 +131,8 @@ def _exp_run(algo, a, n, bits, constants, mask, rng):
     """The exp oracle's `run`; zero-mask clean runs equal fresh-mask ones while y = a*x."""
     fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
     ring, draw, key = Ring(n), _mod_draw(n), as_key(bits).bits
-    kept = None if algo in ("sm", "sma") else exp_step(algo, a, n, ring, constants=constants,
-                                                      mask=mask, rng=rng)[0]
+    # built with a plan, which sm refuses here as its runner would
+    kept = exp_step(algo, a, n, ring, plan=FaultPlan(), constants=constants, mask=mask, rng=rng)[0]
 
     def run(plan=None, x0=None, y0=None, trace=None, mask=mask):
         # a closure, not a partial, which would merge its keywords anew on every short call
@@ -139,7 +141,7 @@ def _exp_run(algo, a, n, bits, constants, mask, rng):
 
     def resume(plan, i, x, y):
         step = kept
-        if step is None:  # sma's step takes the plan's y faults, and sm refuses any plan
+        if algo == "sma":  # sma's step takes the plan's y faults
             step, _, _, plan = exp_step(algo, a, n, ring, plan=plan, i0=i)
         return drive(key, x, y, step, plan=plan, draw=draw, i0=i)
 
@@ -233,14 +235,12 @@ def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
     run = partial(run_ecc_algorithm, algo, curve, A, bits, params=params)
     fresh = partial(run, fresh_coef=fresh_coef, rng=rng)
     key, (draw, check) = as_key(bits).bits, _fault_hooks(curve)
-    kept = None
-    if algo != "daa":
-        _require_on_curve(curve, A)
-        kept = ecc_step(algo, PointOps(curve), A, params, fresh_coef, rng)[0]
+    if algo == "daa":  # refused here as its runner would refuse any plan
+        raise ValueError("the reference double-and-add takes no fault plan")
+    _require_on_curve(curve, A)
+    kept = ecc_step(algo, PointOps(curve), A, params, fresh_coef, rng)[0]
 
     def resume(plan, i, P, Q):
-        if kept is None:  # double-and-add refuses any plan
-            return fresh(plan=plan, start=(i, P, Q))
         return drive(key, P, Q, kept, plan=plan, draw=draw, check=check, i0=i)
 
     def skip(k):  # the coefficients of k skipped iterations

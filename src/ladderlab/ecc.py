@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NotOnCurve
 from .faults import FaultPlan
-from .ladders import Trace, as_key, drive, start_point
+from .ladders import Trace, as_key, drive
 from .modarith import is_probable_prime
 
 
@@ -415,18 +415,9 @@ def run_ecc_algorithm(
     plan: FaultPlan | None = None,
     trace: Trace | None = None,
     ops: PointOps | None = None,
-    start: tuple | None = None,
 ) -> tuple[Point, Point | None]:
-    """Uniform entry point; NotOnCurve for an off-curve base, start or fault point.
-
-    `start=(i, P, Q)` resumes a run after iteration i with registers
-    (P, Q) (Q is None for daa), in place of `x0`/`y0`.  Fault iterations
-    and stuck-at thresholds stay absolute, a trace begins at snapshot i,
-    and fresh coefficients are drawn only for the iterations that run.
-    A plan that acts at or before iteration i is refused with ValueError.
-    """
+    """Uniform entry point; NotOnCurve for an off-curve base, start or fault point."""
     bits = as_key(key).bits
-    i0, x0, y0 = start_point(start, x0, y0, plan, len(bits))
     for R in (A, x0, y0):
         if R is not None:
             _require_on_curve(curve, R)
@@ -447,17 +438,15 @@ def run_ecc_algorithm(
             P = dbl(P)
             return (add(A, P) if bit else P), None
 
-        return drive(bits, INFINITY if x0 is None else x0, None, step, trace=trace, i0=i0)
+        return drive(bits, INFINITY if x0 is None else x0, None, step, trace=trace)
 
     if algo == "semi" and params is None:
         params = semi_params(3, _need_order(curve))
     step, link = ecc_step(algo, ops, A, params, fresh_coef, rng)
     P = INFINITY if x0 is None else x0
     Q = link(P) if y0 is None else y0
-    if trace is not None and trace.ys is None:
-        trace.ys = []
     draw, check = _fault_hooks(curve)
-    return drive(bits, P, Q, step, plan=plan, draw=draw, check=check, trace=trace, i0=i0)
+    return drive(bits, P, Q, step, plan=plan, draw=draw, check=check, trace=trace)
 
 
 def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None,

@@ -232,42 +232,26 @@ def _record(trace, x, y):
         trace.ys.append(y)
 
 
-def start_point(start, x0, y0, plan, nbits):
-    """(i0, x0, y0) for a runner's `start=(i, x, y)` keyword, or (0, x0, y0) without it.
-
-    Refuses `start` together with x0/y0, i outside [0, nbits], and a plan
-    that acts at or before iteration i, which a resumed run cannot apply.
-    """
-    if start is None:
-        return 0, x0, y0
-    if x0 is not None or y0 is not None:
-        raise ValueError("give the start registers as x0/y0 or as start, not both")
-    i0, x0, y0 = start
-    if not 0 <= i0 <= nbits:
-        raise ValueError(f"start iteration {i0} outside [0, {nbits}]")
-    if plan is not None and plan.first_divergent(nbits) <= i0:
-        raise ValueError(f"the fault plan acts at or before start iteration {i0}")
-    return i0, x0, y0
-
-
 def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
           per_iter=None, counts=None, i0=0):
     """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
 
     The loop every ladder here shares, exp and ECC alike.  (x, y) are the
     registers after iteration i0 (0 for a whole run; y is None for a
-    one-register loop).  Iteration numbers stay absolute: register faults
-    are applied just before the iterations they name, `draw(rng)` giving a
-    seeded fault's value, and `check(x, y)` sees the registers after them;
-    stuck-at faults change the bits the loop consumes, never the key.  With
-    `per_iter`, each iteration appends what it added to `counts`, the
-    `OpCounts` the step tallies on.
+    one-register loop, whose `trace` keeps ys None).  Iteration numbers
+    stay absolute: register faults are applied just before the iterations
+    they name, `draw(rng)` giving a seeded fault's value, and `check(x, y)`
+    sees the registers after them; stuck-at faults change the bits the loop
+    consumes, never the key.  With `per_iter`, each iteration appends what
+    it added to `counts`, the `OpCounts` the step tallies on.
     """
     faulted = ()
     if plan is not None:
         faulted = {f.iteration for f in plan.register_faults}
         bits = plan.effective_bits(bits)
     if trace is not None:
+        if y is not None and trace.ys is None:
+            trace.ys = []
         _record(trace, x, y)
     for i, bit in enumerate(islice(bits, i0, None), i0 + 1):
         if i in faulted:
@@ -324,7 +308,7 @@ def _run_two_register(ring, spec, key, x_init, plan, y_init, other) -> Trace:
 
     x = ring.reduce(x_init)
     y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
-    trace = Trace(ys=[])
+    trace = Trace()
     drive(bits, x, y, step, plan=plan, draw=lambda rng: rng.randrange(ring.n),
           trace=trace, per_iter=trace.ops, counts=ops.counts)
     return trace

@@ -24,7 +24,6 @@ from .errors import InvalidCoefficient, NoConstantExists
 from .faults import FaultPlan
 from .ladders import (
     DEFAULT_SWEEP_LIMIT, Affine1, CountingRing, LadderSpec, OpCounts, Quad2, Trace, as_key, drive,
-    start_point,
 )
 from .modarith import Ring
 
@@ -277,31 +276,22 @@ def run_exp_algorithm(
     rng: random.Random | None = None,
     trace: Trace | None = None,
     per_iter: list | None = None,
-    start: tuple | None = None,
 ) -> tuple[int, int | None]:
     """Uniform entry point over the five variants; used by the CLI and oracles.
 
     It drives the step built by `exp_step`, which the exp oracle shares.
-    `start=(i, x, y)` resumes a run after iteration i with registers
-    (x, y) (y is None for sm), in place of `x0`/`y0`.  Fault iterations
-    and stuck-at thresholds stay absolute, a trace begins at snapshot i,
-    and semi draws masks only for the iterations it runs.  A plan that
-    acts at or before iteration i is refused with ValueError.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))
-    i0, x0, y0 = start_point(start, x0, y0, plan, len(bits))
-    if trace is not None and trace.ys is None and algo != "sm":
-        trace.ys = []
     ops = Ring(n) if per_iter is None else CountingRing(n)
-    step, x, y, plan = exp_step(algo, a, n, ops, x0=x0, y0=y0, plan=plan, i0=i0,
+    step, x, y, plan = exp_step(algo, a, n, ops, x0=x0, y0=y0, plan=plan,
                                 constants=constants, mask=mask, rng=rng)
     return drive(
         bits, x, y, step, plan=plan, draw=_mod_draw(n), trace=trace,
-        per_iter=per_iter, counts=None if per_iter is None else ops.counts, i0=i0,
+        per_iter=per_iter, counts=None if per_iter is None else ops.counts,
     )
 
 

@@ -12,7 +12,6 @@ the end and one counted oracle call per `exe`.  Calls that repeat a plan
 without register faults, which the oracle answers from memory, replay
 their draws like any other; register faults and unlinked inputs under
 fresh randomness, whose outputs change between calls, are never kept.
-The `start` point of both runners is also checked on its own.
 """
 
 import random
@@ -21,12 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderlab.attacks import ExecutionOracle, _ecc_run, _exp_run, make_ecc_oracle
+from ladderlab.attacks import ExecutionOracle, _ecc_run, _exp_run, make_ecc_oracle, make_exp_oracle
 from ladderlab.ecc import (
     Curve,
     Point,
     PointOps,
-    _draw_semi_coef,
     find_small_curve,
     fully_params,
     ladder_link,
@@ -35,7 +33,7 @@ from ladderlab.ecc import (
     semi_params,
 )
 from ladderlab.faults import FaultPlan, RegisterFault
-from ladderlab.ladders import KeyBits, Trace
+from ladderlab.ladders import KeyBits
 from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
 
 ALGOS = [("sma", None), ("montgomery", None), ("fully", None),
@@ -129,51 +127,6 @@ def test_fixed_sequence_equals_full_runs(algo, mask, start):
     key = KeyBits.from_int(0b101100111010, width=12)
     calls = [(0, plan) for plan in FIXED_PLANS * 2]
     _check(algo, mask, 1_000_003, 7, key, [start], calls, 99)
-
-
-PLAN = FaultPlan((RegisterFault("y", 9, seed=4), RegisterFault("x", 11, value=5)), key_stuckat=(10, 1))
-
-
-@pytest.mark.parametrize("algo, mask", [("sm", None)] + ALGOS)
-def test_start_point_continues_the_run(algo, mask):
-    """From any snapshot before the plan acts, a resumed run traces the rest of the full one."""
-    n, key = 1_000_003, KeyBits.from_int(0b101100111010, width=12)
-    mask = MaskPolicy.parse(mask) if mask else None
-    plan = None if algo == "sm" else PLAN
-    constants = find_ladder_constant(7, n, random.Random(0)) if algo == "fully" else None
-    kw = dict(plan=plan, constants=constants, mask=mask)
-    full, tallies = Trace(), []
-    want = run_exp_algorithm(algo, 7, key, n, rng=random.Random(1), trace=full, per_iter=tallies, **kw)
-    for i in range(8):  # the fault at iteration 9 rewrites snapshot 8
-        rng = random.Random(1)
-        for _ in range(i if mask and mask.mode == "fresh" else 0):
-            rng.randrange(n)
-        ys = full.ys[i] if full.ys is not None else None
-        trace, per_iter = Trace(), []
-        got = run_exp_algorithm(
-            algo, 7, key, n, rng=rng, trace=trace, per_iter=per_iter, start=(i, full.xs[i], ys), **kw,
-        )
-        assert got == want
-        assert trace.xs == full.xs[i:]
-        assert trace.ys == (None if full.ys is None else full.ys[i:])
-        assert per_iter == tallies[i:]
-
-
-def test_start_point_is_checked():
-    with pytest.raises(ValueError):
-        run_exp_algorithm("montgomery", 7, 5, 101, start=(4, 1, 7))  # the key has 3 bits
-    with pytest.raises(ValueError):
-        run_exp_algorithm("montgomery", 7, 5, 101, start=(-1, 1, 7))
-    with pytest.raises(ValueError):
-        run_exp_algorithm("montgomery", 7, 5, 101, x0=1, start=(1, 1, 7))
-    # a plan that acts at or before the start iteration would be dropped
-    for algo, plan in [
-        ("montgomery", FaultPlan((RegisterFault("x", 2, value=5),))),
-        ("sma", FaultPlan((RegisterFault("y", 2, value=5),))),  # sma's product fault
-        ("montgomery", FaultPlan(key_stuckat=(2, 0))),
-    ]:
-        with pytest.raises(ValueError):
-            run_exp_algorithm(algo, 7, 0b1011011, 101, start=(4, 3, 21), plan=plan)
 
 
 ECC_ALGOS = [("montgomery", False), ("semi", False), ("semi", True), ("fully", False)]
@@ -299,51 +252,17 @@ def test_calls_under_fresh_randomness_are_not_kept(start, plan):
     assert first != second
 
 
-@pytest.mark.parametrize("algo, fresh", [("daa", False)] + ECC_ALGOS)
-def test_ecc_start_point_continues_the_run(algo, fresh):
-    """From any snapshot before the plan acts, a resumed ECC run traces the rest of the full one."""
-    curve, A, order = CURVES[0]
-    key = KeyBits.from_int(0b101100111010, width=12)
-    plan = FaultPlan((RegisterFault("y", 9, seed=4), RegisterFault("x", 11, value=A)), key_stuckat=(10, 1))
-    kw = dict(params=_ecc_params(algo, order), fresh_coef=fresh, plan=None if algo == "daa" else plan)
-    full = Trace()
-    want = run_ecc_algorithm(algo, curve, A, key, rng=random.Random(1), trace=full, **kw)
-    for i in range(8):  # the fault at iteration 9 rewrites snapshot 8
-        rng = random.Random(1)
-        for _ in range(i if fresh else 0):
-            _draw_semi_coef(order, rng)
-        ys = full.ys[i] if full.ys is not None else None
-        trace = Trace()
-        got = run_ecc_algorithm(algo, curve, A, key, rng=rng, trace=trace, start=(i, full.xs[i], ys), **kw)
-        assert got == want
-        assert trace.xs == full.xs[i:]
-        assert trace.ys == (None if full.ys is None else full.ys[i:])
-
-
-def test_ecc_start_point_is_checked():
-    curve, A, order = CURVES[0]
-    params = semi_params(3, order)
-    P, Q = run_ecc_algorithm("semi", curve, A, 1, params=params)  # snapshot 1 of a run
-    with pytest.raises(ValueError):
-        run_ecc_algorithm("semi", curve, A, 5, params=params, start=(4, P, Q))  # the key has 3 bits
-    with pytest.raises(ValueError):
-        run_ecc_algorithm("semi", curve, A, 5, params=params, start=(-1, P, Q))
-    with pytest.raises(ValueError):
-        run_ecc_algorithm("semi", curve, A, 5, params=params, x0=P, start=(1, P, Q))
-    with pytest.raises(ValueError):
-        run_ecc_algorithm("semi", curve, A, 5, params=params, y0=Q, start=(1, P, Q))
-    # a plan that acts at or before the start iteration would be dropped
-    for plan in [
-        FaultPlan((RegisterFault("x", 2, value=A),)),
-        FaultPlan((RegisterFault("y", 4, seed=1),)),
-        FaultPlan(key_stuckat=(3, 0)),
-    ]:
-        with pytest.raises(ValueError):
-            run_ecc_algorithm("semi", curve, A, 0b1011011, params=params, start=(4, P, Q), plan=plan)
-
-
 @pytest.mark.parametrize("algo", ["montgomery", "fully"])
 def test_ecc_oracle_refuses_fresh_coefficients_off_semi(algo):
     curve, A, _ = CURVES[0]
     with pytest.raises(ValueError, match="half-coupled"):
         make_ecc_oracle(algo, curve, A, 0b1011, fresh_coef=True).exe()
+
+
+def test_oracles_refuse_the_plan_less_ladders():
+    """Square-and-multiply and double-and-add take no fault plan, so no oracle is built for them."""
+    curve, A, _ = CURVES[0]
+    with pytest.raises(ValueError, match="one-register variant takes no fault plan"):
+        make_exp_oracle("sm", 7, 101, 0b1011)
+    with pytest.raises(ValueError, match="double-and-add takes no fault plan"):
+        make_ecc_oracle("daa", curve, A, 0b1011)
