@@ -22,14 +22,16 @@ The attacks make many calls that differ only in where a fault or a
 stuck-at threshold starts, so the exp and ECC oracles checkpoint through
 one wrapper, `_resuming_run`: on the first call for an input it keeps
 the clean run's register snapshots (an internal run, not counted in
-`calls`) and resumes every run at the first iteration its plan touches,
-driving the step the oracle built once (`modexp.exp_step`,
-`ecc.ecc_step`; sma's takes the plan's y faults, so it is built per call).
-Square-and-multiply and double-and-add take no fault plan, so building
-their oracles raises ValueError.
+`calls`) and resumes every run at its first register fault or the first
+key bit its stuck-at changes, driving the step the oracle built once
+(`modexp.exp_step`, `ecc.ecc_step`; sma's takes the plan's y faults, so
+it is built per call).  Square-and-multiply and double-and-add take no
+fault plan, so building their oracles raises ValueError.
 It also keeps the outputs of an input's calls without register faults,
-which attack 3 repeats: such a plan keeps the link (below), so its
-outputs never change.  Register faults are seeded anew on every call.
+which attacks 2 and 3 repeat: such a plan keeps the link (below), so its
+outputs never change.  Register faults are seeded anew on every call; a
+faulted run that rejoins the clean registers after its last fault (a 0
+bit overwrites sma's dummy register) returns the clean output.
 Semi under fresh masks (exp) or fresh coefficients (ECC) draws once per
 iteration from the oracle's RNG.  While the registers keep the ladder's
 link, y = a*x or Q = -(P + A), that draw cancels out of every clean step:
@@ -139,61 +141,77 @@ def _exp_run(algo, a, n, bits, constants, mask, rng):
         return run_exp_algorithm(algo, a, bits, n, x0=x0, y0=y0, plan=plan, trace=trace,
                                  constants=constants, mask=mask, rng=rng)
 
-    def resume(plan, i, x, y):
+    def resume(plan, i, x, y, rejoin):
         step = kept
         if algo == "sma":  # sma's step takes the plan's y faults
             step, _, _, plan = exp_step(algo, a, n, ring, plan=plan, i0=i)
-        return drive(key, x, y, step, plan=plan, draw=draw, i0=i)
+        return drive(key, x, y, step, plan=plan, draw=draw, i0=i, rejoin=rejoin)
 
     def skip(k):  # the masks of k skipped iterations
         for _ in range(k):
             rng.randrange(n)
 
-    return _resuming_run(len(key), run, partial(run, mask=MaskPolicy.zero()) if fresh else run,
+    return _resuming_run(key, run, partial(run, mask=MaskPolicy.zero()) if fresh else run,
                          resume, skip if fresh else None)
 
 
-def _resuming_run(nbits, run, clean, resume, skip):
+def _resuming_run(key, run, clean, resume, skip):
     """`run(x_init, y_init, plan)` giving a full run's outputs and RNG use.
 
-    `run(plan=, x0=, y0=)` runs the target in full, `resume(plan, i, x, y)`
-    runs it after iteration i from registers (x, y), and
-    `clean(x0=, y0=, trace=)` traces a clean run that draws nothing.  `skip`
-    is None for a target that draws nothing per iteration; otherwise
-    `skip(k)` replays the draws of k iterations, and only an input whose
-    y0 is the ladder's link (None, or what `clean` starts from for
-    y0=None) resumes; any other runs in full.  A plan changes nothing
-    before its first divergent iteration d, so a call resumes from
-    snapshot d - 1 of the input's clean run.  A plan without register
-    faults keeps the link, so its outputs are fixed: they are kept per
-    input and plan, and a repeated call only replays its nbits draws.
+    `run(plan=, x0=, y0=)` runs the target in full on the key bits `key`,
+    `resume(plan, i, x, y, rejoin)` drives it after iteration i from
+    registers (x, y), and `clean(x0=, y0=, trace=)` traces a clean run that
+    draws nothing.  `skip` is None for a target that draws nothing per
+    iteration; otherwise `skip(k)` replays the draws of k iterations, and
+    only an input whose y0 is the ladder's link (None, or what `clean`
+    starts from for y0=None) resumes; any other runs in full.
+
+    A call resumes from snapshot d - 1 of its input's clean run: d is its
+    first register fault or, for a stuck-at (t, b), the first iteration
+    j > t whose key bit is not b.  A plan without register faults keeps the
+    link and reads bits fixed by (j, b), so its outputs are kept per input
+    under (j, b) and a repeated call only replays its nbits draws.  A
+    register-faulted call whose stuck-at never diverges, on a target that
+    draws nothing, rejoins: once its registers after its last fault equal
+    the clean snapshot of the same iteration, it returns the clean output.
     """
+    nbits = len(key)
+    # diverge[b][t]: the first iteration after t whose key bit is not b, nbits + 1 if none
+    diverge = ([nbits + 1] * (nbits + 1), [nbits + 1] * (nbits + 1))
+    for t in reversed(range(nbits)):
+        bit = key[t]
+        diverge[bit][t], diverge[1 - bit][t] = diverge[bit][t + 1], t + 1
     inputs = {}
 
     def resumed(x_init, y_init, plan):
-        key = (x_init, y_init)
-        if key not in inputs:
+        start = (x_init, y_init)
+        if start not in inputs:
             trace = Trace()
             clean(x0=x_init, y0=None if skip else y_init, trace=trace)
             linked = skip is None or y_init is None or y_init == trace.ys[0]
-            inputs[key] = (trace.snapshots(), {}) if linked else None
-        if inputs[key] is None:
+            inputs[start] = (trace.snapshots(), {}) if linked else None
+        if inputs[start] is None:
             return run(plan=plan, x0=x_init, y0=y_init)
-        states, outputs = inputs[key]
-        keep = plan is None or not plan.register_faults  # a register fault is seeded anew per call
-        if keep and plan in outputs:
-            if skip is not None:
-                skip(nbits)
-            return outputs[plan]
-        d = nbits + 1
+        states, outputs = inputs[start]
+        j, b, faults = nbits + 1, None, ()
         if plan is not None:
             plan.validate(nbits)
-            d = plan.first_divergent(nbits)
+            # sma applies its y faults inside the step, so they come from the plan as given
+            faults = [f.iteration for f in plan.register_faults]
+            if plan.key_stuckat is not None:
+                t, b = plan.key_stuckat
+                j = diverge[b][t]
+        if not faults and (j > nbits or (j, b) in outputs):
+            if skip is not None:
+                skip(nbits)
+            return states[nbits] if j > nbits else outputs[j, b]
+        d = min([j, *faults])
         if skip is not None:
             skip(d - 1)
-        out = states[nbits] if d > nbits else resume(plan, d - 1, *states[d - 1])
-        if keep:
-            outputs[plan] = out
+        rejoin = (max(faults), states) if faults and j > nbits and skip is None else None
+        out = resume(plan, d - 1, *states[d - 1], rejoin)
+        if not faults:  # a register fault is seeded anew per call
+            outputs[j, b] = out
         return out
 
     return resumed
@@ -240,14 +258,14 @@ def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
     _require_on_curve(curve, A)
     kept = ecc_step(algo, PointOps(curve), A, params, fresh_coef, rng)[0]
 
-    def resume(plan, i, P, Q):
-        return drive(key, P, Q, kept, plan=plan, draw=draw, check=check, i0=i)
+    def resume(plan, i, P, Q, rejoin):
+        return drive(key, P, Q, kept, plan=plan, draw=draw, check=check, i0=i, rejoin=rejoin)
 
     def skip(k):  # the coefficients of k skipped iterations
         for _ in range(k):
             _draw_semi_coef(params.order, rng)
 
-    return _resuming_run(len(key), fresh, run, resume, skip if fresh_coef else None)
+    return _resuming_run(key, fresh, run, resume, skip if fresh_coef else None)
 
 
 @dataclass(frozen=True)

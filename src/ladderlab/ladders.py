@@ -233,7 +233,7 @@ def _record(trace, x, y):
 
 
 def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
-          per_iter=None, counts=None, i0=0):
+          per_iter=None, counts=None, i0=0, rejoin=None):
     """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
 
     The loop every ladder here shares, exp and ECC alike.  (x, y) are the
@@ -244,8 +244,12 @@ def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
     sees the registers after them; stuck-at faults change the bits the loop
     consumes, never the key.  With `per_iter`, each iteration appends what
     it added to `counts`, the `OpCounts` the step tallies on.
+    `rejoin=(last, states)` is for an untraced run with no fault after
+    iteration `last` that then reads the bits of a clean run with snapshots
+    `states`: once the registers after an iteration i >= last equal
+    `states[i]`, it returns that run's output `states[-1]`.
     """
-    faulted = ()
+    faulted, stop = (), None if rejoin is None else rejoin[0]
     if plan is not None:
         faulted = {f.iteration for f in plan.register_faults}
         bits = plan.effective_bits(bits)
@@ -253,7 +257,7 @@ def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
         if y is not None and trace.ys is None:
             trace.ys = []
         _record(trace, x, y)
-    for i, bit in enumerate(islice(bits, i0, None), i0 + 1):
+    for i, bit in enumerate(islice(bits, i0, stop), i0 + 1):
         if i in faulted:
             x, y = plan.apply(i, x, y, draw)
             if check is not None:
@@ -269,6 +273,12 @@ def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
             per_iter.append(counts - before)
         if trace is not None:
             _record(trace, x, y)
+    if rejoin is not None:
+        states = rejoin[1]
+        for i, bit in enumerate(islice(bits, stop, None), stop):
+            if (x, y) == states[i]:
+                return states[-1]
+            x, y = step(bit, x, y)
     return x, y
 
 

@@ -1,9 +1,12 @@
 """A checkpointed oracle gives what full runs give, call by call, for exp and ECC.
 
-Both oracles resume each run at the first iteration its fault plan
-touches, from snapshots of the clean run they keep per input; under
-semi's fresh masks (exp) or fresh coefficients (ECC) a linked input
-replays the draws it skips.  Property tests and a fixed sequence drive
+Both oracles resume each run at its first register fault or the first
+key bit its stuck-at changes, from snapshots of the clean run they keep
+per input, and a faulted run whose registers rejoin the clean ones after
+its last fault returns the clean output; the tests that count the steps
+`attacks.drive` runs pin both down.  Under semi's fresh masks (exp) or
+fresh coefficients (ECC) a linked input replays the draws it skips.
+Property tests and fixed sequences drive
 `attacks._exp_run` / `_ecc_run` and plain `run_exp_algorithm` /
 `run_ecc_algorithm` with equally seeded RNGs through one call sequence
 (inputs linked, unlinked or left to the default, plans with register
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderlab import attacks
 from ladderlab.attacks import ExecutionOracle, _ecc_run, _exp_run, make_ecc_oracle, make_exp_oracle
 from ladderlab.ecc import (
     Curve,
@@ -215,14 +219,24 @@ def test_fixed_ecc_sequence_equals_full_runs(algo, fresh, bundle, start):
     _ecc_check(algo, fresh, *bundle, key, [start], calls, 99)
 
 
-# plans without register faults, whose outputs each oracle keeps per input
+# plans without register faults, whose outputs each oracle keeps per input; the key
+# 0b101100111010 has 0s at iterations 5-6 and 1s at 7-9, so the thresholds 4 and 5
+# pinning 0 share one run, as do 7 and 8 pinning 1, and (11, 0) pins the key's own tail
 KEPT_PLANS = (None, FaultPlan(), FaultPlan(key_stuckat=(3, 0)), FaultPlan(key_stuckat=(12, 1)),
-              FaultPlan(key_stuckat=(0, 1)))
+              FaultPlan(key_stuckat=(0, 1)), FaultPlan(key_stuckat=(4, 0)),
+              FaultPlan(key_stuckat=(5, 0)), FaultPlan(key_stuckat=(7, 1)),
+              FaultPlan(key_stuckat=(8, 1)), FaultPlan(key_stuckat=(11, 0)))
 REGISTER = FaultPlan((RegisterFault("y", 7, seed=6),))
+# y faults on 0 bits, which sma's next 0 bit overwrites: at 5 (next 0 bit at 6), at 10
+# under a stuck-at that never diverges, at 5 under one that diverges at 9, and at 12 (none)
+REGISTERS = (REGISTER, FaultPlan((RegisterFault("y", 5, seed=7),)),
+             FaultPlan((RegisterFault("y", 10, seed=3),), key_stuckat=(11, 0)),
+             FaultPlan((RegisterFault("y", 5, seed=8),), key_stuckat=(8, 0)),
+             FaultPlan((RegisterFault("y", 12, seed=9),)))
 STARTS = ["default", "linked", "unlinked"]
-# every kept plan on every input twice, each call followed by a register fault on that input
+# every kept plan on every input twice, each call followed by the register faults on that input
 REPEATS = [(index, p) for _ in range(2) for plan in KEPT_PLANS for index in range(len(STARTS))
-           for p in (plan, REGISTER)]
+           for p in (plan, *REGISTERS)]
 
 
 @pytest.mark.parametrize("algo, mask", ALGOS)
@@ -235,6 +249,52 @@ def test_repeated_ecc_calls_equal_full_runs():
     """Semi with fresh coefficients on the order-16 base point, where a lost draw shows."""
     key = KeyBits.from_int(0b101100111010, width=12)
     _ecc_check("semi", True, *CURVES[1], key, STARTS, REPEATS, 5)
+
+
+@pytest.fixture
+def driven(monkeypatch):
+    """The steps each `drive` call of the oracles runs, one count per resumed call."""
+    counts, drive = [], attacks.drive
+
+    def counting(bits, x, y, step, **kw):
+        counts.append(0)
+
+        def counted(bit, x, y):
+            counts[-1] += 1
+            return step(bit, x, y)
+
+        return drive(bits, x, y, counted, **kw)
+
+    monkeypatch.setattr("ladderlab.attacks.drive", counting)
+    return counts
+
+
+@pytest.mark.parametrize("algo", ["sma", "montgomery", "semi", "fully"])
+def test_resumed_calls_start_where_the_key_diverges(algo, driven):
+    """A stuck-at pinning the key's own tail drives no step; thresholds in one run share one."""
+    key = KeyBits.from_int(0b101100111010, width=12)
+    oracle, rng = make_exp_oracle(algo, 7, 1_000_003, key, seed=3), random.Random(3)
+    constants = find_ladder_constant(7, 1_000_003, rng) if algo == "fully" else None
+    mask = MaskPolicy.fresh() if algo == "semi" else None
+    for plan in (FaultPlan(key_stuckat=(11, 0)), FaultPlan(key_stuckat=(7, 1)),
+                 FaultPlan(key_stuckat=(8, 1)), FaultPlan(key_stuckat=(6, 1))):
+        full = run_exp_algorithm(algo, 7, key, 1_000_003, plan=plan, constants=constants,
+                                 mask=mask, rng=rng)
+        assert oracle.exe(plan=plan) == full
+    # (11, 0) never diverges; 6, 7 and 8 pinning 1 all first differ at iteration 10
+    assert driven == [3]
+
+
+def test_sma_fault_stops_at_the_next_zero_bit(driven):
+    """A y fault on sma's 0 bit 5 is overwritten by 0 bit 6; the run returns the clean output."""
+    key = KeyBits.from_int(0b101100111010, width=12)
+    oracle = make_exp_oracle("sma", 7, 1_000_003, key)
+    for iteration, steps in ((5, 2), (10, 3), (12, 1), (9, 4)):
+        plan = FaultPlan((RegisterFault("y", iteration, seed=iteration),))
+        assert oracle.exe(plan=plan) == run_exp_algorithm("sma", 7, key, 1_000_003, plan=plan)
+        assert driven[-1] == steps
+    # a fault on the 1 bit 9 lands in x, which it never leaves
+    assert oracle.exe() != oracle.exe(plan=plan)
 
 
 @pytest.mark.parametrize("start, plan", [("default", REGISTER), ("linked", REGISTER),

@@ -1,0 +1,77 @@
+"""Count the ladder steps the attack cells of two benchmark workloads drive per key.
+
+    python3 tools/steps_per_key.py --seed 1 --keys 20          # this checkout
+    python3 tools/steps_per_key.py --root OTHER_CHECKOUT        # another one
+
+Every loop in ladderlab runs through `ladders.drive`, which the runners and
+the oracles import by name, so each of those names is replaced by a wrapper
+that counts the calls to the step it is given.  The keys and cell seeds are
+those `bench/workloads.py` draws for `attack-matrix` (its ten exp cells) and
+`ecc-ladders` (its three ECC attack cells, not its five direct ladders) from
+`--seed`.  The count is deterministic: it measures the work an oracle
+skips, free of the timing noise of `bench/run.py`.  Prints one JSON object.
+"""
+
+import argparse
+import importlib
+import json
+import os
+import sys
+
+MODULES_WITH_DRIVE = ("ladders", "modexp", "ecc", "attacks")
+
+
+def count_steps(root, seed, keys):
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    workloads = importlib.import_module("workloads")
+    from spans import NullTracer
+
+    lib = workloads.load_lib("ladderlab")
+    steps = [0]
+
+    def counting(drive):
+        def wrapped(bits, x, y, step, **kw):
+            def counted(bit, x, y):
+                steps[0] += 1
+                return step(bit, x, y)
+
+            return drive(bits, x, y, counted, **kw)
+
+        return wrapped
+
+    for name in MODULES_WITH_DRIVE:
+        module = importlib.import_module(f"ladderlab.{name}")
+        module.drive = counting(module.drive)
+
+    out = {}
+    matrix = workloads.AttackMatrix(lib, seed, pool_size=keys)
+    ecc = workloads.EccLadders(lib, seed, pool_size=keys)
+    ecc.setup(NullTracer())
+    for name, cells, inputs, bundle in (
+        ("attack-matrix", workloads.EXP_CELLS, matrix.inputs, None),
+        ("ecc-ladders", workloads.ECC_CELLS, [i[:2] for i in ecc.inputs], ecc.bundle),
+    ):
+        steps[0] = 0
+        for key, seeds in inputs:
+            reports = workloads.run_to_end(
+                workloads._run_cells(lib.attacks, cells, key, seeds, NullTracer(), bundle)
+            )
+            if not all(workloads._cell_ok(m, t, r, key) for (m, t), r in zip(cells, reports)):
+                raise SystemExit(f"{name}: a cell gave the wrong outcome")
+        out[name] = {"cells": [f"m{m}.{t}" for m, t in cells], "steps_per_key": steps[0] / keys}
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        help="checkout to measure (default: this one)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--keys", type=int, default=20)
+    args = parser.parse_args()
+    result = count_steps(os.path.abspath(args.root), args.seed, args.keys)
+    print(json.dumps({"seed": args.seed, "keys": args.keys, **result}))
+
+
+if __name__ == "__main__":
+    main()
