@@ -33,16 +33,17 @@ outputs never change.  Register faults are seeded anew on every call; a
 faulted run that rejoins the clean registers after its last fault (a 0
 bit overwrites sma's dummy register) returns the clean output.
 Semi under fresh masks (exp) or fresh coefficients (ECC) draws once per
-iteration from the oracle's RNG.  While the registers keep the ladder's
-link, y = a*x or Q = -(P + A), that draw cancels out of every clean step:
-a mask multiplies (a*x - y)(x - a*y), a coefficient multiplies
-P + Q + A = infinity.  Such an input keeps the snapshots of a zero-mask or
-fixed-coefficient run, and each call first replays the draws of the
-iterations it does not run, all of them for a call answered from memory.
-An input that breaks the link runs in full, every time.  Outputs,
-`calls` and the RNG stream are exactly those of full runs.  Under fresh
-masks or coefficients the pool inputs attack 3 swaps in leave y0 to the
-ladder's link, so the randomness cancels from every output.
+iteration from the oracle's RNG, through CPython's `randrange` loop built
+once (`modexp._below`, `ecc._semi_coef`), so the stream is `randrange`'s.
+While the registers keep the ladder's link, y = a*x or Q = -(P + A), that
+draw cancels out of every clean step: a mask multiplies (a*x - y)(x - a*y),
+a coefficient multiplies P + Q + A = infinity.  Such an input keeps the
+snapshots of a zero-mask or fixed-coefficient run, and each call first
+replays the draws of the iterations it does not run, all of them for a call
+answered from memory.  An input that breaks the link runs in full, every
+time.  Outputs, `calls` and the RNG stream are exactly those of full
+runs.  Under fresh masks or coefficients the pool inputs attack 3 swaps in
+leave y0 to the ladder's link, so the randomness cancels from every output.
 """
 
 import random
@@ -54,9 +55,9 @@ from .ecc import (
     EccLadderParams,
     Point,
     PointOps,
-    _draw_semi_coef,
     _fault_hooks,
     _require_on_curve,
+    _semi_coef,
     ecc_step,
     find_small_curve,
     fully_params,
@@ -69,7 +70,8 @@ from .faults import FaultPlan, RegisterFault
 from .ladders import Trace, as_key, drive
 from .modarith import Ring
 from .modexp import (
-    LadderConstants, MaskPolicy, _mod_draw, exp_step, find_ladder_constant, run_exp_algorithm,
+    LadderConstants, MaskPolicy, _below, _mod_draw, exp_step, find_ladder_constant,
+    run_exp_algorithm,
 )
 
 RETRY_BUDGET = 8
@@ -132,7 +134,7 @@ def make_exp_oracle(
 def _exp_run(algo, a, n, bits, constants, mask, rng):
     """The exp oracle's `run`; zero-mask clean runs equal fresh-mask ones while y = a*x."""
     fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
-    ring, draw, key = Ring(n), _mod_draw(n), as_key(bits).bits
+    ring, draw, below, key = Ring(n), _mod_draw(n), _below(n, rng), as_key(bits).bits
     # built with a plan, which sm refuses here as its runner would
     kept = exp_step(algo, a, n, ring, plan=FaultPlan(), constants=constants, mask=mask, rng=rng)[0]
 
@@ -149,7 +151,7 @@ def _exp_run(algo, a, n, bits, constants, mask, rng):
 
     def skip(k):  # the masks of k skipped iterations
         for _ in range(k):
-            rng.randrange(n)
+            below()
 
     return _resuming_run(key, run, partial(run, mask=MaskPolicy.zero()) if fresh else run,
                          resume, skip if fresh else None)
@@ -253,6 +255,7 @@ def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
     run = partial(run_ecc_algorithm, algo, curve, A, bits, params=params)
     fresh = partial(run, fresh_coef=fresh_coef, rng=rng)
     key, (draw, check) = as_key(bits).bits, _fault_hooks(curve)
+    coef = _semi_coef(params.order, rng) if fresh_coef else None
     if algo == "daa":  # refused here as its runner would refuse any plan
         raise ValueError("the reference double-and-add takes no fault plan")
     _require_on_curve(curve, A)
@@ -263,7 +266,7 @@ def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
 
     def skip(k):  # the coefficients of k skipped iterations
         for _ in range(k):
-            _draw_semi_coef(params.order, rng)
+            coef()
 
     return _resuming_run(key, fresh, run, resume, skip if fresh_coef else None)
 

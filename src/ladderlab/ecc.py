@@ -35,6 +35,7 @@ from .errors import InvalidCoefficient, NotOnCurve
 from .faults import FaultPlan
 from .ladders import Trace, as_key, drive
 from .modarith import is_probable_prime
+from .modexp import _below
 
 
 @dataclass(frozen=True)
@@ -376,11 +377,17 @@ def fully_params(coef: int, order: int) -> EccLadderParams:
     )
 
 
-def _draw_semi_coef(order: int, rng: random.Random) -> int:
-    c = rng.randrange(order)
-    while c in (0, 2):
-        c = rng.randrange(order)
-    return c
+def _semi_coef(order: int, rng: random.Random):
+    """Semi's fresh-coefficient draw: `rng.randrange(order)` redrawn on 0 and 2."""
+    below = _below(order, rng)
+
+    def coef():
+        c = below()
+        while c == 0 or c == 2:
+            c = below()
+        return c
+
+    return coef
 
 
 def ladder_link(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None = None):
@@ -466,10 +473,10 @@ def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None,
             Q = add(Q, P)
             return dbl(P), Q
     elif algo == "semi":
-        c0, order = params.coef, params.order
+        c0, coef = params.coef, _semi_coef(params.order, rng) if fresh_coef else None
 
         def step(bit, P, Q):
-            c = _draw_semi_coef(order, rng) if fresh_coef else c0
+            c = coef() if fresh_coef else c0
             if not bit:  # a 0 bit runs the same body with the registers' roles swapped
                 P, Q = Q, P
             t = cmul(c, add(add(P, Q), A))

@@ -17,9 +17,6 @@ class Ring:
     def reduce(self, v: int) -> int:
         return v % self.n
 
-    def contains(self, v: int) -> bool:
-        return 0 <= v < self.n
-
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.n
 

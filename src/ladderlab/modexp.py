@@ -33,7 +33,11 @@ MAX_DRAWS = 64  # random draws of `find_ladder_constant` before its exhaustive s
 
 @dataclass(frozen=True)
 class MaskPolicy:
-    """How the per-iteration mask of the half-coupled ladder is chosen."""
+    """How the per-iteration mask of the half-coupled ladder is chosen.
+
+    `per_iteration(n, rng)` is the step's one draw: a constant, or for fresh
+    masks `_below(n, rng)`, which is `rng.randrange(n)` value for value.
+    """
 
     mode: str = "zero"  # "zero" | "fixed" | "fresh"
     value: int | None = None
@@ -62,14 +66,27 @@ class MaskPolicy:
             return cls.fixed(int(text.split(":", 1)[1], 0))
         raise ValueError(f"unknown mask policy {text!r}")
 
-    def draw(self, n: int, rng: random.Random | None) -> int:
-        if self.mode == "zero":
-            return 0
-        if self.mode == "fixed":
-            return self.value % n
-        if rng is None:
-            raise ValueError("fresh mask policy needs an RNG")
-        return rng.randrange(n)
+    def per_iteration(self, n: int, rng: random.Random | None):
+        """The zero-argument draw of each iteration's mask, built once per step."""
+        if self.mode == "fresh":
+            if rng is None:
+                raise ValueError("fresh mask policy needs an RNG")
+            return _below(n, rng)
+        m = 0 if self.mode == "zero" else self.value % n
+        return lambda: m
+
+
+def _below(n: int, rng: random.Random):
+    """`rng.randrange(n)` as a zero-argument draw: CPython's own `getrandbits` loop, same stream."""
+    getrandbits, k = rng.getrandbits, n.bit_length()
+
+    def below():
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
 
 
 @dataclass(frozen=True)
@@ -226,10 +243,10 @@ def _montgomery(a, n, x0, y0, ops):
 def _semi(a, n, x0, y0, ops, mask, rng):
     sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
-    mask = mask or MaskPolicy.zero()
+    mask = (mask or MaskPolicy.zero()).per_iteration(n, rng)
 
     def step(bit, x, y):
-        m = mask.draw(n, rng)
+        m = mask()
         if not bit:  # a 0 bit runs the same body with the registers' roles swapped
             x, y = y, x
         z = sq(y)

@@ -104,6 +104,11 @@ class TestSemiInterleaved:
     def test_fresh_mask_requires_rng(self):
         with pytest.raises(ValueError):
             semi_interleaved_exp(2, 5, 101, MaskPolicy.fresh())
+        trace = Trace()
+        with pytest.raises(ValueError, match="fresh mask policy needs an RNG"):
+            run_exp_algorithm("semi", 7, KeyBits((1, 0, 1)), 101, mask=MaskPolicy.fresh(),
+                              rng=None, trace=trace)
+        assert trace.xs == []  # raised while the step was built: no snapshot was taken
 
     def test_mask_parse(self):
         assert MaskPolicy.parse("zero").mode == "zero"

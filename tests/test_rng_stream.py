@@ -1,0 +1,29 @@
+"""Semi's fresh masks and coefficients stay CPython's `randrange` stream.
+
+The cases and the comparison live in .github/scripts/check_rng_stream.py,
+which CI also runs, without pytest, on every supported Python.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "check_rng_stream.py"
+_spec = importlib.util.spec_from_file_location("check_rng_stream", _SCRIPT)
+stream = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(stream)
+
+
+@pytest.mark.parametrize("build, reference", [case[1:] for case in stream.cases()],
+                         ids=[case[0] for case in stream.cases()])
+def test_draws_match_randrange(build, reference):
+    assert stream.mismatch(build, reference) is None
+
+
+def test_a_changed_draw_is_caught():
+    def off_by_one(rng):
+        below = stream._below(97, rng)
+        return lambda: (below() + 1) % 97
+
+    assert stream.mismatch(off_by_one, lambda rng: rng.randrange(97)) is not None
