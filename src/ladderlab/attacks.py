@@ -68,7 +68,6 @@ from .ecc import (
 from .errors import Coincidence
 from .faults import FaultPlan, RegisterFault
 from .ladders import Trace, as_key, drive
-from .modarith import Ring
 from .modexp import (
     LadderConstants, MaskPolicy, _below, _mod_draw, exp_step, find_ladder_constant,
     run_exp_algorithm,
@@ -134,9 +133,9 @@ def make_exp_oracle(
 def _exp_run(algo, a, n, bits, constants, mask, rng):
     """The exp oracle's `run`; zero-mask clean runs equal fresh-mask ones while y = a*x."""
     fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
-    ring, draw, below, key = Ring(n), _mod_draw(n), _below(n, rng), as_key(bits).bits
-    # built with a plan, which sm refuses here as its runner would
-    kept = exp_step(algo, a, n, ring, plan=FaultPlan(), constants=constants, mask=mask, rng=rng)[0]
+    draw, below, key = _mod_draw(n), _below(n, rng), as_key(bits).bits
+    # straight-line steps, built with a plan, which sm refuses here as its runner would
+    kept = exp_step(algo, a, n, None, plan=FaultPlan(), constants=constants, mask=mask, rng=rng)[0]
 
     def run(plan=None, x0=None, y0=None, trace=None, mask=mask):
         # a closure, not a partial, which would merge its keywords anew on every short call
@@ -146,7 +145,7 @@ def _exp_run(algo, a, n, bits, constants, mask, rng):
     def resume(plan, i, x, y, rejoin):
         step = kept
         if algo == "sma":  # sma's step takes the plan's y faults
-            step, _, _, plan = exp_step(algo, a, n, ring, plan=plan, i0=i)
+            step, _, _, plan = exp_step(algo, a, n, None, plan=plan, i0=i)
         return drive(key, x, y, step, plan=plan, draw=draw, i0=i, rejoin=rejoin)
 
     def skip(k):  # the masks of k skipped iterations
@@ -310,7 +309,7 @@ def _probe_differs(oracle, base_plan, target, iteration, read_idx, rng, attempts
     clean = oracle.exe(plan=base_plan)
     for _ in range(attempts):
         faults = base_plan.register_faults + (_fault(target, iteration, rng),)
-        faulted = oracle.exe(plan=replace(base_plan, register_faults=faults))
+        faulted = oracle.exe(plan=FaultPlan(faults, base_plan.key_stuckat))
         if faulted[read_idx] != clean[read_idx]:
             return True
     return False

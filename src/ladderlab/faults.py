@@ -77,19 +77,6 @@ class FaultPlan:
         pinned[threshold:] = [bit] * (len(bits) - threshold)
         return pinned
 
-    def first_divergent(self, nbits: int) -> int:
-        """The first iteration the plan touches; iterations before it run as with no plan.
-
-        That is the earliest register fault or the stuck-at threshold + 1,
-        and nbits + 1 for a plan that changes nothing.
-        """
-        d = nbits + 1
-        if self.key_stuckat is not None:
-            d = min(d, self.key_stuckat[0] + 1)
-        for f in self.register_faults:
-            d = min(d, f.iteration)
-        return d
-
     def apply(self, i: int, x, y, draw):
         """Return the (x, y) register pair after the faults targeting iteration i."""
         for f in self.register_faults:

@@ -17,7 +17,8 @@ spec runners here, the five `modexp` variants and the `ecc` ladders each
 supply only a per-bit step, and `drive` applies the fault plan, records
 snapshots and tallies each iteration's operations.  Ring operations are
 counted one way only: the step runs on a `CountingRing`, whose `counts`
-the runner hands to `drive`.
+the runner hands to `drive`.  Uncounted `modexp` runs take each step's
+straight-line `% n` form instead, which tests hold equal to the counted one.
 """
 
 from dataclasses import dataclass, field

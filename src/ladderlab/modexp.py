@@ -9,12 +9,13 @@ Each variant is one loop step, built by `exp_step` and run by
 consumes a fault plan and records register snapshots.  Modular
 multiplications / squarings / additions are tallied per iteration only
 when a caller asks for them (`per_iter`, `cost_per_bit`, and through it
-the CLI's `--count-ops`), by running the step on a
-`ladders.CountingRing`; otherwise it runs on the plain `Ring`.
+the CLI's `--count-ops`), by running the step's counted form on a
+`ladders.CountingRing`; every other run takes its straight-line form, one
+inline `% n` per operation the counted form tallies, which tests hold equal.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -190,71 +191,101 @@ def _mod_draw(n: int):
     return lambda rng: rng.randrange(n)
 
 
-# Each variant below is its per-bit step over `sq/mul/add/sub` bound from
-# `ops`, returned with its start registers; `exp_step` picks one.
+# Each variant below is its per-bit step over `sq/mul/add/sub` bound from `ops`, or for
+# `ops=None` each call as one inline `% n`, same operands in the same order; `exp_step` picks one.
 
 
 def _sm(a, n, x0, y0, ops):
-    sq, mul = ops.sq, ops.mul
+    if ops is None:
+        def step(bit, x, y):
+            x = x * x % n
+            return (a * x % n if bit else x), None
+    else:
+        sq, mul = ops.sq, ops.mul
 
-    def step(bit, x, y):
-        x = sq(x)
-        return (mul(a, x) if bit else x), None
+        def step(bit, x, y):
+            x = sq(x)
+            return (mul(a, x) if bit else x), None
 
     return step, 1 if x0 is None else x0 % n, None
 
 
 def _sma(a, n, x0, y0, ops, plan, i0):
     """The step, its start registers, and the plan left for the driver."""
-    sq, mul = ops.sq, ops.mul
-    draw = _mod_draw(n)
-    # the y register receives the multiplier output on 0 bits, so a fault
-    # aimed at y lands on that product, whichever register then takes it
-    products = {}
-    if plan is not None:
-        products = {f.iteration: f for f in plan.register_faults if f.target == "y"}
-        plan = replace(plan, register_faults=tuple(f for f in plan.register_faults if f.target == "x"))
-    iteration = count(i0 + 1)
+    if ops is None:
+        def step(bit, x, y):
+            x = x * x % n
+            t = a * x % n
+            return (t, y) if bit else (x, t)
+    else:
+        sq, mul = ops.sq, ops.mul
 
-    def step(bit, x, y):
-        x = sq(x)
-        t = mul(a, x)
-        f = products.get(next(iteration)) if products else None
-        if f is not None:
-            t = f.pick(t, draw)
-        return (t, y) if bit else (x, t)
+        def step(bit, x, y):
+            x = sq(x)
+            t = mul(a, x)
+            return (t, y) if bit else (x, t)
 
     x = 1 if x0 is None else x0 % n
     y = a if y0 is None else y0 % n  # sentinel until the first 0 bit writes it
-    return step, x, y, plan
+    # the y register receives the multiplier output on 0 bits, so a fault
+    # aimed at y lands on that product, whichever register then takes it
+    products = {} if plan is None else {f.iteration: f for f in plan.register_faults if f.target == "y"}
+    if not products:
+        return step, x, y, plan
+    plan = FaultPlan(tuple(f for f in plan.register_faults if f.target == "x"), plan.key_stuckat)
+    draw, iteration = _mod_draw(n), count(i0 + 1)
+
+    def faulted(bit, x, y):
+        x, y = step(bit, x, y)
+        f = products.get(next(iteration))
+        if f is None:
+            return x, y
+        return (f.pick(x, draw), y) if bit else (x, f.pick(y, draw))
+
+    return faulted, x, y, plan
 
 
 def _montgomery(a, n, x0, y0, ops):
-    sq, mul = ops.sq, ops.mul
+    if ops is None:
+        def step(bit, x, y):
+            return (x * y % n, y * y % n) if bit else (x * x % n, y * x % n)
+    else:
+        sq, mul = ops.sq, ops.mul
 
-    def step(bit, x, y):
-        if bit:
-            return mul(x, y), sq(y)
-        return sq(x), mul(y, x)
+        def step(bit, x, y):
+            return (mul(x, y), sq(y)) if bit else (sq(x), mul(y, x))
 
     return step, *_start(n, x0, y0, a)
 
 
 def _semi(a, n, x0, y0, ops, mask, rng):
-    sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
     mask = (mask or MaskPolicy.zero()).per_iteration(n, rng)
+    # a 0 bit runs the same body with the registers' roles swapped
+    if ops is None:
+        def step(bit, x, y):
+            m = mask()
+            if not bit:
+                x, y = y, x
+            z = y * y % n
+            s = (x * x % n + z) % n
+            t = m * a % n * s % n
+            w = (1 - m * c % n) % n
+            x = (t + w * (x * y % n) % n) % n
+            return (x, z) if bit else (z, x)
+    else:
+        sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
 
-    def step(bit, x, y):
-        m = mask()
-        if not bit:  # a 0 bit runs the same body with the registers' roles swapped
-            x, y = y, x
-        z = sq(y)
-        s = add(sq(x), z)
-        t = mul(mul(m, a), s)
-        w = sub(1, mul(m, c))
-        x = add(t, mul(w, mul(x, y)))
-        return (x, z) if bit else (z, x)
+        def step(bit, x, y):
+            m = mask()
+            if not bit:
+                x, y = y, x
+            z = sq(y)
+            s = add(sq(x), z)
+            t = mul(mul(m, a), s)
+            w = sub(1, mul(m, c))
+            x = add(t, mul(w, mul(x, y)))
+            return (x, z) if bit else (z, x)
 
     return step, *_start(n, x0, y0, a)
 
@@ -264,17 +295,27 @@ def _fully(a, n, x0, y0, ops, constants):
         raise ValueError("fully-coupled runner needs LadderConstants")
     if constants.modulus != n or constants.base != a:
         raise ValueError("constants were built for a different (a, n)")
-    sq, mul, add = ops.sq, ops.mul, ops.add
     k0, k1 = constants.xy_coef, constants.sq_coef
     k2, k3 = constants.sync_sq_coef, constants.sync_x_coef
+    # a 0 bit runs the same body with the registers' roles swapped; z serves both lines
+    if ops is None:
+        def step(bit, x, y):
+            if not bit:
+                x, y = y, x
+            z = y * y % n
+            x = (k0 * (x * y % n) % n + k1 * z % n) % n
+            y = (k2 * z % n + k3 * x % n) % n
+            return (x, y) if bit else (y, x)
+    else:
+        sq, mul, add = ops.sq, ops.mul, ops.add
 
-    def step(bit, x, y):
-        if not bit:  # a 0 bit runs the same body with the registers' roles swapped
-            x, y = y, x
-        z = sq(y)  # shared by both update lines
-        x = add(mul(k0, mul(x, y)), mul(k1, z))
-        y = add(mul(k2, z), mul(k3, x))
-        return (x, y) if bit else (y, x)
+        def step(bit, x, y):
+            if not bit:
+                x, y = y, x
+            z = sq(y)
+            x = add(mul(k0, mul(x, y)), mul(k1, z))
+            y = add(mul(k2, z), mul(k3, x))
+            return (x, y) if bit else (y, x)
 
     return step, *_start(n, x0, y0, constants.constant)
 
@@ -303,7 +344,7 @@ def run_exp_algorithm(
     bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))
-    ops = Ring(n) if per_iter is None else CountingRing(n)
+    ops = None if per_iter is None else CountingRing(n)
     step, x, y, plan = exp_step(algo, a, n, ops, x0=x0, y0=y0, plan=plan,
                                 constants=constants, mask=mask, rng=rng)
     return drive(
@@ -314,11 +355,15 @@ def run_exp_algorithm(
 
 def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, i0=0, constants=None, mask=None,
              rng=None):
-    """`(step, x, y, plan)`: `algo`'s step on `ops`, start registers and plan left for `drive`.
+    """`(step, x, y, plan)`: `algo`'s step, start registers and plan left for `drive`.
 
     The one builder of exp steps, for `run_exp_algorithm` and for the exp
-    oracle, which keeps one step per oracle.  Only sma's step depends on
-    the plan: it takes the y faults, which land on the multiplier output.
+    oracle, which keeps one step per oracle.  On a `CountingRing` `ops` the
+    step is the counted form that tallies each operation; with `ops=None`
+    it is the straight-line form, one `% n` per operation of the counted
+    one, which every uncounted run takes (tests hold the two equal).  Only
+    sma's step depends on the plan: it takes the y faults, which land on
+    the multiplier output.
     """
     args = (a % n, n, x0, y0, ops)
     if algo == "sm":

@@ -5,7 +5,11 @@ plan (0-3 seeded or explicit register faults and an optional stuck-at,
 from the strategy the resume tests use).  The concrete montgomery, semi
 (zero and fixed mask) and fully runners must give the snapshots that
 `ladders.run_semi_ladder` / `run_fully_ladder` give on the matching specs,
-and with no plan x must end at pow(a, k, n).
+and with no plan x must end at pow(a, k, n).  Each of the five exp steps
+also has a counted form, run when `per_iter` is asked for, and a
+straight-line form, run otherwise: on the same cases, plus a 2,048-bit odd
+modulus, both must give equal outputs, snapshots and RNG state (semi under
+zero, fixed and fresh masks; sm only without a plan).
 
 ECC half: hypothesis draws the generated small curve (whose `PointOps`
 looks the group law up in a discrete-log table) or a prime-order curve
@@ -22,7 +26,7 @@ untouched.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_resume import _plan
 
@@ -38,6 +42,7 @@ from ladderlab.ecc import (
     run_ecc_algorithm,
     semi_params,
 )
+from ladderlab.faults import FaultPlan, RegisterFault
 from ladderlab.ladders import KeyBits, Trace, run_fully_ladder, run_semi_ladder
 from ladderlab.modarith import Ring, is_probable_prime
 from ladderlab.modexp import (
@@ -49,6 +54,7 @@ from ladderlab.modexp import (
 )
 
 PRIMES = [p for p in range(7, 400) if is_probable_prime(p)] + [65537, 1_000_003]
+BIG = 2**2047 + 3  # 2,048-bit and odd; a factor 3 or 5 could leave no ladder constant, and it has neither
 
 
 def _untouched(plan, nbits):
@@ -59,8 +65,8 @@ def _untouched(plan, nbits):
     """
     if plan is None:
         return nbits + 1
-    d = plan.first_divergent(nbits)
-    return d - 1 if any(f.iteration == d for f in plan.register_faults) else d
+    stuck = nbits + 1 if plan.key_stuckat is None else plan.key_stuckat[0] + 1
+    return min([stuck, *(f.iteration - 1 for f in plan.register_faults)])
 
 
 def _key(draw, max_bits):
@@ -69,8 +75,8 @@ def _key(draw, max_bits):
 
 
 @st.composite
-def _case(draw):
-    n = draw(st.sampled_from(PRIMES))
+def _case(draw, moduli=st.sampled_from(PRIMES)):
+    n = draw(moduli)
     key = _key(draw, 24)
     a, mask, seed = draw(st.integers(2, n - 2)), draw(st.integers(1, n - 1)), draw(st.integers(0, 2**32))
     return n, a, key, draw(_plan(len(key.bits), st.integers(0, n - 1))), mask, seed
@@ -100,6 +106,37 @@ def test_concrete_runners_equal_generic_ladders(case):
             assert yi == scale * xi % n, algo
         if plan is None:
             assert x == pow(a, key.to_int(), n), algo
+
+
+def _both_forms(algo, a, key, n, seed, **kw):
+    """Outputs, snapshots and RNG state of the counted run, then of the straight-line run."""
+    runs = []
+    for per_iter in ([], None):
+        trace, rng = Trace(), random.Random(seed)
+        out = run_exp_algorithm(algo, a, key, n, trace=trace, per_iter=per_iter, rng=rng, **kw)
+        runs.append((out, trace.xs, trace.ys, rng.getstate()))
+        assert per_iter is None or len(per_iter) == len(key.bits)
+    return runs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_case(st.sampled_from(PRIMES) | st.just(BIG)))
+@example((BIG, 5, KeyBits((1, 0, 0, 1, 1, 0, 1)), FaultPlan(
+    (RegisterFault("y", 2, seed=1), RegisterFault("x", 4, value=BIG - 1)), (5, 0)), 12345, 7))
+def test_counted_and_straight_line_steps_agree(case):
+    n, a, key, plan, m, seed = case
+    constants = find_ladder_constant(a, n, random.Random(seed))
+    runs = [("sm", {})] + [(algo, {"plan": plan, **kw}) for algo, kw in (
+        ("sma", {}),
+        ("montgomery", {}),
+        ("semi", {"mask": MaskPolicy.zero()}),
+        ("semi", {"mask": MaskPolicy.fixed(m)}),
+        ("semi", {"mask": MaskPolicy.fresh()}),
+        ("fully", {"constants": constants}),
+    )]
+    for algo, kw in runs:
+        counted, straight = _both_forms(algo, a, key, n, seed, **kw)
+        assert counted == straight, (algo, kw)
 
 
 SMALL = find_small_curve()

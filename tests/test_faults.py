@@ -74,23 +74,13 @@ class TestFaultSemantics:
 
 
 class TestPlanShortcuts:
-    """`effective_bits` and `first_divergent`, the forms the exp loop and oracle use."""
+    """`effective_bits`, the form the exp loop uses, and what a plan leaves untouched."""
 
     def test_effective_bits_match_bit(self):
         bits = (1, 0, 0, 1, 1, 0)
         for stuck in [None] + [(t, b) for t in range(7) for b in (0, 1)]:
             plan = FaultPlan(key_stuckat=stuck)
             assert list(plan.effective_bits(bits)) == [plan.bit(i, bits) for i in range(1, 7)]
-
-    def test_first_divergent(self):
-        y6, x2 = RegisterFault("y", 6, seed=1), RegisterFault("x", 2, value=3)
-        assert FaultPlan().first_divergent(8) == 9
-        assert FaultPlan(key_stuckat=(8, 1)).first_divergent(8) == 9
-        assert FaultPlan(key_stuckat=(3, 0)).first_divergent(8) == 4
-        assert FaultPlan(key_stuckat=(0, 0)).first_divergent(8) == 1
-        assert FaultPlan((y6,)).first_divergent(8) == 6
-        assert FaultPlan((y6,), key_stuckat=(2, 1)).first_divergent(8) == 3
-        assert FaultPlan((y6, x2), key_stuckat=(4, 1)).first_divergent(8) == 2
 
     def test_nothing_changes_before_first_divergent(self):
         rng = random.Random(5)
@@ -102,7 +92,8 @@ class TestPlanShortcuts:
             )
             stuck = (rng.randrange(11), rng.getrandbits(1)) if rng.getrandbits(1) else None
             plan = FaultPlan(faults, stuck)
-            d = plan.first_divergent(10)
+            # the first iteration the plan touches: its earliest fault or its threshold + 1
+            d = min([11 if stuck is None else stuck[0] + 1, *(f.iteration for f in faults)])
             assert list(plan.effective_bits(key.bits))[:d - 1] == list(key.bits[:d - 1])
             clean, faulted = Trace(), Trace()
             run_exp_algorithm("montgomery", 7, key, N_MOD, trace=clean)
