@@ -3,9 +3,9 @@
     python .github/scripts/check_imports.py
 
 Checks src/ladderlab/*.py (not __init__.py, whose imports are the
-package's exports) and tests/*.py with the standard library's `ast`: a
-name bound by an import statement must be read somewhere in the module,
-or be listed in its `__all__`.
+package's exports), tests/*.py, tools/*.py and .github/scripts/*.py with
+the standard library's `ast`: a name bound by an import statement must be
+read somewhere in the module, or be listed in its `__all__`.
 """
 
 import ast
@@ -38,7 +38,8 @@ def unused_imports(path):
 
 def main():
     paths = [p for p in sorted((ROOT / "src" / "ladderlab").glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "tests").glob("*.py"))
+    for folder in ("tests", "tools", ".github/scripts"):
+        paths += sorted((ROOT / folder).glob("*.py"))
     found = 0
     for path in paths:
         for line, name in unused_imports(path):

@@ -20,21 +20,21 @@ never inside the attack.
 
 The attacks make many calls that differ only in where a fault or a
 stuck-at threshold starts, so the exp and ECC oracles checkpoint through
-one wrapper, `_resuming_run`: on the first call for an input it keeps
-the clean run's register snapshots (an internal run, not counted in
-`calls`) and resumes every run at its first register fault or the first
-key bit its stuck-at changes, driving the step the oracle built once
-(`modexp.exp_step`, `ecc.ecc_step`; sma's takes the plan's y faults, so
-it is built per call).  Square-and-multiply and double-and-add take no
-fault plan, so building their oracles raises ValueError.
-It also keeps the outputs of an input's calls without register faults,
-which attacks 2 and 3 repeat: such a plan keeps the link (below), so its
-outputs never change.  Register faults are seeded anew on every call; a
-faulted run that rejoins the clean registers after its last fault (a 0
-bit overwrites sma's dummy register) returns the clean output.
-Semi under fresh masks (exp) or fresh coefficients (ECC) draws once per
-iteration from the oracle's RNG, through CPython's `randrange` loop built
-once (`modexp._below`, `ecc._semi_coef`), so the stream is `randrange`'s.
+one wrapper, `_resuming_run`, given one builder of `ladders.Target`
+records (`modexp.exp_step`, `ecc.ecc_step`): on the first call for an
+input it keeps the clean run's register snapshots (an internal run, not
+counted in `calls`) and resumes every run at its first register fault or
+the first key bit its stuck-at changes, driving the target it built once
+(sma's `takes` wraps that step with the plan's y faults).
+Square-and-multiply and double-and-add take no fault plan, so building
+their oracles raises ValueError.  It also keeps the outputs of an input's
+calls without register faults, which attacks 2 and 3 repeat: such a plan
+keeps the link (below), so its outputs never change.  Register faults
+are seeded anew on every call; a faulted run that rejoins the clean
+registers after its last fault (a 0 bit overwrites sma's dummy register)
+returns the clean output.  Semi under fresh masks (exp) or fresh coefficients (ECC) draws once per
+iteration from the oracle's RNG through the target's `fresh` draw,
+CPython's `randrange` loop built once, so the stream is `randrange`'s.
 While the registers keep the ladder's link, y = a*x or Q = -(P + A), that
 draw cancels out of every clean step: a mask multiplies (a*x - y)(x - a*y),
 a coefficient multiplies P + Q + A = infinity.  Such an input keeps the
@@ -48,30 +48,14 @@ leave y0 to the ladder's link, so the randomness cancels from every output.
 
 import random
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .ecc import (
-    Curve,
-    EccLadderParams,
-    Point,
-    PointOps,
-    _fault_hooks,
-    _require_on_curve,
-    _semi_coef,
-    ecc_step,
-    find_small_curve,
-    fully_params,
-    random_point,
-    run_ecc_algorithm,
-    semi_params,
+    Curve, EccLadderParams, Point, PointOps, ecc_step, find_small_curve, fully_params, random_point,
 )
 from .errors import Coincidence
 from .faults import FaultPlan, RegisterFault
 from .ladders import Trace, as_key, drive
-from .modexp import (
-    LadderConstants, MaskPolicy, _below, _mod_draw, exp_step, find_ladder_constant,
-    run_exp_algorithm,
-)
+from .modexp import LadderConstants, MaskPolicy, exp_step, find_ladder_constant
 
 RETRY_BUDGET = 8
 INPUT_POOL = 16
@@ -132,40 +116,26 @@ def make_exp_oracle(
 
 def _exp_run(algo, a, n, bits, constants, mask, rng):
     """The exp oracle's `run`; zero-mask clean runs equal fresh-mask ones while y = a*x."""
-    fresh = algo == "semi" and mask is not None and mask.mode == "fresh"
-    draw, below, key = _mod_draw(n), _below(n, rng), as_key(bits).bits
-    # straight-line steps, built with a plan, which sm refuses here as its runner would
-    kept = exp_step(algo, a, n, None, plan=FaultPlan(), constants=constants, mask=mask, rng=rng)[0]
+    clean_mask = MaskPolicy.zero() if mask is not None and mask.mode == "fresh" else mask
 
-    def run(plan=None, x0=None, y0=None, trace=None, mask=mask):
-        # a closure, not a partial, which would merge its keywords anew on every short call
-        return run_exp_algorithm(algo, a, bits, n, x0=x0, y0=y0, plan=plan, trace=trace,
-                                 constants=constants, mask=mask, rng=rng)
+    def build(plan, x0=None, y0=None, clean=False):
+        return exp_step(algo, a, n, None, x0=x0, y0=y0, plan=plan, constants=constants,
+                        mask=clean_mask if clean else mask, rng=rng)
 
-    def resume(plan, i, x, y, rejoin):
-        step = kept
-        if algo == "sma":  # sma's step takes the plan's y faults
-            step, _, _, plan = exp_step(algo, a, n, None, plan=plan, i0=i)
-        return drive(key, x, y, step, plan=plan, draw=draw, i0=i, rejoin=rejoin)
-
-    def skip(k):  # the masks of k skipped iterations
-        for _ in range(k):
-            below()
-
-    return _resuming_run(key, run, partial(run, mask=MaskPolicy.zero()) if fresh else run,
-                         resume, skip if fresh else None)
+    return _resuming_run(as_key(bits).bits, build)
 
 
-def _resuming_run(key, run, clean, resume, skip):
+def _resuming_run(key, build):
     """`run(x_init, y_init, plan)` giving a full run's outputs and RNG use.
 
-    `run(plan=, x0=, y0=)` runs the target in full on the key bits `key`,
-    `resume(plan, i, x, y, rejoin)` drives it after iteration i from
-    registers (x, y), and `clean(x0=, y0=, trace=)` traces a clean run that
-    draws nothing.  `skip` is None for a target that draws nothing per
-    iteration; otherwise `skip(k)` replays the draws of k iterations, and
-    only an input whose y0 is the ladder's link (None, or what `clean`
-    starts from for y0=None) resumes; any other runs in full.
+    `build(plan, x0=, y0=, clean=)` gives the `ladders.Target` of a run on
+    the key bits `key`; `clean=True` swaps a fresh draw for the constant
+    that cancels from every clean step, so a clean run draws nothing.
+    `kept`, built once, drives every resumed call (through `kept.takes`
+    for a plan with register faults).  When `kept.fresh` is not None,
+    looping it replays the draws of skipped iterations, and only an input
+    whose y0 is the ladder's link (None, or what the clean run starts from
+    for y0=None) resumes; any other runs in full.
 
     A call resumes from snapshot d - 1 of its input's clean run: d is its
     first register fault or, for a stuck-at (t, b), the first iteration
@@ -176,7 +146,8 @@ def _resuming_run(key, run, clean, resume, skip):
     draws nothing, rejoins: once its registers after its last fault equal
     the clean snapshot of the same iteration, it returns the clean output.
     """
-    nbits = len(key)
+    kept, nbits = build(FaultPlan()), len(key)
+    fresh = kept.fresh
     # diverge[b][t]: the first iteration after t whose key bit is not b, nbits + 1 if none
     diverge = ([nbits + 1] * (nbits + 1), [nbits + 1] * (nbits + 1))
     for t in reversed(range(nbits)):
@@ -184,33 +155,46 @@ def _resuming_run(key, run, clean, resume, skip):
         diverge[bit][t], diverge[1 - bit][t] = diverge[bit][t + 1], t + 1
     inputs = {}
 
+    def run(target, trace=None):
+        return drive(key, target.x, target.y, target.step, plan=target.plan, draw=target.draw,
+                     check=target.check, trace=trace)
+
+    def skip(k):  # the draws of k skipped iterations
+        for _ in range(k):
+            fresh()
+
     def resumed(x_init, y_init, plan):
+        if plan is not None:
+            plan.validate(nbits)
         start = (x_init, y_init)
         if start not in inputs:
             trace = Trace()
-            clean(x0=x_init, y0=None if skip else y_init, trace=trace)
-            linked = skip is None or y_init is None or y_init == trace.ys[0]
+            run(build(None, x0=x_init, y0=None if fresh else y_init, clean=True), trace)
+            linked = fresh is None or y_init is None or y_init == trace.ys[0]
             inputs[start] = (trace.snapshots(), {}) if linked else None
         if inputs[start] is None:
-            return run(plan=plan, x0=x_init, y0=y_init)
+            return run(build(plan, x0=x_init, y0=y_init))
         states, outputs = inputs[start]
         j, b, faults = nbits + 1, None, ()
         if plan is not None:
-            plan.validate(nbits)
             # sma applies its y faults inside the step, so they come from the plan as given
             faults = [f.iteration for f in plan.register_faults]
             if plan.key_stuckat is not None:
                 t, b = plan.key_stuckat
                 j = diverge[b][t]
         if not faults and (j > nbits or (j, b) in outputs):
-            if skip is not None:
+            if fresh is not None:
                 skip(nbits)
             return states[nbits] if j > nbits else outputs[j, b]
         d = min([j, *faults])
-        if skip is not None:
+        if fresh is not None:
             skip(d - 1)
-        rejoin = (max(faults), states) if faults and j > nbits and skip is None else None
-        out = resume(plan, d - 1, *states[d - 1], rejoin)
+        step, rest = kept.step, plan
+        if faults and kept.takes is not None:
+            step, rest = kept.takes(plan, d - 1)
+        rejoin = (max(faults), states) if faults and j > nbits and fresh is None else None
+        out = drive(key, *states[d - 1], step, plan=rest, draw=kept.draw, check=kept.check,
+                    i0=d - 1, rejoin=rejoin)
         if not faults:  # a register fault is seeded anew per call
             outputs[j, b] = out
         return out
@@ -230,16 +214,10 @@ def make_ecc_oracle(
     fresh_coef: bool = False,
 ) -> ExecutionOracle:
     """Oracle around one of the scalar-multiplication ladders; runs resume."""
-    if fresh_coef and algo != "semi":
-        raise ValueError("fresh coefficients only apply to the half-coupled ladder")
     bits = as_key(key)
     rng = random.Random(seed)
-    order = curve.subgroup_order
-    if params is None:
-        if algo == "semi":
-            params = semi_params(3, order)
-        elif algo == "fully":
-            params = fully_params(3, order)
+    if params is None and algo == "fully":
+        params = fully_params(3, curve.subgroup_order)
 
     def sample_input(r):
         # under fresh coefficients y0 is left to semi's link Q = -(P + A), so they cancel
@@ -251,23 +229,12 @@ def make_ecc_oracle(
 
 def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
     """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A)."""
-    run = partial(run_ecc_algorithm, algo, curve, A, bits, params=params)
-    fresh = partial(run, fresh_coef=fresh_coef, rng=rng)
-    key, (draw, check) = as_key(bits).bits, _fault_hooks(curve)
-    coef = _semi_coef(params.order, rng) if fresh_coef else None
-    if algo == "daa":  # refused here as its runner would refuse any plan
-        raise ValueError("the reference double-and-add takes no fault plan")
-    _require_on_curve(curve, A)
-    kept = ecc_step(algo, PointOps(curve), A, params, fresh_coef, rng)[0]
+    ops = PointOps(curve)
 
-    def resume(plan, i, P, Q, rejoin):
-        return drive(key, P, Q, kept, plan=plan, draw=draw, check=check, i0=i, rejoin=rejoin)
+    def build(plan, x0=None, y0=None, clean=False):
+        return ecc_step(algo, ops, A, params, fresh_coef and not clean, rng, x0=x0, y0=y0, plan=plan)
 
-    def skip(k):  # the coefficients of k skipped iterations
-        for _ in range(k):
-            coef()
-
-    return _resuming_run(key, fresh, run, resume, skip if fresh_coef else None)
+    return _resuming_run(as_key(bits).bits, build)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 All randomness in a run is derived from one 64-bit seed (flag --seed, or
 the LADDERLAB_SEED environment variable), so identical invocations give
 byte-identical output.  Big integers cross the wire as decimal strings;
-hex with an 0x prefix is accepted on input.
+arguments also take hex with an 0x prefix, but `verify --spec` is base-10.
 """
 
 import argparse

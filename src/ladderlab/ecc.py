@@ -4,16 +4,17 @@ Everything runs on desk-scale curves: affine coordinates, one field
 inversion per addition, points enumerable for test oracles.  The ladder
 coefficients act on scalars modulo the order of the working subgroup.
 
-`ecc_step` turns each two-register ladder into a per-bit step for
-`ladders.drive`, the loop driver the exp ladders share, and
-`run_ecc_algorithm` drives it; `ladder_link` defines each ladder's link
-map once, for the runner and the CLI.
+`ecc_step` turns each ladder into a `ladders.Target` (a per-bit step and
+its start registers) for `ladders.drive`, the loop driver the exp
+ladders share; `run_ecc_algorithm` and the ECC fault oracle drive it.
+`ladder_link` defines each ladder's link map once, for `ecc_step` and
+the CLI.
 
 The public `point_add`/`point_double`/`point_neg` reject points off the
-curve.  A runner checks each point where it enters: the base point, the
-start registers and every injected fault value (the driver's post-fault
-`check`).  The group law inside a run is unchecked, since it maps curve
-points to curve points.
+curve.  `ecc_step` checks each point where it enters a run: the base
+point, the start registers and every injected fault value (the target's
+`check`, which the driver calls after a fault).  The group law inside a
+run is unchecked, since it maps curve points to curve points.
 
 `PointOps`, the group law the runners use, looks results up in a
 discrete-log table when the whole group has prime order N and p is at
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NotOnCurve
 from .faults import FaultPlan
-from .ladders import Trace, as_key, drive
+from .ladders import Target, Trace, as_key, drive
 from .modarith import is_probable_prime
 from .modexp import _below
 
@@ -425,6 +426,26 @@ def run_ecc_algorithm(
 ) -> tuple[Point, Point | None]:
     """Uniform entry point; NotOnCurve for an off-curve base, start or fault point."""
     bits = as_key(key).bits
+    if plan is not None:
+        plan.validate(len(bits))
+    t = ecc_step(algo, ops or PointOps(curve), A, params, fresh_coef, rng, x0=x0, y0=y0, plan=plan)
+    return drive(bits, t.x, t.y, t.step, plan=t.plan, draw=t.draw, check=t.check, trace=trace)
+
+
+def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None = None,
+             fresh_coef: bool = False, rng: random.Random | None = None, *,
+             x0: Point | None = None, y0: Point | None = None,
+             plan: FaultPlan | None = None) -> Target:
+    """`algo`'s per-bit step on `ops`, its start registers and `plan`, as one `Target`.
+
+    The one builder of ECC ladder steps, for `run_ecc_algorithm` and for
+    the ECC oracle, which builds one per oracle.  It checks that A, x0 and
+    y0 lie on the curve, and its `check` does so for fault values.  y0
+    defaults to the ladder's link of x0 (the point at infinity by
+    default).  Semi's coefficient defaults to 3; with `fresh_coef` it is
+    drawn from `rng` on every iteration, and that draw is `fresh`.
+    """
+    curve = ops.curve
     for R in (A, x0, y0):
         if R is not None:
             _require_on_curve(curve, R)
@@ -433,39 +454,23 @@ def run_ecc_algorithm(
             raise ValueError("fresh coefficients only apply to the half-coupled ladder")
         if rng is None:
             raise ValueError("fresh coefficients need an RNG")
-    if plan is not None:
-        plan.validate(len(bits))
-    ops = ops or PointOps(curve)
+    P = INFINITY if x0 is None else x0
+    add, dbl, neg, cmul = ops.add, ops.dbl, ops.neg, ops.cmul
     if algo == "daa":
         if plan is not None:
             raise ValueError("the reference double-and-add takes no fault plan")
-        add, dbl = ops.add, ops.dbl
 
         def step(bit, P, _):
             P = dbl(P)
             return (add(A, P) if bit else P), None
 
-        return drive(bits, INFINITY if x0 is None else x0, None, step, trace=trace)
-
+        return Target(step, P, None, None, None)
     if algo == "semi" and params is None:
-        params = semi_params(3, _need_order(curve))
-    step, link = ecc_step(algo, ops, A, params, fresh_coef, rng)
-    P = INFINITY if x0 is None else x0
-    Q = link(P) if y0 is None else y0
-    draw, check = _fault_hooks(curve)
-    return drive(bits, P, Q, step, plan=plan, draw=draw, check=check, trace=trace)
-
-
-def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None,
-             fresh_coef: bool = False, rng: random.Random | None = None):
-    """`(step, link)`: the per-bit step of a two-register ladder on `ops`, and its link map.
-
-    The one builder of ECC ladder steps, for `run_ecc_algorithm` and for the
-    ECC oracle, which keeps one step per oracle.  Semi with `fresh_coef`
-    draws its coefficient from `rng` on every iteration.
-    """
+        if curve.subgroup_order is None:
+            raise ValueError("curve has no recorded subgroup order")
+        params = semi_params(3, curve.subgroup_order)
     link, B = ladder_link(algo, ops, A, params)
-    add, dbl, neg, cmul = ops.add, ops.dbl, ops.neg, ops.cmul
+    coef = _semi_coef(params.order, rng) if fresh_coef else None
     if algo == "montgomery":
         def step(bit, P, Q):
             if bit:
@@ -473,7 +478,7 @@ def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None,
             Q = add(Q, P)
             return dbl(P), Q
     elif algo == "semi":
-        c0, coef = params.coef, _semi_coef(params.order, rng) if fresh_coef else None
+        c0 = params.coef
 
         def step(bit, P, Q):
             c = coef() if fresh_coef else c0
@@ -494,23 +499,13 @@ def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None,
             s = cmul(c1, add(add(neg(P), dbl(Q)), B))
             Q = add(add(P, s), neg(B))
             return (P, Q) if bit else (Q, P)
-    return step, link
-
-
-def _fault_hooks(curve: Curve):
-    """`drive`'s `draw` and `check`: a seeded fault's point, and NotOnCurve off the curve."""
 
     def check(P, Q):
         _require_on_curve(curve, P)
         _require_on_curve(curve, Q)
 
-    return (lambda r: random_point(curve, r)), check
-
-
-def _need_order(curve: Curve) -> int:
-    if curve.subgroup_order is None:
-        raise ValueError("curve has no recorded subgroup order")
-    return curve.subgroup_order
+    return Target(step, P, link(P) if y0 is None else y0, plan,
+                  lambda r: random_point(curve, r), check, coef)
 
 
 def ecc_montgomery(curve: Curve, k, A: Point) -> tuple[Point, Point]:

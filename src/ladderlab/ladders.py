@@ -14,15 +14,17 @@ product of two canonical values could overflow int64, whatever `limit` is.
 
 `drive` is the one loop driver behind every ladder runner: the generic
 spec runners here, the five `modexp` variants and the `ecc` ladders each
-supply only a per-bit step, and `drive` applies the fault plan, records
-snapshots and tallies each iteration's operations.  Ring operations are
-counted one way only: the step runs on a `CountingRing`, whose `counts`
-the runner hands to `drive`.  Uncounted `modexp` runs take each step's
-straight-line `% n` form instead, which tests hold equal to the counted one.
+supply only a per-bit step (the latter two in a `Target`), and `drive`
+applies the fault plan, records snapshots and tallies each iteration's
+operations.  Ring operations are counted one way only: the step runs on
+a `CountingRing`, whose `counts` the runner hands to `drive`.  Uncounted
+`modexp` runs take each step's straight-line `% n` form instead, which
+tests hold equal to the counted one.
 """
 
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Callable, NamedTuple
 
 from .errors import DomainTooLarge
 from .faults import FaultPlan
@@ -231,6 +233,26 @@ def _record(trace, x, y):
     trace.xs.append(x)
     if y is not None:  # a one-register loop keeps trace.ys as None
         trace.ys.append(y)
+
+
+class Target(NamedTuple):
+    """One ladder run as `drive` takes it, built by `modexp.exp_step` or `ecc.ecc_step`.
+
+    `step` starts from registers (x, y) and `plan` is what is left of the
+    fault plan for `drive`, with `draw` and `check` its fault hooks.
+    `fresh()` is the step's per-iteration draw, None when it draws nothing.
+    `takes(plan, i0) -> (step, plan)`, set for sma only, wraps `step` with
+    the faults it applies itself for a run resumed after iteration i0.
+    """
+
+    step: Callable
+    x: object
+    y: object
+    plan: FaultPlan | None
+    draw: Callable
+    check: Callable | None = None
+    fresh: Callable | None = None
+    takes: Callable | None = None
 
 
 def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
@@ -461,16 +483,26 @@ def spec_to_json(ring: Ring, spec: LadderSpec) -> dict:
 
 
 def spec_from_json(doc: dict) -> tuple[Ring, LadderSpec]:
-    ring = Ring(int(doc["n"]))
+    """Inverse of `spec_to_json`; ValueError naming the field of a malformed document."""
 
-    def quad(block: dict) -> Quad2:
-        return Quad2(**{k: int(block.get(k, "0")) for k in _QUAD_KEYS})
+    def num(*path, default=None):
+        # a JSON integer or a base-10 string at `path`; quad coefficients and l0 default to 0
+        value = doc
+        for depth, key in enumerate(path):
+            if not isinstance(value, dict):
+                raise ValueError(f"spec {'.'.join(path[:depth]) or 'document'} must be an object")
+            value = value.get(key, default if depth == len(path) - 1 else None)
+        if type(value) is int or isinstance(value, str) and value.removeprefix("-").isdecimal():
+            return int(value)
+        raise ValueError(f"spec field {'.'.join(path)} must be a base-10 integer, got {value!r}")
 
-    spec = LadderSpec(
-        bit1_step=quad(doc["theta"]),
-        bit0_step=quad(doc["eps"]),
-        link=Affine1(int(doc["ell"]["l1"]), int(doc["ell"].get("l0", "0"))),
-        main_step=quad(doc["f"]),
-        sync_step=quad(doc["g"]) if "g" in doc else None,
+    def quad(key):
+        return Quad2(**{k: num(key, k, default="0") for k in _QUAD_KEYS})
+
+    return Ring(num("n")), LadderSpec(
+        bit1_step=quad("theta"),
+        bit0_step=quad("eps"),
+        link=Affine1(num("ell", "l1"), num("ell", "l0", default="0")),
+        main_step=quad("f"),
+        sync_step=quad("g") if "g" in doc else None,
     )
-    return ring, spec

@@ -4,8 +4,8 @@ Five left-to-right variants of a**k mod n: the plain square-and-multiply,
 its always-multiply sibling, the classic two-register ladder keeping
 y = a*x, a masked half-coupled ladder whose mask may be redrawn every
 iteration, and a fully-coupled ladder parameterized by a ladder constant.
-Each variant is one loop step, built by `exp_step` and run by
-`ladders.drive`, the driver every ladder shares, which optionally
+Each variant is one loop step, built by `exp_step` into a `ladders.Target`
+and run by `ladders.drive`, the driver every ladder shares, which optionally
 consumes a fault plan and records register snapshots.  Modular
 multiplications / squarings / additions are tallied per iteration only
 when a caller asks for them (`per_iter`, `cost_per_bit`, and through it
@@ -24,7 +24,8 @@ from typing import NamedTuple
 from .errors import InvalidCoefficient, NoConstantExists
 from .faults import FaultPlan
 from .ladders import (
-    DEFAULT_SWEEP_LIMIT, Affine1, CountingRing, LadderSpec, OpCounts, Quad2, Trace, as_key, drive,
+    DEFAULT_SWEEP_LIMIT, Affine1, CountingRing, LadderSpec, OpCounts, Quad2, Target, Trace, as_key,
+    drive,
 )
 from .modarith import Ring
 
@@ -210,8 +211,8 @@ def _sm(a, n, x0, y0, ops):
     return step, 1 if x0 is None else x0 % n, None
 
 
-def _sma(a, n, x0, y0, ops, plan, i0):
-    """The step, its start registers, and the plan left for the driver."""
+def _sma(a, n, x0, y0, ops):
+    """The step, its start registers, and `takes`, which wraps the step with a plan's y faults."""
     if ops is None:
         def step(bit, x, y):
             x = x * x % n
@@ -225,24 +226,27 @@ def _sma(a, n, x0, y0, ops, plan, i0):
             t = mul(a, x)
             return (t, y) if bit else (x, t)
 
+    def takes(plan, i0):
+        # the y register receives the multiplier output on 0 bits, so a fault
+        # aimed at y lands on that product, whichever register then takes it
+        products = {f.iteration: f for f in plan.register_faults if f.target == "y"}
+        if not products:
+            return step, plan
+        draw, iteration = _mod_draw(n), count(i0 + 1)
+
+        def faulted(bit, x, y):
+            x, y = step(bit, x, y)
+            f = products.get(next(iteration))
+            if f is None:
+                return x, y
+            return (f.pick(x, draw), y) if bit else (x, f.pick(y, draw))
+
+        return faulted, FaultPlan(tuple(f for f in plan.register_faults if f.target == "x"),
+                                  plan.key_stuckat)
+
     x = 1 if x0 is None else x0 % n
     y = a if y0 is None else y0 % n  # sentinel until the first 0 bit writes it
-    # the y register receives the multiplier output on 0 bits, so a fault
-    # aimed at y lands on that product, whichever register then takes it
-    products = {} if plan is None else {f.iteration: f for f in plan.register_faults if f.target == "y"}
-    if not products:
-        return step, x, y, plan
-    plan = FaultPlan(tuple(f for f in plan.register_faults if f.target == "x"), plan.key_stuckat)
-    draw, iteration = _mod_draw(n), count(i0 + 1)
-
-    def faulted(bit, x, y):
-        x, y = step(bit, x, y)
-        f = products.get(next(iteration))
-        if f is None:
-            return x, y
-        return (f.pick(x, draw), y) if bit else (x, f.pick(y, draw))
-
-    return faulted, x, y, plan
+    return step, x, y, takes
 
 
 def _montgomery(a, n, x0, y0, ops):
@@ -258,9 +262,10 @@ def _montgomery(a, n, x0, y0, ops):
     return step, *_start(n, x0, y0, a)
 
 
-def _semi(a, n, x0, y0, ops, mask, rng):
+def _semi(a, n, x0, y0, ops, policy, rng):
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
-    mask = (mask or MaskPolicy.zero()).per_iteration(n, rng)
+    policy = policy or MaskPolicy.zero()
+    mask = policy.per_iteration(n, rng)
     # a 0 bit runs the same body with the registers' roles swapped
     if ops is None:
         def step(bit, x, y):
@@ -287,7 +292,7 @@ def _semi(a, n, x0, y0, ops, mask, rng):
             x = add(t, mul(w, mul(x, y)))
             return (x, z) if bit else (z, x)
 
-    return step, *_start(n, x0, y0, a)
+    return step, *_start(n, x0, y0, a), (mask if policy.mode == "fresh" else None)
 
 
 def _fully(a, n, x0, y0, ops, constants):
@@ -335,50 +340,50 @@ def run_exp_algorithm(
     trace: Trace | None = None,
     per_iter: list | None = None,
 ) -> tuple[int, int | None]:
-    """Uniform entry point over the five variants; used by the CLI and oracles.
-
-    It drives the step built by `exp_step`, which the exp oracle shares.
-    """
+    """Uniform entry point over the five variants; drives the `Target` of `exp_step`."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
     bits = as_key(key).bits
     if plan is not None:
         plan.validate(len(bits))
     ops = None if per_iter is None else CountingRing(n)
-    step, x, y, plan = exp_step(algo, a, n, ops, x0=x0, y0=y0, plan=plan,
-                                constants=constants, mask=mask, rng=rng)
-    return drive(
-        bits, x, y, step, plan=plan, draw=_mod_draw(n), trace=trace,
-        per_iter=per_iter, counts=None if per_iter is None else ops.counts,
-    )
+    t = exp_step(algo, a, n, ops, x0=x0, y0=y0, plan=plan, constants=constants, mask=mask, rng=rng)
+    return drive(bits, t.x, t.y, t.step, plan=t.plan, draw=t.draw, trace=trace,
+                 per_iter=per_iter, counts=None if per_iter is None else ops.counts)
 
 
-def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, i0=0, constants=None, mask=None,
-             rng=None):
-    """`(step, x, y, plan)`: `algo`'s step, start registers and plan left for `drive`.
+def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, mask=None,
+             rng=None) -> Target:
+    """`algo`'s step, start registers and the plan left for `drive`, as one `Target`.
 
     The one builder of exp steps, for `run_exp_algorithm` and for the exp
-    oracle, which keeps one step per oracle.  On a `CountingRing` `ops` the
+    oracle, which builds one per oracle.  On a `CountingRing` `ops` the
     step is the counted form that tallies each operation; with `ops=None`
     it is the straight-line form, one `% n` per operation of the counted
-    one, which every uncounted run takes (tests hold the two equal).  Only
-    sma's step depends on the plan: it takes the y faults, which land on
-    the multiplier output.
+    one, which every uncounted run takes (tests hold the two equal).  Semi
+    under fresh masks sets `fresh` to its mask draw.  Only sma's step
+    depends on the plan: its `takes` wraps the step with the y faults,
+    which land on the multiplier output, and the step built here with a
+    plan is already wrapped.
     """
-    args = (a % n, n, x0, y0, ops)
+    args, fresh, takes = (a % n, n, x0, y0, ops), None, None
     if algo == "sm":
         if plan is not None:
             raise ValueError("the one-register variant takes no fault plan")
-        return *_sm(*args), None
-    if algo == "sma":
-        return _sma(*args, plan, i0)
-    if algo == "montgomery":
-        return *_montgomery(*args), plan
-    if algo == "semi":
-        return *_semi(*args, mask, rng), plan
-    if algo == "fully":
-        return *_fully(*args, constants), plan
-    raise ValueError(f"unknown algorithm {algo!r}")
+        step, x, y = _sm(*args)
+    elif algo == "sma":
+        step, x, y, takes = _sma(*args)
+        if plan is not None:
+            step, plan = takes(plan, 0)
+    elif algo == "montgomery":
+        step, x, y = _montgomery(*args)
+    elif algo == "semi":
+        step, x, y, fresh = _semi(*args, mask, rng)
+    elif algo == "fully":
+        step, x, y = _fully(*args, constants)
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return Target(step, x, y, plan, _mod_draw(n), fresh=fresh, takes=takes)
 
 
 def square_and_multiply(a: int, k, n: int) -> int:

@@ -124,6 +124,25 @@ def test_verify_refuses_int64_overflow_whatever_the_limit(tmp_path, capsys):
     assert err.startswith("error:") and "exceeds guard" in err
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: {"n": "7"}, "spec theta "),
+    (lambda doc: {**doc, "theta": ["1"]}, "spec theta "),
+    (lambda doc: [doc], "spec document "),
+    (lambda doc: {**doc, "ell": {"l1": 1.5}}, "field ell.l1 "),
+    (lambda doc: {**doc, "f": {**doc["f"], "c11": True}}, "field f.c11 "),
+    (lambda doc: {**doc, "n": "0x65"}, "field n "),
+], ids=["missing-block", "list-block", "top-level-array", "float", "bool", "hex"])
+def test_verify_names_the_bad_field_of_a_malformed_spec(tmp_path, capsys, edit, field):
+    """A malformed spec exits 3 with an error naming its field; spec files are base-10 only."""
+    ring = Ring(101)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(edit(spec_to_json(ring, masked_semi_spec(ring, 5, 17)))))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["prob", "--mode", "dsa-exact"],
     ["prob", "--mode", "rsa-bound", "--p", "11"],

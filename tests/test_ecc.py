@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ladderlab.attacks import make_ecc_oracle
 from ladderlab.errors import InvalidCoefficient, NotOnCurve
 from ladderlab import ecc
 from ladderlab.ecc import (
@@ -245,6 +246,25 @@ class TestBoundaryValidation:
         with pytest.raises(NotOnCurve):
             run_ecc_algorithm(algo, curve, A, KeyBits.from_int(0b1011),
                               params=_params(algo, N), plan=plan)
+
+    @pytest.mark.parametrize("algo, fresh", [("montgomery", False), ("semi", False),
+                                             ("semi", True), ("fully", False)])
+    @pytest.mark.parametrize("where", ("A", "x0", "y0", "fault"))
+    def test_oracle_rejects_off_curve_points_as_the_runner_does(self, small_curve, algo, fresh,
+                                                                 where):
+        """The ECC oracle's builds and resumed runs check the points that enter them."""
+        curve, A, _ = small_curve
+        bad = _off_curve(curve, A)
+        if where == "A":
+            with pytest.raises(NotOnCurve):
+                make_ecc_oracle(algo, curve, bad, 0b1011, fresh_coef=fresh)
+            return
+        oracle = make_ecc_oracle(algo, curve, A, 0b1011, fresh_coef=fresh)
+        oracle.exe()  # keeps the default input's clean run, so a fault resumes from it
+        call = {"x0": (bad, None), "y0": (A, bad),
+                "fault": (None, None, FaultPlan((RegisterFault("x", 2, value=bad),)))}[where]
+        with pytest.raises(NotOnCurve):
+            oracle.exe(*call)
 
 
 def test_point_ops_counter(small_curve):

@@ -253,10 +253,15 @@ def test_repeated_ecc_calls_equal_full_runs():
 
 @pytest.fixture
 def driven(monkeypatch):
-    """The steps each `drive` call of the oracles runs, one count per resumed call."""
+    """The steps each `drive` call of the oracles runs, one count per resumed call.
+
+    A call with a `trace` is an input's clean run, which passes uncounted.
+    """
     counts, drive = [], attacks.drive
 
     def counting(bits, x, y, step, **kw):
+        if kw.get("trace") is not None:
+            return drive(bits, x, y, step, **kw)
         counts.append(0)
 
         def counted(bit, x, y):
