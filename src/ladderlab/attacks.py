@@ -217,6 +217,8 @@ def make_ecc_oracle(
     bits = as_key(key)
     rng = random.Random(seed)
     if params is None and algo == "fully":
+        if curve.subgroup_order is None:
+            raise ValueError("curve has no recorded subgroup order")
         params = fully_params(3, curve.subgroup_order)
 
     def sample_input(r):

@@ -157,9 +157,9 @@ def ladder_constants(a: int, ell: int, n: int) -> LadderConstants:
 def find_ladder_constant(a: int, n: int, rng: random.Random) -> LadderConstants:
     """Sample a ladder constant from [2, n-2] minus {a} until all constraints hold.
 
-    After `MAX_DRAWS` failed samples, falls back to an exhaustive scan when n
-    is at most `DEFAULT_SWEEP_LIMIT`; raises NoConstantExists when nothing
-    qualifies.
+    After `MAX_DRAWS` failed samples it scans every constant when n is at
+    most `DEFAULT_SWEEP_LIMIT`.  NoConstantExists then means that none
+    qualifies; above that limit it means only that every draw failed.
     """
     _check_modulus(n)
     if not 2 <= a <= n - 2:
@@ -179,7 +179,8 @@ def find_ladder_constant(a: int, n: int, rng: random.Random) -> LadderConstants:
             c = _constants_for(a, ell, n, MAX_DRAWS)
             if c is not None:
                 return c
-    raise NoConstantExists(f"no suitable ladder constant for a={a}, n={n}")
+        raise NoConstantExists(f"no suitable ladder constant for a={a}, n={n}")
+    raise NoConstantExists(f"no suitable ladder constant for a={a}, n={n} found in {MAX_DRAWS} draws")
 
 
 def _start(n, x0, y0, link_scale):

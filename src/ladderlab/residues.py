@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainTooLarge, NotCoprime
-from .ladders import DEFAULT_SWEEP_LIMIT
+from .ladders import DEFAULT_SWEEP_LIMIT, SWEEP_CHUNK
 from .modarith import is_probable_prime
 from .modexp import _suits
 
@@ -72,7 +72,19 @@ def gauss_residue_census(p: int, r: int = 3) -> GaussCensus:
     _require_prime(p, "p")
     if p > DEFAULT_SWEEP_LIMIT:
         raise DomainTooLarge(f"census over p={p} exceeds guard {DEFAULT_SWEEP_LIMIT}")
-    roots = Counter(pow(ell, r, p) for ell in range(1, p))
+    import numpy as np  # which `import ladderlab` leaves unloaded
+
+    e, counts = r % (p - 1), np.zeros(p, dtype=np.int64)  # ell^(p-1) = 1: pow's ell^r is ell^e
+    for start in range(1, p, SWEEP_CHUNK):  # square-and-multiply, products below p**2 <= 2**40
+        ells = np.arange(start, min(start + SWEEP_CHUNK, p), dtype=np.int64)
+        powers = np.ones_like(ells)
+        for bit in bin(e)[2:]:
+            powers = powers * powers % p * (ells if bit == "1" else 1) % p
+        counts += np.bincount(powers, minlength=p)
+    roots = Counter()
+    for start in range(0, p, SWEEP_CHUNK):  # slices of distinct residues: plain dict updates
+        found = start + np.flatnonzero(counts[start:start + SWEEP_CHUNK])
+        dict.update(roots, zip(found.tolist(), counts[found].tolist()))
     return GaussCensus(p, r, math.gcd(p - 1, r), len(roots), roots)
 
 

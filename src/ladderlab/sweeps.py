@@ -7,9 +7,10 @@ intermediate is below n**2).  x is discharged, not enumerated: the link is
 a*x or l*x, so every equation entry is x**2 times its value at x = 1 mod
 n, prime or composite, and the x = 1 column decides each (n, a).  The full
 x grid only lists the violations of the first failing (n, a).
-`ladders.check_*_equations` evaluate one spec's own polynomials at every
-x, and the tests cross-check the routes.  `ConstantTables` is
-`modexp._suits`'s predicate in numpy.
+`ladders.check_*_equations` decide one spec at x = 0..4 by a degree bound
+(not homogeneity), enumerating x only to list a failing spec's
+counterexamples, and the tests cross-check the routes.  `ConstantTables`
+is `modexp._suits`'s predicate in numpy.
 """
 
 from functools import cached_property

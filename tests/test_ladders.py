@@ -344,6 +344,77 @@ class TestChunkedCheckMatchesScalarReference:
         assert xs[0] < SWEEP_CHUNK <= xs[-1]
 
 
+def _quartic_miss(n, delta):
+    """a = 1's fully spec with sync moved so that equations 1 and 4 are off by
+    delta * x(x-1)(x-2)(x-3) = 24 * delta * C(x, 4): zero at x = 0..3, and at every x
+    iff n | 24 * delta."""
+    spec = lift_semi_to_fully(masked_semi_spec(Ring(n), 1, 0))
+    g = spec.sync_step  # sync(x^2, x) is g20 x^4 + g11 x^3 + g02 x^2 + g01 x in both equations
+    moved = replace(g, c20=delta, c11=-6 * delta, c02=g.c02 + 11 * delta, c01=-6 * delta)
+    return replace(spec, sync_step=moved)
+
+
+def _moved_specs(n, rng):
+    """Valid specs at n, then for every divisor d > 1 each with one coefficient moved by k * n/d,
+    and `_quartic_miss` at delta = k * n/d."""
+    ring = Ring(n)
+    semi = masked_semi_spec(ring, rng.randrange(1, n), rng.randrange(n))
+    valid = [semi, lift_semi_to_fully(semi)]
+    if n >= 7:
+        try:
+            valid.append(fully_ladder_spec(ring, find_ladder_constant(rng.randrange(2, n - 1), n, rng)))
+        except NoConstantExists:
+            pass
+    yield from valid
+    for d in (d for d in range(2, n + 1) if n % d == 0):
+        for spec in valid:
+            step = rng.choice(["main_step", "link"] + (["sync_step"] if spec.sync_step else []))
+            q = getattr(spec, step)
+            key = "l0" if step == "link" else rng.choice(QUAD_KEYS)
+            moved = replace(q, **{key: getattr(q, key) + rng.randrange(1, d) * (n // d)})
+            yield replace(spec, **{step: moved})
+        yield _quartic_miss(n, rng.randrange(1, d) * (n // d))
+
+
+class TestFivePointVerdict:
+    """Five values of x decide a passing spec at every n, prime or not, n < 5 included; a failing
+    spec is still enumerated.  A per-x loop on Python ints must give the same SweepResult."""
+
+    def test_matches_the_scalar_loop_for_every_small_n(self):
+        rng = random.Random(19)
+        verdicts = set()
+        for n in range(2, 81):  # every multiple of 2, 3, 4, 6 and 9 and every prime power to 80
+            ring = Ring(n)
+            for spec in _moved_specs(n, rng):
+                want = reference_counterexamples(spec, ring)
+                assert _check(spec, ring) == ladders.SweepResult(want == [], want), (n, spec)
+                verdicts.add(want == [])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("fully", [False, True])
+    def test_a_passing_spec_costs_five_points_at_any_n(self, monkeypatch, fully):
+        n = 1_000_003
+        ring = Ring(n)
+        if fully:
+            name = "_fully_equations"
+            spec = fully_ladder_spec(ring, find_ladder_constant(7, n, random.Random(0)))
+        else:
+            name, spec = "_semi_equations", masked_semi_spec(ring, 7, 5)
+        equations, seen = getattr(ladders, name), []
+
+        def recording(ring, spec, xs):
+            seen.append(xs.tolist())
+            return equations(ring, spec, xs)
+
+        monkeypatch.setattr(ladders, name, recording)
+        assert _check(spec, ring) == ladders.SweepResult(True, [])
+        assert seen == [[0, 1, 2, 3, 4]]
+        bad = replace(spec, main_step=replace(spec.main_step, c11=spec.main_step.c11 + 1))
+        result = _check(bad, ring)
+        assert len(result.counterexamples) == COUNTEREXAMPLE_CAP
+        assert result.counterexamples == reference_counterexamples(bad, ring)
+
+
 class TestFaultHooksOnGenericRunners:
     def test_fault_changes_targeted_snapshot_only_before_propagation(self):
         ring = Ring(1009)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ladderlab import modexp
 from ladderlab.errors import InvalidCoefficient, NoConstantExists
 from ladderlab.ladders import KeyBits, Trace, check_fully_equations, check_semi_equations
 from ladderlab.modarith import Ring, modpow_reference
@@ -153,6 +154,15 @@ class TestFindLadderConstant:
         # every residue class mod 3 violates a constraint, so nothing qualifies
         with pytest.raises(NoConstantExists):
             find_ladder_constant(2, 21, random.Random(0))
+
+    def test_failed_draws_above_the_scan_limit_claim_no_absence(self, monkeypatch):
+        # above DEFAULT_SWEEP_LIMIT no scan follows the draws, so a miss proves nothing
+        monkeypatch.setattr(modexp, "MAX_DRAWS", 0)
+        with pytest.raises(NoConstantExists, match="found in 0 draws"):
+            find_ladder_constant(7, 1_000_003 * 5, random.Random(0))
+        with pytest.raises(NoConstantExists) as caught:
+            find_ladder_constant(2, 21, random.Random(0))
+        assert "draws" not in str(caught.value)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

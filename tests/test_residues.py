@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,14 @@ class TestGaussCensus:
             g = gauss_residue_census(p, 3)
             assert g.residue_count == (p - 1) // g.b
             assert all(v == g.b for v in g.roots_per_residue.values())
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 101, 1009, 49999, 65537])
+    def test_matches_the_pow_counter(self, p):
+        """The int64 square-and-multiply route against Python's pow, exponents past 2**40 and <= 0 too."""
+        for r in (*range(1, 8), 12, 1000003, 2**40 + 1, 2**200 + 3, 0, -5):
+            roots = gauss_residue_census(p, r).roots_per_residue
+            assert isinstance(roots, Counter)
+            assert roots == Counter(pow(ell, r, p) for ell in range(1, p)), r
 
     def test_guard(self):
         with pytest.raises(DomainTooLarge):

@@ -324,6 +324,13 @@ def test_ecc_oracle_refuses_fresh_coefficients_off_semi(algo):
         make_ecc_oracle(algo, curve, A, 0b1011, fresh_coef=True).exe()
 
 
+@pytest.mark.parametrize("algo", ["semi", "fully"])
+def test_ecc_oracle_without_params_needs_the_subgroup_order(algo):
+    """Both coupled ladders take their default coefficient mod the curve's recorded order."""
+    with pytest.raises(ValueError, match="no recorded subgroup order"):
+        make_ecc_oracle(algo, Curve(101, 2, 3), Point(23, 46), 0b1011)
+
+
 def test_oracles_refuse_the_plan_less_ladders():
     """Square-and-multiply and double-and-add take no fault plan, so no oracle is built for them."""
     curve, A, _ = CURVES[0]
