@@ -25,7 +25,12 @@ records (`modexp.exp_step`, `ecc.ecc_step`): on the first call for an
 input it keeps the clean run's register snapshots (an internal run, not
 counted in `calls`) and resumes every run at its first register fault or
 the first key bit its stuck-at changes, driving the target it built once
-(sma's `takes` wraps that step with the plan's y faults).
+(sma's `takes` wraps that step with the plan's y faults).  The ECC oracle
+runs on `ecc.oracle_ops(curve)`: on a curve with a discrete-log table its
+registers, snapshots, kept outputs and rejoin comparisons are logs mod N.
+A call's start registers and explicit fault values enter as logs before
+the run (`ecc.enter_run`), seeded faults draw logs, and its outputs leave
+as points.
 Square-and-multiply and double-and-add take no fault plan, so building
 their oracles raises ValueError.  It also keeps the outputs of an input's
 calls without register faults, which attacks 2 and 3 repeat: such a plan
@@ -50,7 +55,8 @@ import random
 from dataclasses import dataclass, replace
 
 from .ecc import (
-    Curve, EccLadderParams, Point, PointOps, ecc_step, find_small_curve, fully_params, random_point,
+    Curve, EccLadderParams, Point, ecc_step, enter_run, find_small_curve, fully_params, oracle_ops,
+    random_point,
 )
 from .errors import Coincidence
 from .faults import FaultPlan, RegisterFault
@@ -157,7 +163,7 @@ def _resuming_run(key, build):
 
     def run(target, trace=None):
         return drive(key, target.x, target.y, target.step, plan=target.plan, draw=target.draw,
-                     check=target.check, trace=trace)
+                     trace=trace)
 
     def skip(k):  # the draws of k skipped iterations
         for _ in range(k):
@@ -172,13 +178,15 @@ def _resuming_run(key, build):
             run(build(None, x0=x_init, y0=None if fresh else y_init, clean=True), trace)
             linked = fresh is None or y_init is None or y_init == trace.ys[0]
             inputs[start] = (trace.snapshots(), {}) if linked else None
-        if inputs[start] is None:
+        kept_input = inputs[start]
+        if kept_input is None:
             return run(build(plan, x0=x_init, y0=y_init))
-        states, outputs = inputs[start]
+        states, outputs = kept_input
         j, b, faults = nbits + 1, None, ()
         if plan is not None:
             # sma applies its y faults inside the step, so they come from the plan as given
-            faults = [f.iteration for f in plan.register_faults]
+            if plan.register_faults:
+                faults = [f.iteration for f in plan.register_faults]
             if plan.key_stuckat is not None:
                 t, b = plan.key_stuckat
                 j = diverge[b][t]
@@ -193,8 +201,8 @@ def _resuming_run(key, build):
         if faults and kept.takes is not None:
             step, rest = kept.takes(plan, d - 1)
         rejoin = (max(faults), states) if faults and j > nbits and fresh is None else None
-        out = drive(key, *states[d - 1], step, plan=rest, draw=kept.draw, check=kept.check,
-                    i0=d - 1, rejoin=rejoin)
+        out = drive(key, *states[d - 1], step, plan=rest, draw=kept.draw, i0=d - 1,
+                    rejoin=rejoin)
         if not faults:  # a register fault is seeded anew per call
             outputs[j, b] = out
         return out
@@ -230,13 +238,27 @@ def make_ecc_oracle(
 
 
 def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
-    """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A)."""
-    ops = PointOps(curve)
+    """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A).
+
+    It runs on `oracle_ops(curve)`, discrete logs on a curve with a log
+    table: points enter once per call (`enter_run`) and leave as points.
+    """
+    ops = oracle_ops(curve)
+    A, leave = ops.enter(A), ops.leave
 
     def build(plan, x0=None, y0=None, clean=False):
         return ecc_step(algo, ops, A, params, fresh_coef and not clean, rng, x0=x0, y0=y0, plan=plan)
 
-    return _resuming_run(as_key(bits).bits, build)
+    resumed = _resuming_run(as_key(bits).bits, build)
+
+    def run(x_init, y_init, plan):
+        # most calls take the default input and a stuck-at alone, and enter nothing
+        if x_init is not None or y_init is not None or plan is not None and plan.register_faults:
+            x_init, y_init, plan = enter_run(ops, x_init, y_init, plan)
+        x, y = resumed(x_init, y_init, plan)
+        return leave(x), leave(y)
+
+    return run
 
 
 @dataclass(frozen=True)

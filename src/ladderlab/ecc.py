@@ -11,25 +11,30 @@ ladders share; `run_ecc_algorithm` and the ECC fault oracle drive it.
 the CLI.
 
 The public `point_add`/`point_double`/`point_neg` reject points off the
-curve.  `ecc_step` checks each point where it enters a run: the base
-point, the start registers and every injected fault value (the target's
-`check`, which the driver calls after a fault).  The group law inside a
-run is unchecked, since it maps curve points to curve points.
+curve.  A run checks each point once, before its loop: the base point,
+the start registers and every explicit fault value pass through its
+group's `enter` (`enter_run`), which rejects a point off the curve and
+reduces its coordinates mod p.  Inside a run nothing is checked: the
+group law maps curve points to curve points, and seeded faults draw them.
 
-`PointOps`, the group law the runners use, looks results up in a
-discrete-log table when the whole group has prime order N and p is at
-most `TABLE_MAX_P`: every point is then i*G for one generator G, so an
-addition is an addition of logs modulo N.  It tallies additions and
-doublings exactly as the affine law would, and takes the affine law for
-any point outside the table (unreduced coordinates).  `double_and_add`
-and `point_add`/`point_double`/`point_neg` always run the affine law, the
-independent reference every ladder result is checked against.
+Each step runs over either of two groups.  `PointOps` holds points and
+tallies additions and doublings as the affine law would; the runners,
+the CLI and every counted run use it.  When the whole group has prime
+order N and p <= `TABLE_MAX_P`, every point is i*G for one generator G
+and `PointOps` looks each result up in a discrete-log table (a point
+outside it, with unreduced coordinates, takes the affine law).  On such
+a curve the ECC oracle runs on `LogOps` (`oracle_ops`): registers,
+snapshots and fault values are the logs themselves, each operation is
+one integer operation mod N with no tally, and points enter as logs and
+leave as points.  `double_and_add` and `point_add`/`point_double`/
+`point_neg` always run the affine law, the independent reference every
+ladder result is checked against.
 """
 
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NotOnCurve
@@ -81,6 +86,12 @@ def _require_on_curve(curve: Curve, P: Point) -> None:
         raise NotOnCurve(f"{P} is not on the curve")
 
 
+def _reduced(curve: Curve, P: Point) -> Point:
+    """P checked on the curve, with its coordinates reduced mod p."""
+    _require_on_curve(curve, P)
+    return P if P.is_infinity else Point(P.x % curve.p, P.y % curve.p)
+
+
 def _neg(curve: Curve, P: Point) -> Point:
     if P.is_infinity:
         return P
@@ -93,7 +104,7 @@ def _add(curve: Curve, P: Point, Q: Point) -> Point:
     if Q.is_infinity:
         return P
     p = curve.p
-    if P.x == Q.x:
+    if (P.x - Q.x) % p == 0:
         if (P.y + Q.y) % p == 0:
             return INFINITY
         return _dbl(curve, P)
@@ -103,9 +114,9 @@ def _add(curve: Curve, P: Point, Q: Point) -> Point:
 
 
 def _dbl(curve: Curve, P: Point) -> Point:
-    if P.is_infinity or P.y == 0:
-        return INFINITY
     p = curve.p
+    if P.is_infinity or P.y % p == 0:
+        return INFINITY
     lam = (3 * P.x * P.x + curve.a) * pow(2 * P.y, -1, p) % p
     x3 = (lam * lam - 2 * P.x) % p
     return Point(x3, (lam * (P.x - x3) - P.y) % p)
@@ -277,8 +288,10 @@ def _log_table(curve: Curve) -> tuple[list[Point], dict[Point, int]] | None:
 class PointOps:
     """Point-operation tally used by the runners (adds, doublings).
 
-    The operations do not check their operands: the runner validates the
-    points that enter a run, and the group law keeps them on the curve.
+    The operations do not check their operands: `enter` checks and
+    reduces the points that enter a run, `draw` gives a seeded fault's
+    value, and the group law keeps them on the curve.  `leave` is the
+    identity, as the ECC oracle's exit from a group of points.
     On a curve with a discrete-log table (prime group order, p <= TABLE_MAX_P)
     each operation is one lookup; a point missing from the table, such as
     one with unreduced coordinates, takes the affine law.  The tallies are
@@ -293,6 +306,15 @@ class PointOps:
         self.doubles = 0
         self._mults, self._log = _log_table(curve) or (None, None)
         self._order = len(self._mults) if self._mults else 0
+
+    def enter(self, P: Point) -> Point:
+        return _reduced(self.curve, P)
+
+    def draw(self, rng: random.Random) -> Point:
+        return random_point(self.curve, rng)
+
+    def leave(self, P: Point) -> Point:
+        return P
 
     def add(self, P: Point, Q: Point) -> Point:
         self.adds += 1
@@ -345,6 +367,64 @@ class PointOps:
             if b == "1":
                 R = self.add(P, R)
         return R
+
+
+class LogOps:
+    """The group of a curve with a log table as discrete logs: the int i stands for i*G.
+
+    The ECC oracle's group (`oracle_ops`).  Each operation is one integer
+    operation mod N, with no tallies.  Points enter as their logs, through
+    `enter`, which checks and reduces them as `PointOps.enter` does, and
+    `draw`; `leave(i)` turns a log back into its point.
+    """
+
+    def __init__(self, curve: Curve, table: tuple[list[Point], dict[Point, int]]):
+        self.curve = curve
+        self.mults, self.log = table
+        self.order = len(self.mults)
+        self.leave = self.mults.__getitem__  # a log back to its point
+
+    def enter(self, P: Point) -> int:
+        # the table holds exactly the reduced curve points, so a hit is the on-curve check
+        log = self.log.get(P)
+        return self.log[_reduced(self.curve, P)] if log is None else log
+
+    def draw(self, rng: random.Random) -> int:
+        return self.log[random_point(self.curve, rng)]
+
+    def add(self, P: int, Q: int) -> int:
+        return (P + Q) % self.order
+
+    def dbl(self, P: int) -> int:
+        return 2 * P % self.order
+
+    def neg(self, P: int) -> int:
+        return -P % self.order
+
+    def cmul(self, c: int, P: int) -> int:
+        return c * P % self.order
+
+
+def oracle_ops(curve: Curve) -> "LogOps | PointOps":
+    """The group the ECC oracle runs on: `LogOps` when the curve has a log table, else `PointOps`."""
+    table = _log_table(curve)
+    return PointOps(curve) if table is None else LogOps(curve, table)
+
+
+def enter_run(ops, x0: Point | None, y0: Point | None, plan: FaultPlan | None):
+    """(x0, y0, plan) as `ops` holds points, each entered once by `ops.enter`.
+
+    Both ECC routes, `run_ecc_algorithm` and the oracle, enter the start
+    registers and every explicit fault value here, before the run: each
+    is checked on the curve (`NotOnCurve`) and becomes a reduced point, or
+    its log.  None stays None, and a seeded fault stays seeded.
+    """
+    enter = ops.enter
+    if plan is not None and any(f.value is not None for f in plan.register_faults):
+        plan = replace(plan, register_faults=tuple(
+            f if f.value is None else replace(f, value=enter(f.value)) for f in plan.register_faults
+        ))
+    return None if x0 is None else enter(x0), None if y0 is None else enter(y0), plan
 
 
 @dataclass(frozen=True)
@@ -426,35 +506,35 @@ def run_ecc_algorithm(
 ) -> tuple[Point, Point | None]:
     """Uniform entry point; NotOnCurve for an off-curve base, start or fault point."""
     bits = as_key(key).bits
-    if plan is not None:
+    ops = ops or PointOps(curve)
+    x0, y0, plan = enter_run(ops, x0, y0, plan)
+    if plan is not None:  # after the points, as in the oracle
         plan.validate(len(bits))
-    t = ecc_step(algo, ops or PointOps(curve), A, params, fresh_coef, rng, x0=x0, y0=y0, plan=plan)
-    return drive(bits, t.x, t.y, t.step, plan=t.plan, draw=t.draw, check=t.check, trace=trace)
+    t = ecc_step(algo, ops, ops.enter(A), params, fresh_coef, rng, x0=x0, y0=y0, plan=plan)
+    return drive(bits, t.x, t.y, t.step, plan=t.plan, draw=t.draw, trace=trace)
 
 
-def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None = None,
+def ecc_step(algo: str, ops, A, params: EccLadderParams | None = None,
              fresh_coef: bool = False, rng: random.Random | None = None, *,
-             x0: Point | None = None, y0: Point | None = None,
-             plan: FaultPlan | None = None) -> Target:
-    """`algo`'s per-bit step on `ops`, its start registers and `plan`, as one `Target`.
+             x0=None, y0=None, plan: FaultPlan | None = None) -> Target:
+    """`algo`'s per-bit step over the group `ops`, its start registers and `plan`, as one `Target`.
 
     The one builder of ECC ladder steps, for `run_ecc_algorithm` and for
-    the ECC oracle, which builds one per oracle.  It checks that A, x0 and
-    y0 lie on the curve, and its `check` does so for fault values.  y0
-    defaults to the ladder's link of x0 (the point at infinity by
-    default).  Semi's coefficient defaults to 3; with `fresh_coef` it is
-    drawn from `rng` on every iteration, and that draw is `fresh`.
+    the ECC oracle, which builds one per oracle.  The step is the same
+    over `PointOps` and over `LogOps`: A, x0, y0 and the plan's explicit
+    fault values are already elements of that group (`ops.enter`,
+    `enter_run`), and the target's `draw` is `ops.draw`.  y0 defaults
+    to the ladder's link of x0 (the point at infinity by default).  Semi's
+    coefficient defaults to 3; with `fresh_coef` it is drawn from `rng` on
+    every iteration, and that draw is `fresh`.
     """
     curve = ops.curve
-    for R in (A, x0, y0):
-        if R is not None:
-            _require_on_curve(curve, R)
     if fresh_coef:
         if algo != "semi":
             raise ValueError("fresh coefficients only apply to the half-coupled ladder")
         if rng is None:
             raise ValueError("fresh coefficients need an RNG")
-    P = INFINITY if x0 is None else x0
+    P = ops.enter(INFINITY) if x0 is None else x0
     add, dbl, neg, cmul = ops.add, ops.dbl, ops.neg, ops.cmul
     if algo == "daa":
         if plan is not None:
@@ -500,12 +580,7 @@ def ecc_step(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None 
             Q = add(add(P, s), neg(B))
             return (P, Q) if bit else (Q, P)
 
-    def check(P, Q):
-        _require_on_curve(curve, P)
-        _require_on_curve(curve, Q)
-
-    return Target(step, P, link(P) if y0 is None else y0, plan,
-                  lambda r: random_point(curve, r), check, coef)
+    return Target(step, P, link(P) if y0 is None else y0, plan, ops.draw, fresh=coef)
 
 
 def ecc_montgomery(curve: Curve, k, A: Point) -> tuple[Point, Point]:

@@ -10,8 +10,9 @@ recomputed from both previous values.  `check_semi_equations` and
 `check_fully_equations` verify the equation systems that make those
 rewrites faithful for every ring element.  Each side has degree <= 4 in x,
 so the spec's own polynomials at x = 0..4 decide a passing spec for any n;
-a failing one is enumerated over int64 chunks of x to list counterexamples.
-Whatever `limit` is, n above 2**31 is refused (int64 products overflow).
+a failing one is enumerated over int64 chunks of x to list counterexamples,
+and only that enumeration is refused above `limit`.  Whatever `limit` is,
+n above 2**31 is refused (int64 products overflow).
 
 `drive` is the one loop driver behind every ladder runner: the generic
 spec runners here, the five `modexp` variants and the `ecc` ladders each
@@ -240,7 +241,7 @@ class Target(NamedTuple):
     """One ladder run as `drive` takes it, built by `modexp.exp_step` or `ecc.ecc_step`.
 
     `step` starts from registers (x, y) and `plan` is what is left of the
-    fault plan for `drive`, with `draw` and `check` its fault hooks.
+    fault plan for `drive`, with `draw` giving a seeded fault's value.
     `fresh()` is the step's per-iteration draw, None when it draws nothing.
     `takes(plan, i0) -> (step, plan)`, set for sma only, wraps `step` with
     the faults it applies itself for a run resumed after iteration i0.
@@ -251,12 +252,11 @@ class Target(NamedTuple):
     y: object
     plan: FaultPlan | None
     draw: Callable
-    check: Callable | None = None
     fresh: Callable | None = None
     takes: Callable | None = None
 
 
-def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
+def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
           per_iter=None, counts=None, i0=0, rejoin=None):
     """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
 
@@ -264,10 +264,10 @@ def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
     registers after iteration i0 (0 for a whole run; y is None for a
     one-register loop, whose `trace` keeps ys None).  Iteration numbers
     stay absolute: register faults are applied just before the iterations
-    they name, `draw(rng)` giving a seeded fault's value, and `check(x, y)`
-    sees the registers after them; stuck-at faults change the bits the loop
-    consumes, never the key.  With `per_iter`, each iteration appends what
-    it added to `counts`, the `OpCounts` the step tallies on.
+    they name, `draw(rng)` giving a seeded fault's value; stuck-at faults
+    change the bits the loop consumes, never the key.  With `per_iter`,
+    each iteration appends what it added to `counts`, the `OpCounts` the
+    step tallies on.
     `rejoin=(last, states)` is for an untraced run with no fault after
     iteration `last` that then reads the bits of a clean run with snapshots
     `states`: once the registers after an iteration i >= last equal
@@ -284,8 +284,6 @@ def drive(bits, x, y, step, *, plan=None, draw=None, check=None, trace=None,
     for i, bit in enumerate(islice(bits, i0, stop), i0 + 1):
         if i in faulted:
             x, y = plan.apply(i, x, y, draw)
-            if check is not None:
-                check(x, y)
             if trace is not None:
                 # the boundary snapshot must show what this iteration reads
                 trace.xs[-1], trace.ys[-1] = x, y
@@ -396,15 +394,17 @@ class SweepResult:
 def _sweep(ring: Ring, spec: LadderSpec, equations, limit: int) -> SweepResult:
     import numpy as np
 
-    guard = min(limit, INT64_SWEEP_LIMIT)
-    if ring.n > guard:
-        raise DomainTooLarge(f"sweep over n={ring.n} exceeds guard {guard}")
+    if ring.n > INT64_SWEEP_LIMIT:
+        raise DomainTooLarge(f"sweep over n={ring.n} exceeds guard {INT64_SWEEP_LIMIT}")
     # canonical coefficients keep every product below (n-1)**2 < 2**62
     ring, spec = spec_from_json(spec_to_json(ring, spec))
     # each side has degree <= 4 in x, and lhs - rhs = sum_k C(x, k) * D^k(0) over k <= 4 (forward
     # differences, integer combinations of its values at 0..4): zero mod n there is zero at every x
     if all((lhs == rhs).all() for lhs, rhs in equations(ring, spec, np.arange(5, dtype=np.int64))):
         return SweepResult(True, [])
+    if ring.n > limit:  # only a failing spec is enumerated, so only it meets `limit`
+        raise DomainTooLarge(f"spec fails; listing its counterexamples over n={ring.n} "
+                             f"exceeds limit {limit}")
     bad = []
     for start in range(0, ring.n, SWEEP_CHUNK):
         xs = np.arange(start, min(start + SWEEP_CHUNK, ring.n), dtype=np.int64)
@@ -431,7 +431,8 @@ def check_semi_equations(
     For every x: the link commutes with the taken branch, the coupled step
     reproduces the bit-1 update, and the swapped coupled step lands on the
     link of the bit-0 update.  Five values of x decide a passing spec; a
-    failing one is enumerated over every x to list its first counterexamples.
+    failing one is enumerated over every x, for n up to `limit`, to list
+    its first counterexamples.
     """
     spec.validate(ring)
     return _sweep(ring, spec, _semi_equations, limit)

@@ -78,6 +78,24 @@ class TestGroupLaw:
         for P in curve_points(curve):
             if P.y == 0:
                 assert point_double(curve, P) == INFINITY
+                assert point_double(curve, Point(P.x, curve.p)) == INFINITY
+
+    def test_unreduced_twin_is_the_point_it_stands_for(self, small_curve):
+        """U = (P.x + p, P.y) adds to P as P does: to 2P, and to -P to give infinity."""
+        curve, A, _ = small_curve
+        P = double_and_add(curve, 5, A)
+        U = Point(P.x + curve.p, P.y)
+        assert point_add(curve, U, P) == point_add(curve, P, U) == point_double(curve, P)
+        assert point_add(curve, U, point_neg(curve, P)) == INFINITY
+
+    def test_runner_reduces_an_unreduced_start(self, small_curve):
+        curve, A, _ = small_curve
+        P = double_and_add(curve, 5, A)
+        U = Point(P.x + curve.p, P.y)
+        trace = Trace()
+        out = run_ecc_algorithm("montgomery", curve, A, 0b1011, x0=U, y0=P, trace=trace)
+        assert out == run_ecc_algorithm("montgomery", curve, A, 0b1011, x0=P, y0=P)
+        assert trace.xs[0] == P
 
 
 class TestDoubleAndAdd:
@@ -266,6 +284,22 @@ class TestBoundaryValidation:
         with pytest.raises(NotOnCurve):
             oracle.exe(*call)
 
+    def test_points_are_checked_before_the_run(self, small_curve):
+        """An off-curve fault value fails before any coefficient is drawn or the plan validated."""
+        curve, A, N = small_curve
+        bad = _off_curve(curve, A)
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(NotOnCurve):
+            run_ecc_algorithm("semi", curve, A, 0b1011, params=semi_params(3, N), fresh_coef=True,
+                              rng=rng, plan=FaultPlan((RegisterFault("x", 3, value=bad),)))
+        assert rng.getstate() == state
+        past_the_key = FaultPlan((RegisterFault("x", 9, value=bad),))
+        with pytest.raises(NotOnCurve):
+            run_ecc_algorithm("montgomery", curve, A, 0b1011, plan=past_the_key)
+        with pytest.raises(NotOnCurve):
+            make_ecc_oracle("montgomery", curve, A, 0b1011).exe(plan=past_the_key)
+
 
 def test_point_ops_counter(small_curve):
     curve, A, _ = small_curve
@@ -355,9 +389,12 @@ class TestLogTable:
         points = curve_points(curve)
         unreduced = [Point(P.x + shift[0] * p, P.y + shift[1] * p) for P in points]
         assert all(is_on_curve(curve, U) for U in unreduced)
-        # the affine law itself cannot add an unreduced x to the same x reduced
-        pairs = [(U, Q) for U in unreduced for Q in [INFINITY] + points[:8] if Q.x != U.x % p]
+        # an unreduced point also meets the point it stands for and that point's negative
+        pairs = [(U, Q) for U in unreduced for Q in [INFINITY] + points[:8]]
+        pairs += [(U, Q) for U, P in zip(unreduced, points) for Q in (P, _neg(curve, P))]
         pairs += [(Q, U) for U, Q in pairs]
+        for U, P in zip(unreduced, points):
+            assert _add(curve, U, P) == _dbl(curve, P) and _add(curve, U, _neg(curve, P)) == INFINITY
         _assert_matches_affine(curve, pairs, unreduced, (-5, -3, -1, 0, 1, 2, 3, 5))
 
     def test_built_on_first_use(self):

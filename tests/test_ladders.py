@@ -198,10 +198,19 @@ class TestCheckSemiEquations:
         assert 0 < len(result.counterexamples) <= 16
         assert any(eq == 2 for _, eq in result.counterexamples)
 
-    def test_domain_guard(self):
-        ring = Ring(2**20 + 1)
-        with pytest.raises(DomainTooLarge):
-            check_semi_equations(montgomery_spec(ring, 2), ring)
+    def test_limit_spares_a_passing_spec(self):
+        # five points decide a passing spec, so `limit` never refuses one
+        ring = Ring(2**20 + 7)
+        assert check_semi_equations(masked_semi_spec(ring, 5, 3), ring).ok
+        assert check_fully_equations(lift_semi_to_fully(masked_semi_spec(ring, 5, 3)), ring).ok
+
+    def test_limit_refuses_enumerating_a_failing_spec(self):
+        ring = Ring(2**20 + 7)
+        spec = masked_semi_spec(ring, 5, 3)
+        broken = replace(spec, main_step=replace(spec.main_step, c11=spec.main_step.c11 + 1))
+        with pytest.raises(DomainTooLarge, match="limit"):
+            check_semi_equations(broken, ring)
+        assert not check_semi_equations(broken, ring, limit=ring.n)
 
     def test_int64_guard_holds_whatever_the_limit(self):
         # above 2**31 a product of two canonical values no longer fits in int64

@@ -11,10 +11,14 @@ Property tests and fixed sequences drive
 `run_ecc_algorithm` with equally seeded RNGs through one call sequence
 (inputs linked, unlinked or left to the default, plans with register
 faults and a stuck-at) and require equal outputs, equal RNG states at
-the end and one counted oracle call per `exe`.  Calls that repeat a plan
-without register faults, which the oracle answers from memory, replay
-their draws like any other; register faults and unlinked inputs under
-fresh randomness, whose outputs change between calls, are never kept.
+the end and one counted oracle call per `exe`.  The ECC cases also take
+an unreduced x0 and explicit point fault values, unreduced ones and ones
+equal to the clean register they overwrite, which the oracle enters as
+discrete logs on the generated curve: its outputs must still be
+`Point`s.  Calls that repeat a plan without register faults, which the
+oracle answers from memory, replay their draws like any other; register
+faults and unlinked inputs under fresh randomness, whose outputs change
+between calls, are never kept.
 """
 
 import random
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from ladderlab import attacks
 from ladderlab.attacks import ExecutionOracle, _ecc_run, _exp_run, make_ecc_oracle, make_exp_oracle
 from ladderlab.ecc import (
+    INFINITY,
     Curve,
     Point,
     PointOps,
@@ -37,7 +42,7 @@ from ladderlab.ecc import (
     semi_params,
 )
 from ladderlab.faults import FaultPlan, RegisterFault
-from ladderlab.ladders import KeyBits
+from ladderlab.ladders import KeyBits, Trace
 from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
 
 ALGOS = [("sma", None), ("montgomery", None), ("fully", None),
@@ -134,6 +139,7 @@ def test_fixed_sequence_equals_full_runs(algo, mask, start):
 
 
 ECC_ALGOS = [("montgomery", False), ("semi", False), ("semi", True), ("fully", False)]
+ECC_STARTS = ["default", "linked", "unlinked", "unreduced"]
 # the generated curve (table group law) and a base point of order 16 (affine law)
 CURVES = [find_small_curve(), (Curve(101, 2, 3, subgroup_order=16), Point(23, 46), 16)]
 
@@ -156,8 +162,22 @@ def _ecc_inputs(starts, curve, link, rng):
         Q = link(P)
         while kind == "unlinked" and Q == link(P):
             Q = random_point(curve, rng)
+        if kind == "unreduced":  # a linked input whose x0 has x + p for x
+            P = Point(P.x + curve.p, P.y)
         out.append((P, Q))
     return out
+
+
+def _points(curve, A):
+    """Explicit fault values: random points, some with x + p or y - p, and infinity, A and -A."""
+    p = curve.p
+
+    def point(seed, shift):
+        P = random_point(curve, random.Random(seed))
+        return (P, Point(P.x + p, P.y), Point(P.x, P.y - p))[shift]
+
+    return (st.builds(point, st.integers(0, 2**32), st.integers(0, 2))
+            | st.sampled_from([INFINITY, A, Point(A.x, (-A.y) % p)]))
 
 
 @st.composite
@@ -166,10 +186,10 @@ def _ecc_case(draw):
     curve, A, order = draw(st.sampled_from(CURVES))
     nbits = draw(st.integers(1, 16))
     key = KeyBits(tuple(draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits))))
-    starts = draw(st.lists(st.sampled_from(["default", "linked", "unlinked"]), min_size=1, max_size=3))
-    points = st.integers(0, 2**32).map(lambda s: random_point(curve, random.Random(s)))
+    starts = draw(st.lists(st.sampled_from(ECC_STARTS), min_size=1, max_size=3))
     calls = draw(st.lists(
-        st.tuples(st.integers(0, len(starts) - 1), _plan(nbits, points)), min_size=1, max_size=8,
+        st.tuples(st.integers(0, len(starts) - 1), _plan(nbits, _points(curve, A))),
+        min_size=1, max_size=8,
     ))
     return algo, fresh, curve, A, order, key, starts, calls, draw(st.integers(0, 2**32))
 
@@ -186,7 +206,9 @@ def _ecc_check(algo, fresh, curve, A, order, key, starts, calls, seed):
         outputs.append(run_ecc_algorithm(
             algo, curve, A, key, params=params, fresh_coef=fresh, rng=ref_rng, x0=x0, y0=y0, plan=plan,
         ))
-        assert oracle.exe(x0, y0, plan) == outputs[-1]
+        out = oracle.exe(x0, y0, plan)
+        assert out == outputs[-1]
+        assert all(type(R) is Point for R in out)
     assert rng.getstate() == ref_rng.getstate()
     assert oracle.calls == len(calls)
     return outputs
@@ -209,14 +231,35 @@ ECC_PLANS = (
 )
 
 
-@pytest.mark.parametrize("start", ["default", "linked", "unlinked"])
+def _valued_plans(algo, fresh, curve, A, order, key, start, seed):
+    """Plans with explicit point values: a drawn point, an unreduced one, and the clean x they overwrite.
+
+    The clean registers are those of a full run on the input `_ecc_check`
+    draws from `seed`, so the last plan's fault rewrites x with its own value.
+    """
+    params = _ecc_params(algo, order)
+    link, _ = ladder_link(algo, PointOps(curve), A, params)
+    (x0, y0), = _ecc_inputs([start], curve, link, random.Random(seed))
+    trace = Trace()
+    run_ecc_algorithm(algo, curve, A, key, params=params, fresh_coef=fresh, rng=random.Random(seed),
+                      x0=x0, y0=y0, trace=trace)
+    P = random_point(curve, random.Random(seed))
+    return (
+        FaultPlan((RegisterFault("x", 4, value=P),)),
+        FaultPlan((RegisterFault("y", 3, value=Point(P.x + curve.p, P.y - curve.p)),
+                   RegisterFault("x", 8, seed=4))),
+        FaultPlan((RegisterFault("x", 6, value=trace.xs[5]),)),
+    )
+
+
+@pytest.mark.parametrize("start", ECC_STARTS)
 @pytest.mark.parametrize("bundle", CURVES, ids=["table", "affine"])
 @pytest.mark.parametrize("algo, fresh", ECC_ALGOS)
 def test_fixed_ecc_sequence_equals_full_runs(algo, fresh, bundle, start):
     """Every plan twice on one input, the second time from the kept snapshots."""
     key = KeyBits.from_int(0b101100111010, width=12)
-    calls = [(0, plan) for plan in ECC_PLANS * 2]
-    _ecc_check(algo, fresh, *bundle, key, [start], calls, 99)
+    plans = ECC_PLANS + _valued_plans(algo, fresh, *bundle, key, start, 99)
+    _ecc_check(algo, fresh, *bundle, key, [start], [(0, plan) for plan in plans * 2], 99)
 
 
 # plans without register faults, whose outputs each oracle keeps per input; the key

@@ -9,7 +9,9 @@ that counts the calls to the step it is given.  The keys and cell seeds are
 those `bench/workloads.py` draws for `attack-matrix` (its ten exp cells) and
 `ecc-ladders` (its three ECC attack cells, not its five direct ladders) from
 `--seed`.  The count is deterministic: it measures the work an oracle
-skips, free of the timing noise of `bench/run.py`.  Prints one JSON object.
+skips, free of the timing noise of `bench/run.py`.  Prints one JSON object:
+per workload, `steps_per_key` and `steps_per_cell`, one number per listed
+cell, so a changed total shows which cell moved.
 """
 
 import argparse
@@ -51,14 +53,18 @@ def count_steps(root, seed, keys):
         ("attack-matrix", workloads.EXP_CELLS, matrix.inputs, None),
         ("ecc-ladders", workloads.ECC_CELLS, [i[:2] for i in ecc.inputs], ecc.bundle),
     ):
-        steps[0] = 0
+        per_cell = [0] * len(cells)
         for key, seeds in inputs:
-            reports = workloads.run_to_end(
-                workloads._run_cells(lib.attacks, cells, key, seeds, NullTracer(), bundle)
-            )
+            run = workloads._run_cells(lib.attacks, cells, key, seeds, NullTracer(), bundle)
+            for cell in range(len(cells)):  # the generator yields once after each cell
+                steps[0] = 0
+                next(run)
+                per_cell[cell] += steps[0]
+            reports = workloads.run_to_end(run)
             if not all(workloads._cell_ok(m, t, r, key) for (m, t), r in zip(cells, reports)):
                 raise SystemExit(f"{name}: a cell gave the wrong outcome")
-        out[name] = {"cells": [f"m{m}.{t}" for m, t in cells], "steps_per_key": steps[0] / keys}
+        out[name] = {"cells": [f"m{m}.{t}" for m, t in cells], "steps_per_key": sum(per_cell) / keys,
+                     "steps_per_cell": [n / keys for n in per_cell]}
     return out
 
 
