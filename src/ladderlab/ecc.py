@@ -26,7 +26,9 @@ outside it, with unreduced coordinates, takes the affine law).  On such
 a curve the ECC oracle runs on `LogOps` (`oracle_ops`): registers,
 snapshots and fault values are the logs themselves, each operation is
 one integer operation mod N with no tally, and points enter as logs and
-leave as points.  `double_and_add` and `point_add`/`point_double`/
+leave as points.  There each ladder step is affine in its registers, so
+`ecc_step` also gives k steps of one bit in closed form (`Target.tail`).
+`double_and_add` and `point_add`/`point_double`/
 `point_neg` always run the affine law, the independent reference every
 ladder result is checked against.
 """
@@ -526,7 +528,8 @@ def ecc_step(algo: str, ops, A, params: EccLadderParams | None = None,
     `enter_run`), and the target's `draw` is `ops.draw`.  y0 defaults
     to the ladder's link of x0 (the point at infinity by default).  Semi's
     coefficient defaults to 3; with `fresh_coef` it is drawn from `rng` on
-    every iteration, and that draw is `fresh`.
+    every iteration, and that draw is `fresh`.  On `LogOps` without it,
+    `tail` gives k steps of one bit in closed form (`_affine_tail`).
     """
     curve = ops.curve
     if fresh_coef:
@@ -580,7 +583,39 @@ def ecc_step(algo: str, ops, A, params: EccLadderParams | None = None,
             Q = add(add(P, s), neg(B))
             return (P, Q) if bit else (Q, P)
 
-    return Target(step, P, link(P) if y0 is None else y0, plan, ops.draw, fresh=coef)
+    # on logs every step is affine in (P, Q); a fresh coefficient would have to replay its draws
+    tail = _affine_tail(step, ops.order) if isinstance(ops, LogOps) and not fresh_coef else None
+    return Target(step, P, link(P) if y0 is None else y0, plan, ops.draw, fresh=coef, tail=tail)
+
+
+def _affine_tail(step, N: int):
+    """`Target.tail` of a step on logs mod N: k steps on one bit as one affine map.
+
+    Each step is `add`, `dbl`, `neg` and `cmul` mod N of P, Q and the
+    constant A (or B), so bit b's step is (P, Q) -> M_b (P, Q) + v_b.  It
+    is read off the step itself at (0, 0), (1, 0) and (0, 1); the maps of
+    k steps, as (m11, m12, m21, m22, v1, v2), are composed on first use.
+    """
+    powers = ([], [])
+
+    def tail(bit, k, x, y):
+        maps = powers[bit]
+        if not maps:
+            v1, v2 = step(bit, 0, 0)
+            p1, q1 = step(bit, 1, 0)
+            p2, q2 = step(bit, 0, 1)
+            maps += [(1, 0, 0, 1, 0, 0),
+                     ((p1 - v1) % N, (p2 - v1) % N, (q1 - v2) % N, (q2 - v2) % N, v1, v2)]
+        while len(maps) <= k:  # one more step after the last map
+            a, b, c, d, e, f = maps[1]
+            m11, m12, m21, m22, v1, v2 = maps[-1]
+            maps.append(((a * m11 + b * m21) % N, (a * m12 + b * m22) % N,
+                         (c * m11 + d * m21) % N, (c * m12 + d * m22) % N,
+                         (a * v1 + b * v2 + e) % N, (c * v1 + d * v2 + f) % N))
+        m11, m12, m21, m22, v1, v2 = maps[k]
+        return (m11 * x + m12 * y + v1) % N, (m21 * x + m22 * y + v2) % N
+
+    return tail
 
 
 def ecc_montgomery(curve: Curve, k, A: Point) -> tuple[Point, Point]:

@@ -245,6 +245,10 @@ class Target(NamedTuple):
     `fresh()` is the step's per-iteration draw, None when it draws nothing.
     `takes(plan, i0) -> (step, plan)`, set for sma only, wraps `step` with
     the faults it applies itself for a run resumed after iteration i0.
+    `tail(b, k, x, y)`, set for the ECC ladders on discrete logs only, gives
+    the registers after k more iterations that all read bit b from (x, y),
+    exactly what `drive` gives over those k steps, in closed form: there
+    each step is an affine map mod N (`ecc.ecc_step`).
     """
 
     step: Callable
@@ -254,10 +258,11 @@ class Target(NamedTuple):
     draw: Callable
     fresh: Callable | None = None
     takes: Callable | None = None
+    tail: Callable | None = None
 
 
 def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
-          per_iter=None, counts=None, i0=0, rejoin=None):
+          per_iter=None, counts=None, i0=0, stop=None, rejoin=None):
     """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
 
     The loop every ladder here shares, exp and ECC alike.  (x, y) are the
@@ -268,12 +273,13 @@ def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
     change the bits the loop consumes, never the key.  With `per_iter`,
     each iteration appends what it added to `counts`, the `OpCounts` the
     step tallies on.
-    `rejoin=(last, states)` is for an untraced run with no fault after
-    iteration `last` that then reads the bits of a clean run with snapshots
-    `states`: once the registers after an iteration i >= last equal
-    `states[i]`, it returns that run's output `states[-1]`.
+    With `stop`, the run ends after iteration `stop`.  `rejoin=states` runs
+    on from there, for an untraced run with no fault after iteration `stop`
+    that then reads the bits of a clean run with snapshots `states`: once
+    the registers after an iteration i >= stop equal `states[i]`, it
+    returns that run's output `states[-1]`.
     """
-    faulted, stop = (), None if rejoin is None else rejoin[0]
+    faulted = ()
     if plan is not None:
         faulted = {f.iteration for f in plan.register_faults}
         bits = plan.effective_bits(bits)
@@ -296,10 +302,9 @@ def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
         if trace is not None:
             _record(trace, x, y)
     if rejoin is not None:
-        states = rejoin[1]
         for i, bit in enumerate(islice(bits, stop, None), stop):
-            if (x, y) == states[i]:
-                return states[-1]
+            if (x, y) == rejoin[i]:
+                return rejoin[-1]
             x, y = step(bit, x, y)
     return x, y
 

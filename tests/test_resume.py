@@ -4,7 +4,9 @@ Both oracles resume each run at its first register fault or the first
 key bit its stuck-at changes, from snapshots of the clean run they keep
 per input, and a faulted run whose registers rejoin the clean ones after
 its last fault returns the clean output; the tests that count the steps
-`attacks.drive` runs pin both down.  Under semi's fresh masks (exp) or
+`attacks.drive` runs pin both down.  On discrete logs the ECC oracle
+answers a stuck-at's pinned tail in closed form (`Target.tail`), which
+is checked against `drive` directly and by those step counts.  Under semi's fresh masks (exp) or
 fresh coefficients (ECC) a linked input replays the draws it skips.
 Property tests and fixed sequences drive
 `attacks._exp_run` / `_ecc_run` and plain `run_exp_algorithm` /
@@ -34,15 +36,17 @@ from ladderlab.ecc import (
     Curve,
     Point,
     PointOps,
+    ecc_step,
     find_small_curve,
     fully_params,
     ladder_link,
+    oracle_ops,
     random_point,
     run_ecc_algorithm,
     semi_params,
 )
 from ladderlab.faults import FaultPlan, RegisterFault
-from ladderlab.ladders import KeyBits, Trace
+from ladderlab.ladders import KeyBits, Trace, drive
 from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
 
 ALGOS = [("sma", None), ("montgomery", None), ("fully", None),
@@ -228,6 +232,10 @@ ECC_PLANS = (
     FaultPlan((RegisterFault("y", 2, seed=5), RegisterFault("x", 9, seed=2)), key_stuckat=(6, 1)),
     FaultPlan((RegisterFault("y", 12, seed=3),)),
     FaultPlan(key_stuckat=(0, 1)),
+    # a fault at the last iteration under a stuck-at leaves a closed-form tail of 0 steps,
+    # and one at iteration 1 under (0, 0) the longest, 11 steps
+    FaultPlan((RegisterFault("x", 12, seed=7),), key_stuckat=(10, 0)),
+    FaultPlan((RegisterFault("y", 1, seed=8),), key_stuckat=(0, 0)),
 )
 
 
@@ -331,6 +339,68 @@ def test_resumed_calls_start_where_the_key_diverges(algo, driven):
         assert oracle.exe(plan=plan) == full
     # (11, 0) never diverges; 6, 7 and 8 pinning 1 all first differ at iteration 10
     assert driven == [3]
+
+
+STUCKAT_PLANS = tuple(FaultPlan(key_stuckat=s) for s in ((11, 0), (7, 1), (8, 1), (6, 1), (3, 0),
+                                                         (0, 1), (0, 0), (12, 1)))
+
+
+@pytest.mark.parametrize("algo", ["montgomery", "semi", "fully"])
+def test_resumed_ecc_calls_answer_pinned_tails_in_closed_form(algo, driven):
+    """On discrete logs a stuck-at-only call drives no step, and a fault at its threshold one."""
+    key = KeyBits.from_int(0b101100111010, width=12)
+    curve, A, order = CURVES[0]
+    oracle, params = make_ecc_oracle(algo, curve, A, key, seed=3), _ecc_params(algo, order)
+    for plan in STUCKAT_PLANS:
+        assert oracle.exe(plan=plan) == run_ecc_algorithm(algo, curve, A, key, params=params, plan=plan)
+    assert not any(driven)
+    for i, b, register in ((1, 0, "x"), (5, 1, "y"), (9, 0, "x"), (12, 1, "y"), (12, 0, "x")):
+        plan = FaultPlan((RegisterFault(register, i, seed=i),), key_stuckat=(i, b))
+        assert oracle.exe(plan=plan) == run_ecc_algorithm(algo, curve, A, key, params=params, plan=plan)
+        assert driven[-1] == 1
+
+
+@pytest.mark.parametrize("bundle, fresh", [(CURVES[1], False), (CURVES[0], True)],
+                         ids=["affine", "fresh"])
+def test_ecc_tails_off_logs_are_driven(bundle, fresh, driven):
+    """Without a closed form (`PointOps`, or draws to replay) a pinned tail is driven step by step."""
+    key = KeyBits.from_int(0b101100111010, width=12)
+    curve, A, _ = bundle
+    oracle, rng = make_ecc_oracle("semi", curve, A, key, seed=3, fresh_coef=fresh), random.Random(3)
+    for plan in STUCKAT_PLANS[:4]:
+        full = run_ecc_algorithm("semi", curve, A, key, fresh_coef=fresh, rng=rng, plan=plan)
+        assert oracle.exe(plan=plan) == full
+    # (11, 0) never diverges; 6, 7 and 8 pinning 1 all first differ at iteration 10
+    assert driven == [3]
+
+
+@pytest.mark.parametrize("algo", ["montgomery", "semi", "fully"])
+def test_tail_equals_driven_steps(algo):
+    """`Target.tail` on logs equals `drive` over k steps of one bit, every k in 0..64."""
+    curve, A, order = CURVES[0]
+    ops = oracle_ops(curve)
+    A = ops.enter(A)
+    target = ecc_step(algo, ops, A, _ecc_params(algo, order))
+    rng = random.Random(21)
+    starts = [(0, 0), (A, 0), (0, A), (A, A), (ops.order - A, A)]
+    starts += [(rng.randrange(ops.order), rng.randrange(ops.order)) for _ in range(4)]
+    for bit in (0, 1):
+        for x, y in starts:
+            trace = Trace()
+            drive((bit,) * 64, x, y, target.step, trace=trace)
+            # longest first, so the first start builds all 64 powers at once
+            assert [target.tail(bit, k, x, y) for k in reversed(range(65))][::-1] == trace.snapshots()
+
+
+def test_tail_is_set_only_on_logs_without_fresh_coefficients():
+    (curve, A, order), (affine, B, _) = CURVES
+    ops = oracle_ops(curve)
+    assert ecc_step("semi", ops, ops.enter(A), semi_params(3, order)).tail is not None
+    assert ecc_step("semi", ops, ops.enter(A), semi_params(3, order), True, random.Random(0)).tail is None
+    assert ecc_step("semi", PointOps(curve), A, semi_params(3, order)).tail is None
+    assert type(oracle_ops(affine)) is PointOps
+    assert ecc_step("semi", oracle_ops(affine), B, semi_params(3, 16)).tail is None
+    assert ecc_step("daa", ops, ops.enter(A)).tail is None
 
 
 def test_sma_fault_stops_at_the_next_zero_bit(driven):

@@ -5,13 +5,17 @@
 
 Every loop in ladderlab runs through `ladders.drive`, which the runners and
 the oracles import by name, so each of those names is replaced by a wrapper
-that counts the calls to the step it is given.  The keys and cell seeds are
-those `bench/workloads.py` draws for `attack-matrix` (its ten exp cells) and
-`ecc-ladders` (its three ECC attack cells, not its five direct ladders) from
-`--seed`.  The count is deterministic: it measures the work an oracle
-skips, free of the timing noise of `bench/run.py`.  Prints one JSON object:
-per workload, `steps_per_key` and `steps_per_cell`, one number per listed
-cell, so a changed total shows which cell moved.
+that counts the calls to the step it is given.  A pinned key tail that the
+ECC oracle answers in closed form (`Target.tail`) drives no step; it is
+counted apart, by wrapping the `tail` of every target `attacks.ecc_step`
+builds.  The keys and cell seeds are those `bench/workloads.py` draws for
+`attack-matrix` (its ten exp cells) and `ecc-ladders` (its three ECC attack
+cells, not its five direct ladders) from `--seed`.  The counts are
+deterministic: they measure the work an oracle skips, free of the timing
+noise of `bench/run.py`.  Prints one JSON object: per workload,
+`steps_per_key` and `tails_per_key`, and `steps_per_cell` and
+`tails_per_cell`, one number per listed cell, so a changed total shows
+which cell moved and where the skipped steps went.
 """
 
 import argparse
@@ -29,7 +33,7 @@ def count_steps(root, seed, keys):
     from spans import NullTracer
 
     lib = workloads.load_lib("ladderlab")
-    steps = [0]
+    steps, tails = [0], [0]
 
     def counting(drive):
         def wrapped(bits, x, y, step, **kw):
@@ -45,6 +49,22 @@ def count_steps(root, seed, keys):
         module = importlib.import_module(f"ladderlab.{name}")
         module.drive = counting(module.drive)
 
+    def counting_tails(ecc_step):
+        def wrapped(*args, **kw):
+            target = ecc_step(*args, **kw)
+            if target.tail is None:
+                return target
+
+            def counted(*args):
+                tails[0] += 1
+                return target.tail(*args)
+
+            return target._replace(tail=counted)
+
+        return wrapped
+
+    lib.attacks.ecc_step = counting_tails(lib.attacks.ecc_step)
+
     out = {}
     matrix = workloads.AttackMatrix(lib, seed, pool_size=keys)
     ecc = workloads.EccLadders(lib, seed, pool_size=keys)
@@ -53,18 +73,21 @@ def count_steps(root, seed, keys):
         ("attack-matrix", workloads.EXP_CELLS, matrix.inputs, None),
         ("ecc-ladders", workloads.ECC_CELLS, [i[:2] for i in ecc.inputs], ecc.bundle),
     ):
-        per_cell = [0] * len(cells)
+        per_cell, tails_per_cell = [0] * len(cells), [0] * len(cells)
         for key, seeds in inputs:
             run = workloads._run_cells(lib.attacks, cells, key, seeds, NullTracer(), bundle)
             for cell in range(len(cells)):  # the generator yields once after each cell
-                steps[0] = 0
+                steps[0] = tails[0] = 0
                 next(run)
                 per_cell[cell] += steps[0]
+                tails_per_cell[cell] += tails[0]
             reports = workloads.run_to_end(run)
             if not all(workloads._cell_ok(m, t, r, key) for (m, t), r in zip(cells, reports)):
                 raise SystemExit(f"{name}: a cell gave the wrong outcome")
         out[name] = {"cells": [f"m{m}.{t}" for m, t in cells], "steps_per_key": sum(per_cell) / keys,
-                     "steps_per_cell": [n / keys for n in per_cell]}
+                     "steps_per_cell": [n / keys for n in per_cell],
+                     "tails_per_key": sum(tails_per_cell) / keys,
+                     "tails_per_cell": [n / keys for n in tails_per_cell]}
     return out
 
 
