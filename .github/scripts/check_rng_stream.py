@@ -1,4 +1,5 @@
-"""Fail unless semi's per-iteration draws are CPython's `randrange` stream.
+"""Fail unless semi's per-iteration draws are CPython's `randrange` stream,
+and the two forms of the semi and fully exp steps agree.
 
     python .github/scripts/check_rng_stream.py
 
@@ -9,9 +10,15 @@ twin `random.Random` instances with equal seeds, each must give the values
 `rng.randrange(n)` gives (for a coefficient, redrawn while it is 0 or 2),
 draw for draw, and leave the RNG in the same state.  The attack goldens
 pin outputs that depend on every mask drawn, so a Python whose `randrange`
-ran another loop would change them.  Standard library only, so that it
-runs on every Python the package supports; tests/test_rng_stream.py runs
-the same cases under pytest.
+ran another loop would change them.
+
+Semi under fresh masks and fully also run at a 2,048-bit modulus in both
+step forms: counted (`per_iter=[]`, one `% n` per tallied operation) and
+straight-line (one reduction per register write, its wider numerators
+reduced by Python's `%`, negative ones included).  Both must give the same
+output and leave the RNG in the same state.  Standard library only, so
+that it runs on every Python the package supports; tests/test_rng_stream.py
+runs the same cases under pytest.
 """
 
 import random
@@ -21,13 +28,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 from ladderlab.ecc import _semi_coef
-from ladderlab.modexp import _below
+from ladderlab.modexp import MaskPolicy, _below, find_ladder_constant, run_exp_algorithm
 
 DRAWS = 2000
 MODULI = (1, 2, 3, 97, 2**16 - 1, 2**16, 2**16 + 1, 2**64 - 1, 2**64, 2**64 + 1, 1_000_003,
           2**2047 + 2**1023 + 1)
 # the 256-bit order is that of the secp256k1 base point
 ORDERS = (3, 16, 97, 971, 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141)
+FORMS_MODULUS = 2**2047 + 3  # odd, and neither 3 nor 5 divides it, so a ladder constant exists
 
 
 def _randrange_coef(order, rng):
@@ -53,6 +61,37 @@ def cases():
     return out
 
 
+def form_cases():
+    """(name, run(per_iter) -> (output, RNG state)) for each exp step checked in both forms."""
+    n, rng = FORMS_MODULUS, random.Random(7)
+    a, key = rng.randrange(2, n - 1), rng.getrandbits(256)
+    # unlinked start registers: on linked ones semi's masked term is a multiple of n, so the
+    # sign of its lazy numerator never shows in the output
+    x0, y0 = rng.randrange(n), rng.randrange(n)
+    constants = find_ladder_constant(a, n, random.Random(7))
+
+    def runner(algo, **kw):
+        def run(per_iter):
+            rng = random.Random(2024)
+            out = run_exp_algorithm(algo, a, key, n, x0=x0, y0=y0, rng=rng, per_iter=per_iter, **kw)
+            return out, rng.getstate()
+
+        return run
+
+    return [("semi under fresh masks", runner("semi", mask=MaskPolicy.fresh())),
+            ("fully", runner("fully", constants=constants))]
+
+
+def form_mismatch(run):
+    """None if the counted and straight-line runs agree in output and RNG state, else why not."""
+    (counted, counted_state), (straight, straight_state) = run([]), run(None)
+    if counted != straight:
+        return "the counted and straight-line forms give different outputs"
+    if counted_state != straight_state:
+        return "outputs agree, but the counted and straight-line forms leave different RNG states"
+    return None
+
+
 def mismatch(build, reference, seed=2024):
     """None if `build(rng)` draws what `reference(rng)` does and ends in its state, else why not."""
     ours, theirs = random.Random(seed), random.Random(seed)
@@ -69,8 +108,10 @@ def mismatch(build, reference, seed=2024):
 def main():
     failures = [f"{name}: {why}" for name, build, reference in cases()
                 if (why := mismatch(build, reference)) is not None]
-    print("\n".join(failures) or f"{len(cases())} draws match randrange over {DRAWS} values "
-          f"each on Python {sys.version.split()[0]}")
+    failures += [f"{name}: {why}" for name, run in form_cases()
+                 if (why := form_mismatch(run)) is not None]
+    print("\n".join(failures) or f"{len(cases())} draws match randrange over {DRAWS} values each, and "
+          f"{len(form_cases())} exp steps agree in both forms, on Python {sys.version.split()[0]}")
     return 1 if failures else 0
 
 

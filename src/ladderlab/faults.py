@@ -9,6 +9,7 @@ actual key.
 
 import random
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,14 @@ class FaultPlan:
             return self.key_stuckat[1]
         return bits[i - 1]
 
-    def effective_bits(self, bits):
-        """Every bit the loop consumes, in order: `bit` for each iteration, as one slice."""
-        if self.key_stuckat is None:
-            return bits
-        threshold, bit = self.key_stuckat
-        pinned = list(bits)
-        pinned[threshold:] = [bit] * (len(bits) - threshold)
-        return pinned
+    def effective_bits(self, bits, start=0, stop=None):
+        """The bits iterations start + 1 .. stop (default: all) consume, `bit` for each, lazily."""
+        stop = len(bits) if stop is None else stop
+        threshold, bit = self.key_stuckat or (stop, 0)
+        if start >= threshold:  # a resumed run mostly starts in the pinned tail
+            return repeat(bit, stop - start)
+        head = islice(bits, start, min(threshold, stop))
+        return head if stop <= threshold else chain(head, repeat(bit, stop - threshold))
 
     def apply(self, i: int, x, y, draw):
         """Return the (x, y) register pair after the faults targeting iteration i."""

@@ -20,8 +20,8 @@ supply only a per-bit step (the latter two in a `Target`), and `drive`
 applies the fault plan, records snapshots and tallies each iteration's
 operations.  Ring operations are counted one way only: the step runs on
 a `CountingRing`, whose `counts` the runner hands to `drive`.  Uncounted
-`modexp` runs take each step's straight-line `% n` form instead, which
-tests hold equal to the counted one.
+`modexp` runs take each step's straight-line form instead, one reduction
+per register write or value multiplied again; tests hold the two equal.
 """
 
 from dataclasses import dataclass, field
@@ -269,25 +269,24 @@ def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
     registers after iteration i0 (0 for a whole run; y is None for a
     one-register loop, whose `trace` keeps ys None).  Iteration numbers
     stay absolute: register faults are applied just before the iterations
-    they name, `draw(rng)` giving a seeded fault's value; stuck-at faults
-    change the bits the loop consumes, never the key.  With `per_iter`,
-    each iteration appends what it added to `counts`, the `OpCounts` the
-    step tallies on.
-    With `stop`, the run ends after iteration `stop`.  `rejoin=states` runs
-    on from there, for an untraced run with no fault after iteration `stop`
-    that then reads the bits of a clean run with snapshots `states`: once
-    the registers after an iteration i >= stop equal `states[i]`, it
-    returns that run's output `states[-1]`.
+    they name, `draw(rng)` giving a seeded fault's value; iterations past
+    a stuck-at's threshold read its bit, and the key is never copied.  With
+    `per_iter`, each iteration appends what it added to `counts`, the
+    `OpCounts` the step tallies on.  With `stop`, the run ends after
+    iteration `stop`.  `rejoin=states` runs on from there, for an untraced
+    run with no fault after iteration `stop` that then reads the bits of a
+    clean run with snapshots `states`: once the registers after an
+    iteration i >= stop equal `states[i]`, it returns that run's output.
     """
-    faulted = ()
+    consumed, faulted = islice, ()  # consumed(bits, i, j): the bits iterations i + 1 .. j read
     if plan is not None:
         faulted = {f.iteration for f in plan.register_faults}
-        bits = plan.effective_bits(bits)
+        consumed = islice if plan.key_stuckat is None else plan.effective_bits
     if trace is not None:
         if y is not None and trace.ys is None:
             trace.ys = []
         _record(trace, x, y)
-    for i, bit in enumerate(islice(bits, i0, stop), i0 + 1):
+    for i, bit in enumerate(consumed(bits, i0, stop), i0 + 1):
         if i in faulted:
             x, y = plan.apply(i, x, y, draw)
             if trace is not None:
@@ -302,7 +301,7 @@ def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
         if trace is not None:
             _record(trace, x, y)
     if rejoin is not None:
-        for i, bit in enumerate(islice(bits, stop, None), stop):
+        for i, bit in enumerate(consumed(bits, stop, None), stop):
             if (x, y) == rejoin[i]:
                 return rejoin[-1]
             x, y = step(bit, x, y)

@@ -11,7 +11,7 @@ multiplications / squarings / additions are tallied per iteration only
 when a caller asks for them (`per_iter`, `cost_per_bit`, and through it
 the CLI's `--count-ops`), by running the step's counted form on a
 `ladders.CountingRing`; every other run takes its straight-line form, one
-inline `% n` per operation the counted form tallies, which tests hold equal.
+reduction per register write or value multiplied again; tests hold them equal.
 """
 
 import random
@@ -193,8 +193,8 @@ def _mod_draw(n: int):
     return lambda rng: rng.randrange(n)
 
 
-# Each variant below is its per-bit step over `sq/mul/add/sub` bound from `ops`, or for
-# `ops=None` each call as one inline `% n`, same operands in the same order; `exp_step` picks one.
+# Each variant below is its per-bit step over `sq/mul/add/sub` bound from `ops`, or for `ops=None`
+# the same sums reduced once per register write or value multiplied again; `exp_step` picks one.
 
 
 def _sm(a, n, x0, y0, ops):
@@ -274,10 +274,10 @@ def _semi(a, n, x0, y0, ops, policy, rng):
             if not bit:
                 x, y = y, x
             z = y * y % n
-            s = (x * x % n + z) % n
-            t = m * a % n * s % n
-            w = (1 - m * c % n) % n
-            x = (t + w * (x * y % n) % n) % n
+            xy = x * y % n
+            # m*a*s + (1 - m*c)*xy == xy + m*(a*s - c*xy), s = x^2 + z: m multiplies once
+            u = (a * ((x * x + z) % n) - c * xy) % n
+            x = (m * u + xy) % n
             return (x, z) if bit else (z, x)
     else:
         sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
@@ -309,8 +309,8 @@ def _fully(a, n, x0, y0, ops, constants):
             if not bit:
                 x, y = y, x
             z = y * y % n
-            x = (k0 * (x * y % n) % n + k1 * z % n) % n
-            y = (k2 * z % n + k3 * x % n) % n
+            x = (k0 * (x * y % n) + k1 * z) % n
+            y = (k2 * z + k3 * x) % n
             return (x, y) if bit else (y, x)
     else:
         sq, mul, add = ops.sq, ops.mul, ops.add
@@ -360,8 +360,8 @@ def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, ma
     The one builder of exp steps, for `run_exp_algorithm` and for the exp
     oracle, which builds one per oracle.  On a `CountingRing` `ops` the
     step is the counted form that tallies each operation; with `ops=None`
-    it is the straight-line form, one `% n` per operation of the counted
-    one, which every uncounted run takes (tests hold the two equal).  Semi
+    it is the straight-line form, one reduction per register write or value
+    multiplied again, which uncounted runs take (tests hold them equal).  Semi
     under fresh masks sets `fresh` to its mask draw.  Only sma's step
     depends on the plan: its `takes` wraps the step with the y faults,
     which land on the multiplier output, and the step built here with a

@@ -6,10 +6,15 @@ from the strategy the resume tests use).  The concrete montgomery, semi
 (zero and fixed mask) and fully runners must give the snapshots that
 `ladders.run_semi_ladder` / `run_fully_ladder` give on the matching specs,
 and with no plan x must end at pow(a, k, n).  Each of the five exp steps
-also has a counted form, run when `per_iter` is asked for, and a
-straight-line form, run otherwise: on the same cases, plus a 2,048-bit odd
-modulus, both must give equal outputs, snapshots and RNG state (semi under
-zero, fixed and fresh masks; sm only without a plan).
+also has a counted form, run when `per_iter` is asked for, one `% n` per
+tallied operation, and a straight-line form, run otherwise, one reduction
+per register write or value multiplied again.  On the same cases, plus a
+2,048-bit odd modulus and drawn start registers, both must give equal
+outputs, snapshots and RNG state (semi under zero, fixed and fresh masks;
+sm only without a plan), and every straight-line snapshot must lie in
+[0, n).  Pinned examples at both sizes make the unreduced intermediates
+widest: registers, mask and fault values of n - 1 with a = n - 2, and
+start registers (1, n - 1), where semi's lazy numerator is negative.
 
 ECC half: hypothesis draws the generated small curve (whose `PointOps`
 looks the group law up in a discrete-log table) or a prime-order curve
@@ -119,12 +124,32 @@ def _both_forms(algo, a, key, n, seed, **kw):
     return runs
 
 
+@st.composite
+def _started(draw, cases):
+    """A case and its start registers (x0, y0), or None for each ladder's own."""
+    case = draw(cases)
+    n = case[0]
+    return case, draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+
+
+def _widest(n):
+    """Registers, mask and fault values of n - 1 at a = n - 2, then the start (1, n - 1)."""
+    key = KeyBits((1, 0, 1, 1, 0, 0, 1, 0))
+    plan = FaultPlan((RegisterFault("x", 3, value=n - 1), RegisterFault("y", 5, value=n - 1)))
+    return [((n, n - 2, key, plan, n - 1, 11), (n - 1, n - 1)),
+            ((n, n - 2, key, None, n - 1, 11), (1, n - 1))]
+
+
 @settings(max_examples=40, deadline=None)
-@given(_case(st.sampled_from(PRIMES) | st.just(BIG)))
-@example((BIG, 5, KeyBits((1, 0, 0, 1, 1, 0, 1)), FaultPlan(
-    (RegisterFault("y", 2, seed=1), RegisterFault("x", 4, value=BIG - 1)), (5, 0)), 12345, 7))
-def test_counted_and_straight_line_steps_agree(case):
-    n, a, key, plan, m, seed = case
+@given(_started(_case(st.sampled_from(PRIMES) | st.just(BIG))))
+@example(((BIG, 5, KeyBits((1, 0, 0, 1, 1, 0, 1)), FaultPlan((RegisterFault("y", 2, seed=1),
+          RegisterFault("x", 4, value=BIG - 1)), (5, 0)), 12345, 7), None))
+@example(_widest(BIG)[0])
+@example(_widest(BIG)[1])
+@example(_widest(65537)[0])
+@example(_widest(65537)[1])
+def test_counted_and_straight_line_steps_agree(started):
+    (n, a, key, plan, m, seed), (x0, y0) = started[0], started[1] or (None, None)
     constants = find_ladder_constant(a, n, random.Random(seed))
     runs = [("sm", {})] + [(algo, {"plan": plan, **kw}) for algo, kw in (
         ("sma", {}),
@@ -135,8 +160,10 @@ def test_counted_and_straight_line_steps_agree(case):
         ("fully", {"constants": constants}),
     )]
     for algo, kw in runs:
-        counted, straight = _both_forms(algo, a, key, n, seed, **kw)
+        counted, straight = _both_forms(algo, a, key, n, seed, x0=x0, y0=y0, **kw)
         assert counted == straight, (algo, kw)
+        _, xs, ys, _ = straight
+        assert all(0 <= v < n for v in xs + (ys or [])), (algo, kw)
 
 
 SMALL = find_small_curve()

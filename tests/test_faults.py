@@ -81,6 +81,10 @@ class TestPlanShortcuts:
         for stuck in [None] + [(t, b) for t in range(7) for b in (0, 1)]:
             plan = FaultPlan(key_stuckat=stuck)
             assert list(plan.effective_bits(bits)) == [plan.bit(i, bits) for i in range(1, 7)]
+            for start in range(7):  # iterations start + 1 .. stop, as a resumed `drive` reads them
+                for stop in range(start, 7):
+                    want = [plan.bit(i, bits) for i in range(start + 1, stop + 1)]
+                    assert list(plan.effective_bits(bits, start, stop)) == want, (start, stop)
 
     def test_nothing_changes_before_first_divergent(self):
         rng = random.Random(5)

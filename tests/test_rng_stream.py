@@ -1,4 +1,5 @@
-"""Semi's fresh masks and coefficients stay CPython's `randrange` stream.
+"""Semi's fresh masks and coefficients stay CPython's `randrange` stream,
+and semi and fully agree in both step forms at a 2,048-bit modulus.
 
 The cases and the comparison live in .github/scripts/check_rng_stream.py,
 which CI also runs, without pytest, on every supported Python.
@@ -27,3 +28,17 @@ def test_a_changed_draw_is_caught():
         return lambda: (below() + 1) % 97
 
     assert stream.mismatch(off_by_one, lambda rng: rng.randrange(97)) is not None
+
+
+@pytest.mark.parametrize("run", [case[1] for case in stream.form_cases()],
+                         ids=[case[0] for case in stream.form_cases()])
+def test_both_step_forms_agree(run):
+    assert stream.form_mismatch(run) is None
+
+
+def test_a_changed_form_is_caught():
+    def drifted(per_iter):
+        out, state = stream.form_cases()[1][1](per_iter)
+        return (out if per_iter is None else (out[0] + 1, out[1])), state
+
+    assert stream.form_mismatch(drifted) is not None
