@@ -14,7 +14,7 @@ from .ladders import DEFAULT_SWEEP_LIMIT, SWEEP_CHUNK
 from .modarith import is_probable_prime
 from .modexp import _suits
 
-CELL_LIMIT = 2**28  # (a, l) cells one census may evaluate
+CELL_LIMIT = 2**28  # (a, l) cells one census may cover; fixed behaviour, as the census counts per l
 
 
 def _require_prime(p: int, who: str) -> None:
@@ -35,8 +35,8 @@ def _semiprime(p: int, q: int) -> int:
 def _tables(n: int, bases: int):
     """The suitability tables of every constant for n, once the census passes the work guards.
 
-    The census evaluates the n - 3 constants of the table for each of `bases`
-    bases; both n and that cell count are bounded before any work is done.
+    Both guards run before any work.  The census counts per l, so the guard on its
+    bases * (n - 3) (a, l) cells is kept only as fixed behaviour, not as a bound on work.
     """
     if n > DEFAULT_SWEEP_LIMIT:
         raise DomainTooLarge(f"census over n={n} exceeds guard {DEFAULT_SWEEP_LIMIT}")

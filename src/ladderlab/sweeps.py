@@ -10,7 +10,7 @@ x grid only lists the violations of the first failing (n, a).
 `ladders.check_*_equations` decide one spec at x = 0..4 by a degree bound
 (not homogeneity), enumerating x only to list a failing spec's
 counterexamples, and the tests cross-check the routes.  `ConstantTables`
-is `modexp._suits`'s predicate in numpy.
+is `modexp._suits`'s predicate in numpy; its census discharges a just as x.
 """
 
 from functools import cached_property
@@ -40,21 +40,21 @@ class ConstantTables:
         return ((ells - bases) % n != 0, unit[ells], unit[self.square],
                 unit[(self.cube - bases) % n])
 
-    def suitable(self, bases):
-        c0, c1, c2, c3 = self.constraints(bases)
-        return c0 & c1 & c2 & c3
-
     @cached_property
     def inverse(self):
         """pow(v, -1, n) for every unit v, 0 for every other residue."""
         return np.array([pow(v, -1, self.n) if u else 0 for v, u in enumerate(self.unit.tolist())])
 
     def count_suitable(self) -> tuple[int, int]:
-        """(suitable, total) over every base a in [2, n-2] and every l != a in that range."""
-        n = self.n
-        suitable = sum(int(np.count_nonzero(self.suitable(bases)))
-                       for bases in _base_chunks(2, n - 1, n - 3))
-        return suitable, (n - 3) * (n - 4)
+        """(suitable, total) over every base a in [2, n-2] and every l != a in that range.
+
+        Counted per l in W (l, l^2 - 1 units): phi(n) residues a make l^3 - a a unit, less a = 0 and
+        a = l always, and a = 1, -1 when l^3 - 1, l^3 + 1 are units; a is never enumerated.
+        """
+        n, unit = self.n, self.unit
+        cubes = self.cube[unit[self.ells] & unit[self.square]]  # l^3 for every l in W
+        dropped = np.count_nonzero(unit[(cubes - 1) % n]) + np.count_nonzero(unit[(cubes + 1) % n])
+        return cubes.size * (int(np.count_nonzero(unit)) - 2) - int(dropped), (n - 3) * (n - 4)
 
 
 def _mod(v, n: int):
@@ -121,11 +121,11 @@ def sweep_masked_semi(n_max: int = 200, n_min: int = 2) -> list:
 def _valid_constants(tables: ConstantTables, bases):
     """(a, l, loop coefficients) of every valid l of each base (int or int64 column), base-major."""
     n, inv = tables.n, tables.inverse
-    ok = tables.suitable(bases)
+    c0, c1, c2, c3 = tables.constraints(bases)
+    ok = c0 & c1 & c2 & c3
     a, ell, v2, cube = (np.broadcast_to(c, ok.shape)[ok]
                         for c in (bases, tables.ells, tables.square, tables.cube))
-    v0 = (ell - a) % n
-    v3 = (cube - a) % n
+    v0, v3 = (ell - a) % n, (cube - a) % n
     u2, u3 = inv[v2], inv[v3]
     return (a, ell, inv[ell] * u2 % n * v3 % n, -v0 * u2 % n,
             a * v2 % n * u3 % n, ell * v0 % n * u3 % n)

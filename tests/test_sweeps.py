@@ -80,7 +80,8 @@ def test_constant_tables_match_scalar_predicate():
 
 
 def test_count_suitable_matches_scalar_predicate_across_chunks():
-    # n = 139 splits its 136 bases over two chunks of at most 2**14 cells
+    # the census counts per l in closed form; n = 12, 35 and 60 are composite, where
+    # l^3 - 1 and l^3 + 1 can miss being units through one prime factor alone
     for n in (7, 12, 35, 60, 139):
         suitable = sum(
             _constants_for(a, ell, n, 0) is not None
@@ -89,6 +90,26 @@ def test_count_suitable_matches_scalar_predicate_across_chunks():
             if ell != a
         )
         assert ConstantTables(n).count_suitable() == (suitable, (n - 3) * (n - 4))
+
+
+def _enumerated_count(n):
+    """(suitable, total) by evaluating every (a, l) cell, base chunk by base chunk."""
+    tables = ConstantTables(n)
+    suitable = 0
+    for bases in sweeps._base_chunks(2, n - 1, n - 3):
+        c0, c1, c2, c3 = tables.constraints(bases)
+        suitable += int(np.count_nonzero(c0 & c1 & c2 & c3))
+    return suitable, (n - 3) * (n - 4)
+
+
+def test_count_suitable_equals_cell_enumeration():
+    # the closed form drops a = 0, l, 1 and -1 from the phi(n) bases of each l;
+    # enumeration checks it on every small n and every modulus pq of criterion 6
+    primes = [p for p in range(2, 48) if all(p % d for d in range(2, p))]
+    moduli = [p * q for i, p in enumerate(primes) for q in primes[i + 1:] if p * q >= 35]
+    assert len(moduli) == 96 and max(moduli) == 43 * 47
+    for n in [*range(7, 400), *moduli]:
+        assert ConstantTables(n).count_suitable() == _enumerated_count(n), n
 
 
 def _full_grid_sweeps(n_max, semi_min=2, fully_min=7):
