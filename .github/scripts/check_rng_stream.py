@@ -1,16 +1,21 @@
-"""Fail unless semi's per-iteration draws are CPython's `randrange` stream,
+"""Fail unless the package's seeded draws are CPython's `randrange` stream,
 and the two forms of the semi and fully exp steps agree.
 
     python .github/scripts/check_rng_stream.py
 
-Semi's fresh masks come from `modexp._below(n, rng)` and ECC semi's fresh
-coefficients from `ecc._semi_coef(order, rng)`, which run the loop of
-CPython's `Random._randbelow_with_getrandbits` without its frames.  On
-twin `random.Random` instances with equal seeds, each must give the values
+Semi's fresh masks come from `modarith._below(n, rng)`, ECC semi's fresh
+coefficients from `ecc._semi_coef(order, rng)` and seeded exp fault values
+from `modarith._mod_draw(n)`, which run the loop of CPython's
+`Random._randbelow_with_getrandbits` without its frames.  On twin
+`random.Random` instances with equal seeds, each must give the values
 `rng.randrange(n)` gives (for a coefficient, redrawn while it is 0 or 2),
-draw for draw, and leave the RNG in the same state.  The attack goldens
-pin outputs that depend on every mask drawn, so a Python whose `randrange`
-ran another loop would change them.
+draw for draw, and leave the RNG in the same state.  Seeded ECC fault
+values and attack inputs on a curve with a log table come from the
+table's logs of each x (`LogOps.draw`, `PointOps.draw`); on
+`find_small_curve()` they must be the log of, and the point, that
+`ecc.random_point`'s Tonelli-Shanks draw gives, under the same rule.  The
+attack goldens pin outputs that depend on every value drawn, so a Python
+whose `randrange` ran another loop would change them.
 
 Semi under fresh masks and fully also run at a 2,048-bit modulus in both
 step forms: counted (`per_iter=[]`, one `% n` per tallied operation) and
@@ -27,8 +32,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from ladderlab.ecc import _semi_coef
-from ladderlab.modexp import MaskPolicy, _below, find_ladder_constant, run_exp_algorithm
+from ladderlab.ecc import PointOps, _semi_coef, find_small_curve, oracle_ops, random_point
+from ladderlab.modarith import _below, _mod_draw
+from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
 
 DRAWS = 2000
 MODULI = (1, 2, 3, 97, 2**16 - 1, 2**16, 2**16 + 1, 2**64 - 1, 2**64, 2**64 + 1, 1_000_003,
@@ -53,11 +59,19 @@ def _label(n):
 
 
 def cases():
-    """(name, build(rng) -> draw, reference(rng) -> value) for every checked n and order."""
+    """(name, build(rng) -> draw, reference(rng) -> value) for every checked n, order and curve."""
     out = [(f"_below({_label(n)})", lambda rng, n=n: _below(n, rng),
             lambda rng, n=n: rng.randrange(n)) for n in MODULI]
+    out += [(f"_mod_draw({_label(n)})", lambda rng, draw=_mod_draw(n): lambda: draw(rng),
+             lambda rng, n=n: rng.randrange(n)) for n in MODULI]
     out += [(f"_semi_coef({_label(order)})", lambda rng, order=order: _semi_coef(order, rng),
              lambda rng, order=order: _randrange_coef(order, rng)) for order in ORDERS]
+    curve = find_small_curve()[0]
+    logs, points = oracle_ops(curve), PointOps(curve)
+    out += [("LogOps.draw(find_small_curve())", lambda rng: lambda: logs.draw(rng),
+             lambda rng: logs.log[random_point(curve, rng)]),
+            ("PointOps.draw(find_small_curve())", lambda rng: lambda: points.draw(rng),
+             lambda rng: random_point(curve, rng))]
     return out
 
 
@@ -99,7 +113,7 @@ def mismatch(build, reference, seed=2024):
     for i in range(DRAWS):
         got, want = draw(), reference(theirs)
         if got != want:
-            return f"draw {i} gave {got}, randrange gave {want}"
+            return f"draw {i} gave {got}, the reference gave {want}"
     if ours.getstate() != theirs.getstate():
         return f"values agree over {DRAWS} draws, but the RNG states differ"
     return None
@@ -110,7 +124,7 @@ def main():
                 if (why := mismatch(build, reference)) is not None]
     failures += [f"{name}: {why}" for name, run in form_cases()
                  if (why := form_mismatch(run)) is not None]
-    print("\n".join(failures) or f"{len(cases())} draws match randrange over {DRAWS} values each, and "
+    print("\n".join(failures) or f"{len(cases())} draws match their references over {DRAWS} values, and "
           f"{len(form_cases())} exp steps agree in both forms, on Python {sys.version.split()[0]}")
     return 1 if failures else 0
 

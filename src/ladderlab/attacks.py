@@ -29,11 +29,14 @@ the first key bit its stuck-at changes, driving the target it built once
 runs on `ecc.oracle_ops(curve)`: on a curve with a discrete-log table its
 registers, snapshots, kept outputs and rejoin comparisons are logs mod N.
 A call's start registers and explicit fault values enter as logs before
-the run (`ecc.enter_run`), seeded faults draw logs, and its outputs leave
-as points.  On logs each ladder step is an affine map of the registers mod
-N, the same map for every iteration that reads the same bit, so a call
-with a stuck-at (t, b) drives only up to t or its last register fault and
-answers the rest, which all read b, in closed form (`Target.tail`).
+the run (`ecc.enter_run`), and its outputs leave as points.  Seeded faults
+draw logs, and attack 3's pool inputs draw points, from the table's logs
+of each x (`ecc.LogTable.draw`): the point `ecc.random_point` would give
+for the same RNG, with no square root.  On logs each ladder step is an
+affine map of the registers mod N, the same map for every iteration that
+reads the same bit, so a call with a stuck-at (t, b) drives only up to t
+or its last register fault and answers the rest, which all read b, in
+closed form (`Target.tail`).
 `PointOps` curves, fresh coefficients (whose draws are replayed) and the
 exp ladders drive every step: a `pow()` tail for exp montgomery measured
 5.2 -> 4.4 ms per key on m2/montgomery, within `attack-matrix`'s noise.
@@ -61,8 +64,8 @@ import random
 from dataclasses import dataclass, replace
 
 from .ecc import (
-    Curve, EccLadderParams, Point, ecc_step, enter_run, find_small_curve, fully_params, oracle_ops,
-    random_point,
+    Curve, EccLadderParams, Point, PointOps, ecc_step, enter_run, find_small_curve, fully_params,
+    oracle_ops,
 )
 from .errors import Coincidence
 from .faults import FaultPlan, RegisterFault
@@ -242,9 +245,11 @@ def make_ecc_oracle(
             raise ValueError("curve has no recorded subgroup order")
         params = fully_params(3, curve.subgroup_order)
 
+    draw = PointOps(curve).draw  # `random_point`'s points, from the log table where there is one
+
     def sample_input(r):
         # under fresh coefficients y0 is left to semi's link Q = -(P + A), so they cancel
-        return random_point(curve, r), (None if fresh_coef else random_point(curve, r))
+        return draw(r), (None if fresh_coef else draw(r))
 
     run = _ecc_run(algo, curve, A, bits, params, fresh_coef, rng)
     return ExecutionOracle(run, len(bits), sample_input, readable)

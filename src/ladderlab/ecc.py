@@ -28,6 +28,10 @@ snapshots and fault values are the logs themselves, each operation is
 one integer operation mod N with no tally, and points enter as logs and
 leave as points.  There each ladder step is affine in its registers, so
 `ecc_step` also gives k steps of one bit in closed form (`Target.tail`).
+Every random point on such a curve, a seeded fault's value or an attack
+input, comes from the table's logs of each x (`LogTable.draw`), with the
+calls on the RNG that `random_point` makes; only a curve without a table
+takes Tonelli-Shanks square roots.
 `double_and_add` and `point_add`/`point_double`/
 `point_neg` always run the affine law, the independent reference every
 ladder result is checked against.
@@ -37,13 +41,12 @@ import functools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import InvalidCoefficient, NotOnCurve
 from .faults import FaultPlan
 from .ladders import Target, Trace, as_key, drive
-from .modarith import is_probable_prime
-from .modexp import _below
+from .modarith import _below, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,10 @@ def curve_order(curve: Curve) -> int:
 
 
 def random_point(curve: Curve, rng: random.Random) -> Point:
-    """A uniformly-sampled x with a valid y; used as the fault value for registers."""
+    """A uniformly-sampled x with a valid y, by Tonelli-Shanks; a seeded fault's value.
+
+    A curve with a log table draws the same point from its `LogTable.draw`.
+    """
     p = curve.p
     while True:
         x = rng.randrange(p)
@@ -268,23 +274,52 @@ def find_small_curve() -> tuple[Curve, Point, int]:
 TABLE_MAX_P = 2**10
 
 
-@functools.lru_cache(maxsize=8)
-def _log_table(curve: Curve) -> tuple[list[Point], dict[Point, int]] | None:
-    """(mults, log) with mults[i] = i*G and log[mults[i]] = i, G the first affine point.
+class LogTable(NamedTuple):
+    """A curve's discrete logs to the base G, its first affine point, with a draw of them."""
 
-    None unless p <= TABLE_MAX_P and the group order N is prime, which makes
-    G a generator.  O(N) points, built on the first `PointOps` of a curve.
+    mults: list[Point]  # mults[i] = i*G
+    log: dict[Point, int]  # log[mults[i]] = i
+    by_x: list[tuple]  # by_x[x]: the logs of (x, y) and (x, p - y), y as sqrt_mod_prime's root
+    # draw(rng): the log of random_point(curve, rng), by the same calls on rng
+    draw: Callable[[random.Random], int]
+
+
+@functools.lru_cache(maxsize=8)
+def _log_table(curve: Curve) -> LogTable | None:
+    """The curve's `LogTable` (O(N) points), built on the first `PointOps` or `oracle_ops` of the curve.
+
+    None unless p <= TABLE_MAX_P and the group order N is an odd prime: then
+    G generates the group and no point has order 2 (y = 0), so each x on the
+    curve has two points.  `draw` makes `random_point`'s calls on the RNG:
+    `getrandbits(k)`, k = p.bit_length(), redrawn where `by_x` is empty (at
+    x >= p, as `randrange(p)` redraws, and at x with no point), then
+    `getrandbits(1)` for the sign.  No square root is taken.
     """
-    if curve.p > TABLE_MAX_P:
+    p = curve.p
+    if p > TABLE_MAX_P:
         return None
     points = curve_points(curve)
-    if not is_probable_prime(len(points) + 1):
+    N = len(points) + 1
+    if N == 2 or not is_probable_prime(N):
         return None
     G = points[0]
     mults = [INFINITY, G]
-    for _ in range(len(points) - 1):
+    for _ in range(N - 2):
         mults.append(_add(curve, mults[-1], G))
-    return mults, {P: i for i, P in enumerate(mults)}
+    log = {P: i for i, P in enumerate(mults)}
+    k = p.bit_length()
+    by_x = [()] * (1 << k)
+    for P, Q in zip(points[::2], points[1::2]):  # curve_points gives (x, y), then (x, p - y)
+        by_x[P.x] = log[P], log[Q]
+
+    def draw(rng):
+        getrandbits = rng.getrandbits
+        while True:
+            logs = by_x[getrandbits(k)]
+            if logs:
+                return logs[0] if getrandbits(1) else logs[1]
+
+    return LogTable(mults, log, by_x, draw)
 
 
 class PointOps:
@@ -292,7 +327,8 @@ class PointOps:
 
     The operations do not check their operands: `enter` checks and
     reduces the points that enter a run, `draw` gives a seeded fault's
-    value, and the group law keeps them on the curve.  `leave` is the
+    value (`random_point`'s, from the log table's `draw` where there is
+    one), and the group law keeps them on the curve.  `leave` is the
     identity, as the ECC oracle's exit from a group of points.
     On a curve with a discrete-log table (prime group order, p <= TABLE_MAX_P)
     each operation is one lookup; a point missing from the table, such as
@@ -306,14 +342,16 @@ class PointOps:
         self.curve = curve
         self.adds = 0
         self.doubles = 0
-        self._mults, self._log = _log_table(curve) or (None, None)
+        self._table = table = _log_table(curve)
+        self._mults, self._log = (None, None) if table is None else (table.mults, table.log)
         self._order = len(self._mults) if self._mults else 0
 
     def enter(self, P: Point) -> Point:
         return _reduced(self.curve, P)
 
     def draw(self, rng: random.Random) -> Point:
-        return random_point(self.curve, rng)
+        table = self._table
+        return random_point(self.curve, rng) if table is None else table.mults[table.draw(rng)]
 
     def leave(self, P: Point) -> Point:
         return P
@@ -377,12 +415,14 @@ class LogOps:
     The ECC oracle's group (`oracle_ops`).  Each operation is one integer
     operation mod N, with no tallies.  Points enter as their logs, through
     `enter`, which checks and reduces them as `PointOps.enter` does, and
-    `draw`; `leave(i)` turns a log back into its point.
+    `draw`, the table's: the log of the point `random_point` would draw
+    from the same RNG, found without a square root.  `leave(i)` turns a
+    log back into its point.
     """
 
-    def __init__(self, curve: Curve, table: tuple[list[Point], dict[Point, int]]):
+    def __init__(self, curve: Curve, table: LogTable):
         self.curve = curve
-        self.mults, self.log = table
+        self.mults, self.log, self.draw = table.mults, table.log, table.draw
         self.order = len(self.mults)
         self.leave = self.mults.__getitem__  # a log back to its point
 
@@ -390,9 +430,6 @@ class LogOps:
         # the table holds exactly the reduced curve points, so a hit is the on-curve check
         log = self.log.get(P)
         return self.log[_reduced(self.curve, P)] if log is None else log
-
-    def draw(self, rng: random.Random) -> int:
-        return self.log[random_point(self.curve, rng)]
 
     def add(self, P: int, Q: int) -> int:
         return (P + Q) % self.order

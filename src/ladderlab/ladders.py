@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainTooLarge
 from .faults import FaultPlan
-from .modarith import Ring
+from .modarith import Ring, _mod_draw
 
 DEFAULT_SWEEP_LIMIT = 2**20
 INT64_SWEEP_LIMIT = 2**31
@@ -345,7 +345,7 @@ def _run_two_register(ring, spec, key, x_init, plan, y_init, other) -> Trace:
     x = ring.reduce(x_init)
     y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
     trace = Trace()
-    drive(bits, x, y, step, plan=plan, draw=lambda rng: rng.randrange(ring.n),
+    drive(bits, x, y, step, plan=plan, draw=_mod_draw(ring.n),
           trace=trace, per_iter=trace.ops, counts=ops.counts)
     return trace
 

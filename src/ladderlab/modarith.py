@@ -63,6 +63,36 @@ def modpow_reference(a: int, k: int, n: int) -> int:
     return pow(a % n, k, n)
 
 
+def _below(n: int, rng: random.Random):
+    """`rng.randrange(n)` as a zero-argument draw: CPython's own `getrandbits` loop, same stream."""
+    getrandbits, k = rng.getrandbits, n.bit_length()
+
+    def below():
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+def _mod_draw(n: int):
+    """`rng.randrange(n)` as a draw that takes the RNG: `_below`'s loop, for a seeded fault.
+
+    A fault draws once or twice from an RNG of its own, and a `_below` built
+    per fault would cost more than `randrange` itself.
+    """
+    k = n.bit_length()
+
+    def draw(rng):
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return r
+
+    return draw
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -27,7 +27,7 @@ from .ladders import (
     DEFAULT_SWEEP_LIMIT, Affine1, CountingRing, LadderSpec, OpCounts, Quad2, Target, Trace, as_key,
     drive,
 )
-from .modarith import Ring
+from .modarith import Ring, _below, _mod_draw
 
 ALGORITHMS = ("sm", "sma", "montgomery", "semi", "fully")
 MAX_DRAWS = 64  # random draws of `find_ladder_constant` before its exhaustive scan
@@ -76,19 +76,6 @@ class MaskPolicy:
             return _below(n, rng)
         m = 0 if self.mode == "zero" else self.value % n
         return lambda: m
-
-
-def _below(n: int, rng: random.Random):
-    """`rng.randrange(n)` as a zero-argument draw: CPython's own `getrandbits` loop, same stream."""
-    getrandbits, k = rng.getrandbits, n.bit_length()
-
-    def below():
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    return below
 
 
 @dataclass(frozen=True)
@@ -187,10 +174,6 @@ def _start(n, x0, y0, link_scale):
     x = 1 if x0 is None else x0 % n
     y = link_scale * x % n if y0 is None else y0 % n
     return x, y
-
-
-def _mod_draw(n: int):
-    return lambda rng: rng.randrange(n)
 
 
 # Each variant below is its per-bit step over `sq/mul/add/sub` bound from `ops`, or for `ops=None`

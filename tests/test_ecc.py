@@ -349,7 +349,8 @@ class TestLogTable:
 
     def test_generated_curve_has_a_table(self, small_curve):
         curve, _, N = small_curve
-        mults, log = _log_table(curve)
+        table = _log_table(curve)
+        mults, log = table.mults, table.log
         assert len(mults) == len(log) == N == len(curve_points(curve)) + 1
         assert set(mults) == set(curve_points(curve)) | {INFINITY}
 
@@ -396,6 +397,43 @@ class TestLogTable:
         for U, P in zip(unreduced, points):
             assert _add(curve, U, P) == _dbl(curve, P) and _add(curve, U, _neg(curve, P)) == INFINITY
         _assert_matches_affine(curve, pairs, unreduced, (-5, -3, -1, 0, 1, 2, 3, 5))
+
+    @pytest.mark.parametrize("curve", [
+        None,  # find_small_curve(): p = 101, 27 entries past p
+        Curve(1013, 3, 5),  # group order 1033, prime; 11 entries past p
+    ])
+    def test_logs_of_each_x(self, small_curve, curve):
+        curve = curve or small_curve[0]
+        p, table = curve.p, _log_table(curve)
+        assert len(table.by_x) == 1 << p.bit_length()
+        for x, logs in enumerate(table.by_x):
+            y = sqrt_mod_prime(x**3 + curve.a * x + curve.b, p) if x < p else None
+            want = () if y is None else (table.log[Point(x, y)], table.log[Point(x, p - y)])
+            assert logs == want, x
+        # in curve_points' order, which random_point's root and sign follow
+        assert [i for logs in table.by_x for i in logs] == [table.log[P] for P in curve_points(curve)]
+
+    @pytest.mark.parametrize("curve", [None, Curve(1013, 3, 5)])
+    def test_draws_are_random_points(self, small_curve, curve):
+        curve = curve or small_curve[0]
+        table, ours, theirs = _log_table(curve), random.Random(9), random.Random(9)
+        for _ in range(500):
+            assert table.mults[table.draw(ours)] == random_point(curve, theirs)
+        ops = PointOps(curve)
+        for _ in range(500):
+            assert ops.draw(ours) == random_point(curve, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_no_table_curve_has_a_point_of_order_2(self, small_curve):
+        # an odd prime group order has no 2-torsion, so every x on a table curve has two points;
+        # Curve(5, 2, 0) has group order 2, its one affine point (0, 0), and no table
+        curves = [small_curve[0], Curve(1013, 3, 5)]
+        curves += [Curve(p, a, b) for p in (5, 7, 11, 13) for a in range(p) for b in range(p)
+                   if (4 * a**3 + 27 * b**2) % p]
+        tabulated = [c for c in curves if _log_table(c) is not None]
+        assert len(tabulated) == 74 and Curve(5, 2, 0) in curves and Curve(5, 2, 0) not in tabulated
+        for curve in tabulated:
+            assert all(P.y != 0 for P in curve_points(curve)), curve
 
     def test_built_on_first_use(self):
         # neither the import nor the curve search pays for a table

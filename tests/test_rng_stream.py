@@ -1,4 +1,5 @@
-"""Semi's fresh masks and coefficients stay CPython's `randrange` stream,
+"""Semi's fresh masks and coefficients and the seeded fault values stay
+CPython's `randrange` stream (a log table's draws stay `random_point`'s),
 and semi and fully agree in both step forms at a 2,048-bit modulus.
 
 The cases and the comparison live in .github/scripts/check_rng_stream.py,
