@@ -11,11 +11,13 @@ from `modarith._mod_draw(n)`, which run the loop of CPython's
 `rng.randrange(n)` gives (for a coefficient, redrawn while it is 0 or 2),
 draw for draw, and leave the RNG in the same state.  Seeded ECC fault
 values and attack inputs on a curve with a log table come from the
-table's logs of each x (`LogOps.draw`, `PointOps.draw`); on
-`find_small_curve()` they must be the log of, and the point, that
-`ecc.random_point`'s Tonelli-Shanks draw gives, under the same rule.  The
-attack goldens pin outputs that depend on every value drawn, so a Python
-whose `randrange` ran another loop would change them.
+table's logs of each x (`LogOps.draw`, the draw of the curve's own group
+`oracle_ops`), attack inputs leaving it as points (`LogOps.leave`); on
+`find_small_curve()` the log drawn and the point that leaves must be the
+log of, and the point, that `ecc.random_point`'s Tonelli-Shanks draw
+gives, under the same rule.  The attack goldens pin outputs that depend
+on every value drawn, so a Python whose `randrange` ran another loop
+would change them.
 
 Semi under fresh masks and fully also run at a 2,048-bit modulus in both
 step forms: counted (`per_iter=[]`, one `% n` per tallied operation) and
@@ -32,7 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from ladderlab.ecc import PointOps, _semi_coef, find_small_curve, oracle_ops, random_point
+from ladderlab.ecc import _semi_coef, find_small_curve, oracle_ops, random_point
 from ladderlab.modarith import _below, _mod_draw
 from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
 
@@ -67,10 +69,10 @@ def cases():
     out += [(f"_semi_coef({_label(order)})", lambda rng, order=order: _semi_coef(order, rng),
              lambda rng, order=order: _randrange_coef(order, rng)) for order in ORDERS]
     curve = find_small_curve()[0]
-    logs, points = oracle_ops(curve), PointOps(curve)
+    logs = oracle_ops(curve)
     out += [("LogOps.draw(find_small_curve())", lambda rng: lambda: logs.draw(rng),
              lambda rng: logs.log[random_point(curve, rng)]),
-            ("PointOps.draw(find_small_curve())", lambda rng: lambda: points.draw(rng),
+            ("LogOps.leave(draw)(find_small_curve())", lambda rng: lambda: logs.leave(logs.draw(rng)),
              lambda rng: random_point(curve, rng))]
     return out
 

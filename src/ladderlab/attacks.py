@@ -26,20 +26,22 @@ input it keeps the clean run's register snapshots (an internal run, not
 counted in `calls`) and resumes every run at its first register fault or
 the first key bit its stuck-at changes, driving the target it built once
 (sma's `takes` wraps that step with the plan's y faults).  The ECC oracle
-runs on `ecc.oracle_ops(curve)`: on a curve with a discrete-log table its
-registers, snapshots, kept outputs and rejoin comparisons are logs mod N.
-A call's start registers and explicit fault values enter as logs before
-the run (`ecc.enter_run`), and its outputs leave as points.  Seeded faults
-draw logs, and attack 3's pool inputs draw points, from the table's logs
-of each x (`ecc.LogTable.draw`): the point `ecc.random_point` would give
-for the same RNG, with no square root.  On logs each ladder step is an
-affine map of the registers mod N, the same map for every iteration that
-reads the same bit, so a call with a stuck-at (t, b) drives only up to t
-or its last register fault and answers the rest, which all read b, in
-closed form (`Target.tail`).
-`PointOps` curves, fresh coefficients (whose draws are replayed) and the
-exp ladders drive every step: a `pow()` tail for exp montgomery measured
-5.2 -> 4.4 ms per key on m2/montgomery, within `attack-matrix`'s noise.
+runs uncounted, on the curve's own group `ecc.oracle_ops(curve)`: on a
+curve with a discrete-log table its registers, snapshots, kept outputs
+and rejoin comparisons are logs mod N.  A call's start registers and
+explicit fault values enter as logs before the run (`ecc.enter_run`), and
+its outputs leave as points.  Seeded faults and attack 3's pool inputs
+draw in that group, so on such a curve they draw logs from the table's
+logs of each x (`ecc.LogTable.draw`), the pool inputs leaving as points:
+the point `ecc.random_point` would give for the same RNG, with no square
+root.  On logs each ladder step is an affine map of the registers mod N,
+the same map for every iteration that reads the same bit, so a call with
+a stuck-at (t, b) drives only up to t or its last register fault and
+answers the rest, which all read b, in closed form (`Target.tail`).
+Curves without a table (`ecc.PointOps`, the affine law), fresh
+coefficients (whose draws are replayed) and the exp ladders drive every
+step: a `pow()` tail for exp montgomery measured 5.2 -> 4.4 ms per key on
+m2/montgomery, within `attack-matrix`'s noise.
 Square-and-multiply and double-and-add take no fault plan, so building
 their oracles raises ValueError.  It also keeps the outputs of an input's
 calls without register faults, which attacks 2 and 3 repeat: such a plan
@@ -64,8 +66,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .ecc import (
-    Curve, EccLadderParams, Point, PointOps, ecc_step, enter_run, find_small_curve, fully_params,
-    oracle_ops,
+    Curve, EccLadderParams, Point, ecc_step, enter_run, find_small_curve, fully_params, oracle_ops,
 )
 from .errors import Coincidence
 from .faults import FaultPlan, RegisterFault
@@ -245,7 +246,10 @@ def make_ecc_oracle(
             raise ValueError("curve has no recorded subgroup order")
         params = fully_params(3, curve.subgroup_order)
 
-    draw = PointOps(curve).draw  # `random_point`'s points, from the log table where there is one
+    ops = oracle_ops(curve)
+
+    def draw(r):  # `random_point`'s point, drawn in the oracle's group
+        return ops.leave(ops.draw(r))
 
     def sample_input(r):
         # under fresh coefficients y0 is left to semi's link Q = -(P + A), so they cancel

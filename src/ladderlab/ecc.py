@@ -17,24 +17,24 @@ group's `enter` (`enter_run`), which rejects a point off the curve and
 reduces its coordinates mod p.  Inside a run nothing is checked: the
 group law maps curve points to curve points, and seeded faults draw them.
 
-Each step runs over either of two groups.  `PointOps` holds points and
-tallies additions and doublings as the affine law would; the runners,
-the CLI and every counted run use it.  When the whole group has prime
-order N and p <= `TABLE_MAX_P`, every point is i*G for one generator G
-and `PointOps` looks each result up in a discrete-log table (a point
-outside it, with unreduced coordinates, takes the affine law).  On such
-a curve the ECC oracle runs on `LogOps` (`oracle_ops`): registers,
-snapshots and fault values are the logs themselves, each operation is
-one integer operation mod N with no tally, and points enter as logs and
-leave as points.  There each ladder step is affine in its registers, so
-`ecc_step` also gives k steps of one bit in closed form (`Target.tail`).
-Every random point on such a curve, a seeded fault's value or an attack
-input, comes from the table's logs of each x (`LogTable.draw`), with the
-calls on the RNG that `random_point` makes; only a curve without a table
-takes Tonelli-Shanks square roots.
-`double_and_add` and `point_add`/`point_double`/
-`point_neg` always run the affine law, the independent reference every
-ladder result is checked against.
+Each step runs over either of two groups, by one rule.  A counted run
+passes a `PointOps`: the affine law with a tally of its additions and
+doublings, which the CLI and the benchmark's op counts read.  An
+uncounted run, the ECC oracle's or `run_ecc_algorithm`'s without `ops`,
+takes the curve's own group (`oracle_ops`).  When the whole group has
+prime order N and p <= `TABLE_MAX_P`, every point is i*G for one
+generator G and that group is `LogOps`: registers, snapshots and fault
+values are the logs themselves, each operation is one integer operation
+mod N with no tally, and points enter as logs and leave as points.
+There each ladder step is affine in its registers, so `ecc_step` also
+gives k steps of one bit in closed form (`Target.tail`).  A random point
+drawn on `LogOps`, a seeded fault's value or an attack input, comes from
+the table's logs of each x (`LogTable.draw`), with the calls on the RNG
+that `random_point` makes; on any other curve the uncounted group is
+`PointOps` too, and `PointOps` draws by `random_point`'s Tonelli-Shanks
+square roots.  `double_and_add` and `point_add`/`point_double`/`point_neg`
+always run the affine law, the independent reference every ladder result
+is checked against.
 """
 
 import functools
@@ -286,7 +286,7 @@ class LogTable(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _log_table(curve: Curve) -> LogTable | None:
-    """The curve's `LogTable` (O(N) points), built on the first `PointOps` or `oracle_ops` of the curve.
+    """The curve's `LogTable` (O(N) points), built on the first `oracle_ops` of the curve.
 
     None unless p <= TABLE_MAX_P and the group order N is an odd prime: then
     G generates the group and no point has order 2 (y = 0), so each x on the
@@ -323,80 +323,45 @@ def _log_table(curve: Curve) -> LogTable | None:
 
 
 class PointOps:
-    """Point-operation tally used by the runners (adds, doublings).
+    """The affine group law with a tally of its additions and doublings.
 
-    The operations do not check their operands: `enter` checks and
-    reduces the points that enter a run, `draw` gives a seeded fault's
-    value (`random_point`'s, from the log table's `draw` where there is
-    one), and the group law keeps them on the curve.  `leave` is the
-    identity, as the ECC oracle's exit from a group of points.
-    On a curve with a discrete-log table (prime group order, p <= TABLE_MAX_P)
-    each operation is one lookup; a point missing from the table, such as
-    one with unreduced coordinates, takes the affine law.  The tallies are
-    those of the affine law either way: `cmul(c, P)` counts the
-    `abs(c).bit_length()` doublings and `abs(c).bit_count()` additions of
-    its double-and-add loop.
+    The group of a counted run: the CLI and the benchmark's op counts pass
+    one to `run_ecc_algorithm` and read `adds` and `doubles`.  The
+    operations do not check their operands: `enter` checks and reduces the
+    points that enter a run, `draw` is `random_point` (a seeded fault's
+    value), and the group law keeps them on the curve.  `leave` is the
+    identity.  `cmul(c, P)` runs the double-and-add loop over the bits of
+    abs(c): `abs(c).bit_length()` doublings and `abs(c).bit_count()`
+    additions.
     """
 
     def __init__(self, curve: Curve):
         self.curve = curve
         self.adds = 0
         self.doubles = 0
-        self._table = table = _log_table(curve)
-        self._mults, self._log = (None, None) if table is None else (table.mults, table.log)
-        self._order = len(self._mults) if self._mults else 0
 
     def enter(self, P: Point) -> Point:
         return _reduced(self.curve, P)
 
     def draw(self, rng: random.Random) -> Point:
-        table = self._table
-        return random_point(self.curve, rng) if table is None else table.mults[table.draw(rng)]
+        return random_point(self.curve, rng)
 
     def leave(self, P: Point) -> Point:
         return P
 
     def add(self, P: Point, Q: Point) -> Point:
         self.adds += 1
-        log = self._log
-        if log is not None:
-            try:
-                return self._mults[(log[P] + log[Q]) % self._order]
-            except KeyError:
-                pass
         return _add(self.curve, P, Q)
 
     def dbl(self, P: Point) -> Point:
         self.doubles += 1
-        log = self._log
-        if log is not None:
-            try:
-                return self._mults[2 * log[P] % self._order]
-            except KeyError:
-                pass
         return _dbl(self.curve, P)
 
     def neg(self, P: Point) -> Point:
-        log = self._log
-        if log is not None:
-            try:
-                return self._mults[-log[P] % self._order]
-            except KeyError:
-                pass
         return _neg(self.curve, P)
 
     def cmul(self, c: int, P: Point) -> Point:
-        """c*P, tallied as the double-and-add loop over the bits of abs(c)."""
-        log = self._log
-        if log is not None:
-            try:
-                R = self._mults[c * log[P] % self._order]
-            except KeyError:
-                pass
-            else:
-                self.adds += abs(c).bit_count()
-                self.doubles += abs(c).bit_length()
-                return R
+        """c*P, by the double-and-add loop over the bits of abs(c)."""
         if c < 0:
             return self.cmul(-c, self.neg(P))
         R = INFINITY
@@ -412,12 +377,13 @@ class PointOps:
 class LogOps:
     """The group of a curve with a log table as discrete logs: the int i stands for i*G.
 
-    The ECC oracle's group (`oracle_ops`).  Each operation is one integer
-    operation mod N, with no tallies.  Points enter as their logs, through
-    `enter`, which checks and reduces them as `PointOps.enter` does, and
-    `draw`, the table's: the log of the point `random_point` would draw
-    from the same RNG, found without a square root.  `leave(i)` turns a
-    log back into its point.
+    The group of every uncounted run on such a curve (`oracle_ops`): the
+    ECC oracle and `run_ecc_algorithm` without `ops`.  Each operation is
+    one integer operation mod N, with no tallies.  Points enter as their
+    logs, through `enter`, which checks and reduces them as
+    `PointOps.enter` does, and `draw`, the table's: the log of the point
+    `random_point` would draw from the same RNG, found without a square
+    root.  `leave(i)` turns a log back into its point.
     """
 
     def __init__(self, curve: Curve, table: LogTable):
@@ -444,8 +410,11 @@ class LogOps:
         return c * P % self.order
 
 
-def oracle_ops(curve: Curve) -> "LogOps | PointOps":
-    """The group the ECC oracle runs on: `LogOps` when the curve has a log table, else `PointOps`."""
+def oracle_ops(curve: Curve) -> LogOps | PointOps:
+    """The group of an uncounted run: `LogOps` when the curve has a log table, else `PointOps`.
+
+    The ECC oracle runs on it, and so does `run_ecc_algorithm` when no `ops` is given.
+    """
     table = _log_table(curve)
     return PointOps(curve) if table is None else LogOps(curve, table)
 
@@ -510,11 +479,12 @@ def _semi_coef(order: int, rng: random.Random):
     return coef
 
 
-def ladder_link(algo: str, ops: PointOps, A: Point, params: EccLadderParams | None = None):
+def ladder_link(algo: str, ops: PointOps | LogOps, A, params: EccLadderParams | None = None):
     """(link, B): the map Q = link(P) a ladder keeps between its registers, and its offset B.
 
     B is A for montgomery (Q = P + A) and semi (Q = -(P + A)), and
     link_scale*A for fully (Q = P + B), computed once with `ops.cmul`.
+    A, P and B are elements of `ops`: points, or logs on `LogOps`.
     """
     if algo == "montgomery":
         return (lambda P: ops.add(P, A)), A
@@ -541,16 +511,27 @@ def run_ecc_algorithm(
     y0: Point | None = None,
     plan: FaultPlan | None = None,
     trace: Trace | None = None,
-    ops: PointOps | None = None,
+    ops: PointOps | LogOps | None = None,
 ) -> tuple[Point, Point | None]:
-    """Uniform entry point; NotOnCurve for an off-curve base, start or fault point."""
+    """Uniform entry point; NotOnCurve for an off-curve base, start or fault point.
+
+    A counted run passes a `PointOps` and runs the affine law; without
+    `ops` the run takes the curve's own group, `oracle_ops(curve)`.  Its
+    outputs and `trace`'s snapshots leave that group as points.
+    """
     bits = as_key(key).bits
-    ops = ops or PointOps(curve)
+    ops = ops or oracle_ops(curve)
     x0, y0, plan = enter_run(ops, x0, y0, plan)
     if plan is not None:  # after the points, as in the oracle
         plan.validate(len(bits))
     t = ecc_step(algo, ops, ops.enter(A), params, fresh_coef, rng, x0=x0, y0=y0, plan=plan)
-    return drive(bits, t.x, t.y, t.step, plan=t.plan, draw=t.draw, trace=trace)
+    x, y = drive(bits, t.x, t.y, t.step, plan=t.plan, draw=t.draw, trace=trace)
+    leave = ops.leave
+    if trace is not None:
+        trace.xs[:] = map(leave, trace.xs)
+        if y is not None:
+            trace.ys[:] = map(leave, trace.ys)
+    return leave(x), None if y is None else leave(y)
 
 
 def ecc_step(algo: str, ops, A, params: EccLadderParams | None = None,

@@ -16,14 +16,17 @@ sm only without a plan), and every straight-line snapshot must lie in
 widest: registers, mask and fault values of n - 1 with a = n - 2, and
 start registers (1, n - 1), where semi's lazy numerator is negative.
 
-ECC half: hypothesis draws the generated small curve (whose `PointOps`
-looks the group law up in a discrete-log table) or a prime-order curve
-above `ecc.TABLE_MAX_P` (affine law only), a base point, a scalar, ladder
-coefficients and a plan of the same shape with point-valued faults.  The
-montgomery, semi (fixed and fresh coefficients) and fully ladders must
-give the same outputs, snapshots and add/double tallies whether
-`PointOps` uses its table or the affine law, and with no plan x must
-equal `double_and_add`.
+ECC half: hypothesis draws the generated small curve (whose own group,
+`oracle_ops`, is `LogOps`, discrete logs in a table) or a prime-order
+curve above `ecc.TABLE_MAX_P` (affine law only), a base point, a scalar,
+ladder coefficients and a plan of the same shape with point-valued
+faults.  The montgomery, semi (fixed and fresh coefficients) and fully
+ladders must give the same outputs, snapshots (as points) and RNG end
+state on the default route (no `ops`: the curve's own group) as on the
+counted route (`PointOps`, the affine law), and with no plan x must equal
+`double_and_add`.  The counted route's add/double tallies must be those
+of a clean run on the complemented key: the ladders are regular, so
+neither the key bits nor the faults change the operations they run.
 
 In both halves each ladder's link holds at every snapshot a plan leaves
 untouched.
@@ -37,12 +40,14 @@ from test_resume import _plan
 
 from ladderlab.ecc import (
     Curve,
+    LogOps,
     Point,
     PointOps,
     double_and_add,
     find_small_curve,
     fully_params,
     ladder_link,
+    oracle_ops,
     random_point,
     run_ecc_algorithm,
     semi_params,
@@ -167,13 +172,13 @@ def test_counted_and_straight_line_steps_agree(started):
 
 
 SMALL = find_small_curve()
-# prime group order 971 at p = 1031 > TABLE_MAX_P: every PointOps call takes the affine law
+# prime group order 971 at p = 1031 > TABLE_MAX_P: both routes take the affine law
 LARGE = (Curve(1031, 2, 2, subgroup_order=971), Point(0, 473), 971)
 
 
 def test_both_group_law_routes_are_drawn():
     for (curve, A, order), tabled in ((SMALL, True), (LARGE, False)):
-        assert (PointOps(curve)._log is not None) == tabled
+        assert (type(oracle_ops(curve)) is LogOps) == tabled
         assert double_and_add(curve, order, A).is_infinity
 
 
@@ -189,15 +194,16 @@ def _ecc_case(draw):
     return curve, A, key, plan, semi_params(semi_coef, order), fully_params(fully_coef, order), seed
 
 
-def _traced(algo, curve, A, key, plan, seed, tabled, **kw):
-    ops, trace = PointOps(curve), Trace()
-    if not tabled:
-        ops._log = None
-    out = run_ecc_algorithm(algo, curve, A, key, plan=plan, ops=ops, trace=trace,
-                            rng=random.Random(seed), **kw)
-    return out, trace.xs, trace.ys, (ops.adds, ops.doubles)
+def _traced(algo, curve, A, key, plan, seed, ops=None, **kw):
+    """Outputs, snapshots and RNG end state of a run on `ops` (default: the curve's own group)."""
+    trace, rng = Trace(), random.Random(seed)
+    out = run_ecc_algorithm(algo, curve, A, key, plan=plan, ops=ops, trace=trace, rng=rng, **kw)
+    return out, trace.xs, trace.ys, rng.getstate()
 
 
+# a seeded x fault whose RNG first draws x = p - 1 on SMALL, a table entry a narrower draw misses
+@example((*SMALL[:2], KeyBits((1, 0, 1, 1)), FaultPlan((RegisterFault("x", 2, seed=170),)),
+          semi_params(3, SMALL[2]), fully_params(3, SMALL[2]), 5))
 @settings(max_examples=40, deadline=None)
 @given(_ecc_case())
 def test_ecc_ladders_agree_across_group_law_routes(case):
@@ -210,10 +216,15 @@ def test_ecc_ladders_agree_across_group_law_routes(case):
     ]
     clean = _untouched(plan, len(key.bits))
     want = double_and_add(curve, key, A)
+    flipped = KeyBits(tuple(1 - b for b in key.bits))
     for algo, kw in runs:
-        got = _traced(algo, curve, A, key, plan, seed, True, **kw)
-        assert got == _traced(algo, curve, A, key, plan, seed, False, **kw), (algo, kw)
+        ops, regular = PointOps(curve), PointOps(curve)
+        got = _traced(algo, curve, A, key, plan, seed, **kw)
+        assert got == _traced(algo, curve, A, key, plan, seed, ops, **kw), (algo, kw)
+        _traced(algo, curve, A, flipped, None, seed, regular, **kw)
+        assert (ops.adds, ops.doubles) == (regular.adds, regular.doubles), (algo, kw)
         (x, _), xs, ys, _ = got
+        assert all(type(P) is Point for P in xs + ys), (algo, kw)
         link, _ = ladder_link(algo, PointOps(curve), A, kw.get("params"))
         for P, Q in zip(xs[:clean], ys[:clean]):
             assert Q == link(P), (algo, kw)
