@@ -12,12 +12,13 @@ from `modarith._mod_draw(n)`, which run the loop of CPython's
 draw for draw, and leave the RNG in the same state.  Seeded ECC fault
 values and attack inputs on a curve with a log table come from the
 table's logs of each x (`LogOps.draw`, the draw of the curve's own group
-`oracle_ops`), attack inputs leaving it as points (`LogOps.leave`); on
-`find_small_curve()` the log drawn and the point that leaves must be the
-log of, and the point, that `ecc.random_point`'s Tonelli-Shanks draw
-gives, under the same rule.  The attack goldens pin outputs that depend
-on every value drawn, so a Python whose `randrange` ran another loop
-would change them.
+`oracle_ops`), attack inputs leaving it as points (`LogOps.leave`); a
+counted run (`PointOps`, a tally over that same group) draws its seeded
+faults there too.  On `find_small_curve()` the log drawn and the points
+that leave either group must be the log of, and the point, that
+`ecc.random_point`'s Tonelli-Shanks draw gives, under the same rule.  The
+attack goldens pin outputs that depend on every value drawn, so a Python
+whose `randrange` ran another loop would change them.
 
 Semi under fresh masks and fully also run at a 2,048-bit modulus in both
 step forms: counted (`per_iter=[]`, one `% n` per tallied operation) and
@@ -34,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from ladderlab.ecc import _semi_coef, find_small_curve, oracle_ops, random_point
+from ladderlab.ecc import PointOps, _semi_coef, find_small_curve, oracle_ops, random_point
 from ladderlab.modarith import _below, _mod_draw
 from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
 
@@ -69,11 +70,13 @@ def cases():
     out += [(f"_semi_coef({_label(order)})", lambda rng, order=order: _semi_coef(order, rng),
              lambda rng, order=order: _randrange_coef(order, rng)) for order in ORDERS]
     curve = find_small_curve()[0]
-    logs = oracle_ops(curve)
+    logs, counted = oracle_ops(curve), PointOps(curve)
     out += [("LogOps.draw(find_small_curve())", lambda rng: lambda: logs.draw(rng),
              lambda rng: logs.log[random_point(curve, rng)]),
             ("LogOps.leave(draw)(find_small_curve())", lambda rng: lambda: logs.leave(logs.draw(rng)),
-             lambda rng: random_point(curve, rng))]
+             lambda rng: random_point(curve, rng)),
+            ("PointOps.leave(draw)(find_small_curve())",
+             lambda rng: lambda: counted.leave(counted.draw(rng)), lambda rng: random_point(curve, rng))]
     return out
 
 

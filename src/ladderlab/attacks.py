@@ -38,10 +38,9 @@ root.  On logs each ladder step is an affine map of the registers mod N,
 the same map for every iteration that reads the same bit, so a call with
 a stuck-at (t, b) drives only up to t or its last register fault and
 answers the rest, which all read b, in closed form (`Target.tail`).
-Curves without a table (`ecc.PointOps`, the affine law), fresh
+Curves without a table (`ecc.AffineOps`, the affine law), fresh
 coefficients (whose draws are replayed) and the exp ladders drive every
-step: a `pow()` tail for exp montgomery measured 5.2 -> 4.4 ms per key on
-m2/montgomery, within `attack-matrix`'s noise.
+step.
 Square-and-multiply and double-and-add take no fault plan, so building
 their oracles raises ValueError.  It also keeps the outputs of an input's
 calls without register faults, which attacks 2 and 3 repeat: such a plan

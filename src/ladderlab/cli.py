@@ -231,8 +231,8 @@ def cmd_ecc(args) -> tuple[dict, list | None]:
     )
     invariant_ok = None
     if Q is not None:
-        # on a PointOps of its own, so the reported tallies are the run's alone
-        link, _ = ecc.ladder_link(args.algo, ecc.PointOps(curve), A, params)
+        # the snapshots left the run as points; the affine law checks them uncounted
+        link, _ = ecc.ladder_link(args.algo, ecc.AffineOps(curve), A, params)
         invariant_ok = all(link(px) == py for px, py in zip(trace.xs, trace.ys))
     out = {
         "result": _ecc_point_json(P),

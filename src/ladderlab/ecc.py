@@ -17,24 +17,16 @@ group's `enter` (`enter_run`), which rejects a point off the curve and
 reduces its coordinates mod p.  Inside a run nothing is checked: the
 group law maps curve points to curve points, and seeded faults draw them.
 
-Each step runs over either of two groups, by one rule.  A counted run
-passes a `PointOps`: the affine law with a tally of its additions and
-doublings, which the CLI and the benchmark's op counts read.  An
-uncounted run, the ECC oracle's or `run_ecc_algorithm`'s without `ops`,
-takes the curve's own group (`oracle_ops`).  When the whole group has
-prime order N and p <= `TABLE_MAX_P`, every point is i*G for one
-generator G and that group is `LogOps`: registers, snapshots and fault
-values are the logs themselves, each operation is one integer operation
-mod N with no tally, and points enter as logs and leave as points.
-There each ladder step is affine in its registers, so `ecc_step` also
-gives k steps of one bit in closed form (`Target.tail`).  A random point
-drawn on `LogOps`, a seeded fault's value or an attack input, comes from
-the table's logs of each x (`LogTable.draw`), with the calls on the RNG
-that `random_point` makes; on any other curve the uncounted group is
-`PointOps` too, and `PointOps` draws by `random_point`'s Tonelli-Shanks
-square roots.  `double_and_add` and `point_add`/`point_double`/`point_neg`
-always run the affine law, the independent reference every ladder result
-is checked against.
+Every run takes the curve's own group, `oracle_ops(curve)`, counted or
+not.  When the whole group has prime order N and p <= `TABLE_MAX_P`, that
+group is `LogOps`: registers, snapshots and fault values are discrete
+logs, each operation is one integer operation mod N, and `ecc_step` also
+gives k steps of one bit in closed form (`Target.tail`).  On any other
+curve it is `AffineOps`, the affine law on points.  A counted run passes
+a `PointOps`, a tally of additions and doublings over that same group.
+`double_and_add` and `point_add`/`point_double`/`point_neg` always run
+the affine law, the independent reference every ladder result is
+checked against.
 """
 
 import functools
@@ -322,23 +314,18 @@ def _log_table(curve: Curve) -> LogTable | None:
     return LogTable(mults, log, by_x, draw)
 
 
-class PointOps:
-    """The affine group law with a tally of its additions and doublings.
+class AffineOps:
+    """The affine group law on points: the group of a curve without a log table.
 
-    The group of a counted run: the CLI and the benchmark's op counts pass
-    one to `run_ecc_algorithm` and read `adds` and `doubles`.  The
-    operations do not check their operands: `enter` checks and reduces the
-    points that enter a run, `draw` is `random_point` (a seeded fault's
+    The operations do not check their operands: `enter` checks and reduces
+    the points that enter a run, `draw` is `random_point` (a seeded fault's
     value), and the group law keeps them on the curve.  `leave` is the
     identity.  `cmul(c, P)` runs the double-and-add loop over the bits of
-    abs(c): `abs(c).bit_length()` doublings and `abs(c).bit_count()`
-    additions.
+    abs(c).
     """
 
     def __init__(self, curve: Curve):
         self.curve = curve
-        self.adds = 0
-        self.doubles = 0
 
     def enter(self, P: Point) -> Point:
         return _reduced(self.curve, P)
@@ -350,23 +337,18 @@ class PointOps:
         return P
 
     def add(self, P: Point, Q: Point) -> Point:
-        self.adds += 1
         return _add(self.curve, P, Q)
 
     def dbl(self, P: Point) -> Point:
-        self.doubles += 1
         return _dbl(self.curve, P)
 
     def neg(self, P: Point) -> Point:
         return _neg(self.curve, P)
 
     def cmul(self, c: int, P: Point) -> Point:
-        """c*P, by the double-and-add loop over the bits of abs(c)."""
         if c < 0:
-            return self.cmul(-c, self.neg(P))
+            c, P = -c, self.neg(P)
         R = INFINITY
-        if c == 0:
-            return R
         for b in bin(c)[2:]:
             R = self.dbl(R)
             if b == "1":
@@ -377,11 +359,9 @@ class PointOps:
 class LogOps:
     """The group of a curve with a log table as discrete logs: the int i stands for i*G.
 
-    The group of every uncounted run on such a curve (`oracle_ops`): the
-    ECC oracle and `run_ecc_algorithm` without `ops`.  Each operation is
-    one integer operation mod N, with no tallies.  Points enter as their
+    Each operation is one integer operation mod N.  Points enter as their
     logs, through `enter`, which checks and reduces them as
-    `PointOps.enter` does, and `draw`, the table's: the log of the point
+    `AffineOps.enter` does, and `draw`, the table's: the log of the point
     `random_point` would draw from the same RNG, found without a square
     root.  `leave(i)` turns a log back into its point.
     """
@@ -410,13 +390,43 @@ class LogOps:
         return c * P % self.order
 
 
-def oracle_ops(curve: Curve) -> LogOps | PointOps:
-    """The group of an uncounted run: `LogOps` when the curve has a log table, else `PointOps`.
-
-    The ECC oracle runs on it, and so does `run_ecc_algorithm` when no `ops` is given.
-    """
+def oracle_ops(curve: Curve) -> LogOps | AffineOps:
+    """The curve's own group, the one every ECC run takes: `LogOps` with a log table, else `AffineOps`."""
     table = _log_table(curve)
-    return PointOps(curve) if table is None else LogOps(curve, table)
+    return AffineOps(curve) if table is None else LogOps(curve, table)
+
+
+class PointOps:
+    """A tally of additions and doublings over the curve's own group, `oracle_ops(curve)`.
+
+    What a counted run passes: the CLI and the benchmark's op counts give
+    one to `run_ecc_algorithm` and read `adds` and `doubles`.  `enter`,
+    `draw`, `leave` and `neg` are the group's; `add` and `dbl` count, then
+    call it.  `cmul(c, P)` counts what the double-and-add loop over abs(c)
+    runs, `abs(c).bit_length()` doublings and `abs(c).bit_count()`
+    additions, and takes the group's `cmul`.  It is no `LogOps`, so a
+    counted run gets no closed-form tail and drives every step.
+    """
+
+    def __init__(self, curve: Curve):
+        self.curve = curve
+        self.adds = 0
+        self.doubles = 0
+        self.group = group = oracle_ops(curve)
+        self.enter, self.draw, self.leave, self.neg = group.enter, group.draw, group.leave, group.neg
+
+    def add(self, P, Q):
+        self.adds += 1
+        return self.group.add(P, Q)
+
+    def dbl(self, P):
+        self.doubles += 1
+        return self.group.dbl(P)
+
+    def cmul(self, c: int, P):
+        self.doubles += abs(c).bit_length()
+        self.adds += abs(c).bit_count()
+        return self.group.cmul(c, P)
 
 
 def enter_run(ops, x0: Point | None, y0: Point | None, plan: FaultPlan | None):
@@ -479,12 +489,13 @@ def _semi_coef(order: int, rng: random.Random):
     return coef
 
 
-def ladder_link(algo: str, ops: PointOps | LogOps, A, params: EccLadderParams | None = None):
+def ladder_link(algo: str, ops: AffineOps | LogOps | PointOps, A, params: EccLadderParams | None = None):
     """(link, B): the map Q = link(P) a ladder keeps between its registers, and its offset B.
 
     B is A for montgomery (Q = P + A) and semi (Q = -(P + A)), and
     link_scale*A for fully (Q = P + B), computed once with `ops.cmul`.
-    A, P and B are elements of `ops`: points, or logs on `LogOps`.
+    A, P and B are elements of `ops`: points, or logs on `LogOps` and on
+    a `PointOps` over it.
     """
     if algo == "montgomery":
         return (lambda P: ops.add(P, A)), A
@@ -511,13 +522,13 @@ def run_ecc_algorithm(
     y0: Point | None = None,
     plan: FaultPlan | None = None,
     trace: Trace | None = None,
-    ops: PointOps | LogOps | None = None,
+    ops: AffineOps | LogOps | PointOps | None = None,
 ) -> tuple[Point, Point | None]:
     """Uniform entry point; NotOnCurve for an off-curve base, start or fault point.
 
-    A counted run passes a `PointOps` and runs the affine law; without
-    `ops` the run takes the curve's own group, `oracle_ops(curve)`.  Its
-    outputs and `trace`'s snapshots leave that group as points.
+    The run takes the curve's own group, `oracle_ops(curve)`; a counted
+    run passes a `PointOps`, which tallies over that same group.  Its
+    outputs and `trace`'s snapshots leave the group as points.
     """
     bits = as_key(key).bits
     ops = ops or oracle_ops(curve)
@@ -541,13 +552,14 @@ def ecc_step(algo: str, ops, A, params: EccLadderParams | None = None,
 
     The one builder of ECC ladder steps, for `run_ecc_algorithm` and for
     the ECC oracle, which builds one per oracle.  The step is the same
-    over `PointOps` and over `LogOps`: A, x0, y0 and the plan's explicit
-    fault values are already elements of that group (`ops.enter`,
-    `enter_run`), and the target's `draw` is `ops.draw`.  y0 defaults
-    to the ladder's link of x0 (the point at infinity by default).  Semi's
-    coefficient defaults to 3; with `fresh_coef` it is drawn from `rng` on
-    every iteration, and that draw is `fresh`.  On `LogOps` without it,
-    `tail` gives k steps of one bit in closed form (`_affine_tail`).
+    over every group: A, x0, y0 and the plan's explicit fault values are
+    already elements of `ops` (`ops.enter`, `enter_run`), and the target's
+    `draw` is `ops.draw`.  y0 defaults to the ladder's link of x0 (the
+    point at infinity by default).  Semi's coefficient defaults to 3; with
+    `fresh_coef` it is drawn from `rng` on every iteration, and that draw
+    is `fresh`.  On `LogOps` itself without it, `tail` gives k steps of one
+    bit in closed form (`_affine_tail`); a `PointOps` gets none, so a
+    counted run drives every step it counts.
     """
     curve = ops.curve
     if fresh_coef:

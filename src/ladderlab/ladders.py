@@ -160,16 +160,9 @@ class LadderSpec:
 
 @dataclass(frozen=True)
 class KeyBits:
-    """Secret key as the bit sequence consumed by the loop, bits[0] first.
-
-    `msb_first` records how the sequence maps back to an integer: True
-    means bits[0] is the top bit (the order used by all left-to-right
-    exponentiation loops here); False means bits are indexed 1..n
-    ascending from the low end.
-    """
+    """Secret key as the bit sequence consumed by the loop, bits[0] first: the top bit."""
 
     bits: tuple
-    msb_first: bool = True
 
     def __post_init__(self):
         if len(self.bits) == 0:
@@ -188,9 +181,8 @@ class KeyBits:
         return cls(tuple((k >> (width - 1 - j)) & 1 for j in range(width)))
 
     def to_int(self) -> int:
-        seq = self.bits if self.msb_first else tuple(reversed(self.bits))
         v = 0
-        for b in seq:
+        for b in self.bits:
             v = (v << 1) | b
         return v
 

@@ -14,8 +14,6 @@ from .ladders import DEFAULT_SWEEP_LIMIT, SWEEP_CHUNK
 from .modarith import is_probable_prime
 from .modexp import _suits
 
-CELL_LIMIT = 2**28  # (a, l) cells one census may cover; fixed behaviour, as the census counts per l
-
 
 def _require_prime(p: int, who: str) -> None:
     if not is_probable_prime(p):
@@ -32,17 +30,13 @@ def _semiprime(p: int, q: int) -> int:
     return p * q
 
 
-def _tables(n: int, bases: int):
-    """The suitability tables of every constant for n, once the census passes the work guards.
+def _tables(n: int):
+    """The suitability tables of every constant for n, O(n) work, once n passes the guard.
 
-    Both guards run before any work.  The census counts per l, so the guard on its
-    bases * (n - 3) (a, l) cells is kept only as fixed behaviour, not as a bound on work.
+    The guard runs before any work; the aggregate censuses count per l, so it bounds them too.
     """
     if n > DEFAULT_SWEEP_LIMIT:
         raise DomainTooLarge(f"census over n={n} exceeds guard {DEFAULT_SWEEP_LIMIT}")
-    cells = bases * (n - 3)
-    if cells > CELL_LIMIT:
-        raise DomainTooLarge(f"census over n={n} evaluates {cells} (a, l) cells, above guard {CELL_LIMIT}")
     from .sweeps import ConstantTables  # numpy, which `import ladderlab` leaves unloaded
 
     return ConstantTables(n)
@@ -111,7 +105,7 @@ def census_suitable_constants(a: int, n: int) -> ConstantCensus:
         raise ValueError("need n >= 7")
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
-    tables = _tables(n, bases=1)
+    tables = _tables(n)
     rest = tables.ells != a
     rejected = {}
     for reason, ok in zip(REJECTIONS, tables.constraints(a)):
@@ -137,7 +131,7 @@ def dsa_exhaustive_counts(n: int) -> tuple[int, int]:
     _require_prime(n, "n")
     if n < 7:
         raise ValueError("need a prime n >= 7")
-    return _tables(n, bases=n - 3).count_suitable()
+    return _tables(n).count_suitable()
 
 
 def dsa_exhaustive_ratio(n: int) -> Fraction:
@@ -157,7 +151,7 @@ def rsa_exhaustive_frequency(p: int, q: int) -> Fraction:
     Same predicate and count as `dsa_exhaustive_counts`, over a composite modulus.
     """
     n = _semiprime(p, q)
-    return Fraction(*_tables(n, bases=n - 3).count_suitable())
+    return Fraction(*_tables(n).count_suitable())
 
 
 def rsa_sampled_frequency(

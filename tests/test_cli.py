@@ -158,14 +158,14 @@ def test_prob_missing_mode_argument_is_usage_error(capsys, argv):
     assert "ladderlab prob: error: mode " in out.err and "requires --" in out.err
 
 
-def test_dsa_census_beyond_the_cell_guard_is_refused_at_once(capsys):
-    # n = 65537 passes the n <= 2^20 guard but would evaluate 2^32 (a, l) cells
+def test_dsa_census_below_the_n_guard_runs_at_once(capsys):
+    # n = 65537 passes the n <= 2^20 guard; the census counts per l, not per (a, l) cell
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "prob", "--mode", "dsa-exact", "--n", "65537")
     assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error:") and "cells, above guard" in err
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["match"] is True
 
 
 def test_import_leaves_numpy_unloaded():

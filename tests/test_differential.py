@@ -18,15 +18,17 @@ start registers (1, n - 1), where semi's lazy numerator is negative.
 
 ECC half: hypothesis draws the generated small curve (whose own group,
 `oracle_ops`, is `LogOps`, discrete logs in a table) or a prime-order
-curve above `ecc.TABLE_MAX_P` (affine law only), a base point, a scalar,
-ladder coefficients and a plan of the same shape with point-valued
-faults.  The montgomery, semi (fixed and fresh coefficients) and fully
-ladders must give the same outputs, snapshots (as points) and RNG end
-state on the default route (no `ops`: the curve's own group) as on the
-counted route (`PointOps`, the affine law), and with no plan x must equal
-`double_and_add`.  The counted route's add/double tallies must be those
-of a clean run on the complemented key: the ladders are regular, so
-neither the key bits nor the faults change the operations they run.
+curve above `ecc.TABLE_MAX_P` (whose own group is `AffineOps`), a base
+point, a scalar, ladder coefficients and a plan of the same shape with
+point-valued faults.  The montgomery, semi (fixed and fresh
+coefficients) and fully ladders must give the same outputs, snapshots
+(as points) and RNG end state on the default route (no `ops`: the
+curve's own group) as on the affine law (`AffineOps`) and on the counted
+route (`PointOps`, a tally over the curve's own group), and with no plan
+x must equal `double_and_add`.  The counted route's add/double tallies
+must be those of a clean run on the complemented key: the ladders are
+regular, so neither the key bits nor the faults change the operations
+they run.
 
 In both halves each ladder's link holds at every snapshot a plan leaves
 untouched.
@@ -39,6 +41,7 @@ from hypothesis import strategies as st
 from test_resume import _plan
 
 from ladderlab.ecc import (
+    AffineOps,
     Curve,
     LogOps,
     Point,
@@ -172,7 +175,7 @@ def test_counted_and_straight_line_steps_agree(started):
 
 
 SMALL = find_small_curve()
-# prime group order 971 at p = 1031 > TABLE_MAX_P: both routes take the affine law
+# prime group order 971 at p = 1031 > TABLE_MAX_P: every route takes the affine law
 LARGE = (Curve(1031, 2, 2, subgroup_order=971), Point(0, 473), 971)
 
 
@@ -220,12 +223,13 @@ def test_ecc_ladders_agree_across_group_law_routes(case):
     for algo, kw in runs:
         ops, regular = PointOps(curve), PointOps(curve)
         got = _traced(algo, curve, A, key, plan, seed, **kw)
+        assert got == _traced(algo, curve, A, key, plan, seed, AffineOps(curve), **kw), (algo, kw)
         assert got == _traced(algo, curve, A, key, plan, seed, ops, **kw), (algo, kw)
         _traced(algo, curve, A, flipped, None, seed, regular, **kw)
         assert (ops.adds, ops.doubles) == (regular.adds, regular.doubles), (algo, kw)
         (x, _), xs, ys, _ = got
         assert all(type(P) is Point for P in xs + ys), (algo, kw)
-        link, _ = ladder_link(algo, PointOps(curve), A, kw.get("params"))
+        link, _ = ladder_link(algo, AffineOps(curve), A, kw.get("params"))
         for P, Q in zip(xs[:clean], ys[:clean]):
             assert Q == link(P), (algo, kw)
         if plan is None:

@@ -11,6 +11,7 @@ from ladderlab import ecc
 from ladderlab.ecc import (
     INFINITY,
     TABLE_MAX_P,
+    AffineOps,
     Curve,
     Point,
     PointOps,
@@ -309,6 +310,8 @@ def test_point_ops_counter(small_curve):
     # initialization adds once (link), then one add + one double per iteration
     assert ops.doubles == 3
     assert ops.adds == 4
+    # a counted run takes the curve's own group: discrete logs on the generated curve
+    assert type(ops.enter(A)) is int
 
 
 def test_random_point_is_on_curve(small_curve):
@@ -331,22 +334,25 @@ def _bit_loop(curve, c, P):
 
 
 def _assert_matches_affine(curve, pairs, points, coefs):
-    """The curve's own group, entered and left as points, gives the affine law's results;
-    `PointOps` tallies each operation, and `cmul` as `_bit_loop` does."""
-    group, ops = oracle_ops(curve), PointOps(curve)
-    enter, leave = group.enter, group.leave
+    """The curve's own group, `AffineOps` and `PointOps`, each entered and left as points, give
+    the affine law's results; `PointOps` tallies each operation, and `cmul` as `_bit_loop` does."""
+    ops = PointOps(curve)
+    groups = (oracle_ops(curve), AffineOps(curve), ops)
     for P, Q in pairs:
-        assert leave(group.add(enter(P), enter(Q))) == ops.add(P, Q) == _add(curve, P, Q)
+        for g in groups:
+            assert g.leave(g.add(g.enter(P), g.enter(Q))) == _add(curve, P, Q), (g, P, Q)
     for P in points:
-        assert leave(group.dbl(enter(P))) == ops.dbl(P) == _dbl(curve, P)
-        assert leave(group.neg(enter(P))) == ops.neg(P) == _neg(curve, P)
+        for g in groups:
+            assert g.leave(g.dbl(g.enter(P))) == _dbl(curve, P), (g, P)
+            assert g.leave(g.neg(g.enter(P))) == _neg(curve, P), (g, P)
     assert (ops.adds, ops.doubles) == (len(pairs), len(points))
     for c in coefs:
         for P in points:
             ops.adds = ops.doubles = 0
-            R = ops.cmul(c, P)
-            assert (R, ops.adds, ops.doubles) == _bit_loop(curve, c, P), (c, P)
-            assert leave(group.cmul(c, enter(P))) == R, (c, P)
+            R, adds, doubles = _bit_loop(curve, c, P)
+            for g in groups:
+                assert g.leave(g.cmul(c, g.enter(P))) == R, (g, c, P)
+            assert (ops.adds, ops.doubles) == (adds, doubles), (c, P)
 
 
 class TestLogTable:
@@ -382,7 +388,7 @@ class TestLogTable:
         Curve(1033, 1, 1),  # group order 1061, prime, but p > TABLE_MAX_P
     ])
     def test_other_curves_take_the_affine_law(self, curve):
-        assert _log_table(curve) is None and type(oracle_ops(curve)) is PointOps
+        assert _log_table(curve) is None and type(oracle_ops(curve)) is AffineOps
         rng = random.Random(8)
         points = [INFINITY] + rng.sample(curve_points(curve), 40)
         pairs = [(rng.choice(points), rng.choice(points)) for _ in range(400)]

@@ -47,10 +47,6 @@ class TestKeyBits:
         for k in (0, 1, 5, 100, 2**20 + 7):
             assert KeyBits.from_int(k).to_int() == k
 
-    def test_ascending_order_flag(self):
-        kb = KeyBits((1, 0, 1), msb_first=False)  # bit 1 consumed first, low end
-        assert kb.to_int() == 0b101
-
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             KeyBits(())

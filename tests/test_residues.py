@@ -7,7 +7,6 @@ import pytest
 
 from ladderlab.errors import DomainTooLarge, NotCoprime
 from ladderlab.residues import (
-    CELL_LIMIT,
     REJECTIONS,
     census_suitable_constants,
     dsa_exhaustive_counts,
@@ -151,12 +150,15 @@ class TestDsaProbability:
         with pytest.raises(ValueError):
             dsa_probability_formula(15)
 
-    def test_cell_guard(self):
-        # every census below the n guard still runs unless its (a, l) cells pass CELL_LIMIT
-        assert (16381 - 3) ** 2 <= CELL_LIMIT < (16411 - 3) ** 2
-        for census in (lambda: dsa_exhaustive_counts(16411), lambda: rsa_exhaustive_frequency(127, 131)):
-            with pytest.raises(DomainTooLarge, match="cells"):
-                census()
+    def test_large_censuses_run_below_the_n_guard(self):
+        # the aggregate censuses count per l, O(n): only n itself is guarded
+        for n in (16411, 65537):
+            assert dsa_exhaustive_ratio(n) == dsa_probability_formula(n), n
+        p, q = 127, 131
+        b_p, b_q = math.gcd(p - 1, 3), math.gcd(q - 1, 3)  # by CRT, as the census must count
+        suitable = ((p - 1) * (p - 3) * (q - 1) * (q - 3) - 2 * (p - 3) * (q - 3)
+                    - 2 * (p - 2 - b_p) * (q - 2 - b_q))
+        assert rsa_exhaustive_frequency(p, q) == Fraction(suitable, (p * q - 3) * (p * q - 4))
         assert census_suitable_constants(2, 65537).total == 65533
 
 

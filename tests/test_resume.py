@@ -33,6 +33,7 @@ from ladderlab import attacks
 from ladderlab.attacks import ExecutionOracle, _ecc_run, _exp_run, make_ecc_oracle, make_exp_oracle
 from ladderlab.ecc import (
     INFINITY,
+    AffineOps,
     Curve,
     Point,
     PointOps,
@@ -201,7 +202,7 @@ def _ecc_case(draw):
 def _ecc_check(algo, fresh, curve, A, order, key, starts, calls, seed):
     params = _ecc_params(algo, order)
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    link, _ = ladder_link(algo, PointOps(curve), A, params)
+    link, _ = ladder_link(algo, AffineOps(curve), A, params)
     inputs = _ecc_inputs(starts, curve, link, random.Random(seed))
     oracle = ExecutionOracle(_ecc_run(algo, curve, A, key, params, fresh, rng), len(key), None)
     outputs = []
@@ -246,7 +247,7 @@ def _valued_plans(algo, fresh, curve, A, order, key, start, seed):
     draws from `seed`, so the last plan's fault rewrites x with its own value.
     """
     params = _ecc_params(algo, order)
-    link, _ = ladder_link(algo, PointOps(curve), A, params)
+    link, _ = ladder_link(algo, AffineOps(curve), A, params)
     (x0, y0), = _ecc_inputs([start], curve, link, random.Random(seed))
     trace = Trace()
     run_ecc_algorithm(algo, curve, A, key, params=params, fresh_coef=fresh, rng=random.Random(seed),
@@ -363,7 +364,7 @@ def test_resumed_ecc_calls_answer_pinned_tails_in_closed_form(algo, driven):
 @pytest.mark.parametrize("bundle, fresh", [(CURVES[1], False), (CURVES[0], True)],
                          ids=["affine", "fresh"])
 def test_ecc_tails_off_logs_are_driven(bundle, fresh, driven):
-    """Without a closed form (`PointOps`, or draws to replay) a pinned tail is driven step by step."""
+    """Without a closed form (`AffineOps`, or draws to replay) a pinned tail is driven step by step."""
     key = KeyBits.from_int(0b101100111010, width=12)
     curve, A, _ = bundle
     oracle, rng = make_ecc_oracle("semi", curve, A, key, seed=3, fresh_coef=fresh), random.Random(3)
@@ -397,8 +398,10 @@ def test_tail_is_set_only_on_logs_without_fresh_coefficients():
     ops = oracle_ops(curve)
     assert ecc_step("semi", ops, ops.enter(A), semi_params(3, order)).tail is not None
     assert ecc_step("semi", ops, ops.enter(A), semi_params(3, order), True, random.Random(0)).tail is None
-    assert ecc_step("semi", PointOps(curve), A, semi_params(3, order)).tail is None
-    assert type(oracle_ops(affine)) is PointOps
+    # a counted run tallies over the same logs, but drives every step
+    counted = PointOps(curve)
+    assert ecc_step("semi", counted, counted.enter(A), semi_params(3, order)).tail is None
+    assert type(oracle_ops(affine)) is AffineOps
     assert ecc_step("semi", oracle_ops(affine), B, semi_params(3, 16)).tail is None
     assert ecc_step("daa", ops, ops.enter(A)).tail is None
 
