@@ -68,12 +68,14 @@ def gauss_residue_census(p: int, r: int = 3) -> GaussCensus:
         raise DomainTooLarge(f"census over p={p} exceeds guard {DEFAULT_SWEEP_LIMIT}")
     import numpy as np  # which `import ladderlab` leaves unloaded
 
+    from .sweeps import _mod
+
     e, counts = r % (p - 1), np.zeros(p, dtype=np.int64)  # ell^(p-1) = 1: pow's ell^r is ell^e
     for start in range(1, p, SWEEP_CHUNK):  # square-and-multiply, products below p**2 <= 2**40
         ells = np.arange(start, min(start + SWEEP_CHUNK, p), dtype=np.int64)
         powers = np.ones_like(ells)
         for bit in bin(e)[2:]:
-            powers = powers * powers % p * (ells if bit == "1" else 1) % p
+            powers = _mod(_mod(powers * powers, p) * (ells if bit == "1" else 1), p)
         counts += np.bincount(powers, minlength=p)
     roots = Counter()
     for start in range(0, p, SWEEP_CHUNK):  # slices of distinct residues: plain dict updates

@@ -2,8 +2,9 @@
 
 These sweeps cover every modulus up to a bound, every base, every mask or
 every valid ladder constant, and every ring element x, in closed form on
-int64 arrays (values are reduced after each product, so the widest
-intermediate is below n**2).  x is discharged, not enumerated: the link is
+int64 arrays.  `_mod` is the one array reduction, here and in the residue
+census; values are reduced after each product, so the widest intermediate
+is below n**2.  x is discharged, not enumerated: the link is
 a*x or l*x, so every equation entry is x**2 times its value at x = 1 mod
 n, prime or composite, and the x = 1 column decides each (n, a).  The full
 x grid only lists the violations of the first failing (n, a).
@@ -20,6 +21,14 @@ import numpy as np
 from .ladders import SWEEP_CHUNK
 
 
+def _mod(v, n: int):
+    """The canonical residue of v in [0, n), for either sign of v, an int64 array or an int.
+
+    n is a scalar, n > 0, and |v| < 2**63 - n; equals np.remainder(v, n) elementwise.
+    """
+    return v - v // n * n
+
+
 class ConstantTables:
     """The four ladder-constant constraints over every l in [2, n-2], for one n.
 
@@ -31,14 +40,14 @@ class ConstantTables:
         self.n = n
         self.unit = np.gcd(np.arange(n, dtype=np.int64), n) == 1  # indexed by residue
         self.ells = np.arange(2, n - 1, dtype=np.int64)
-        self.square = (self.ells * self.ells - 1) % n
-        self.cube = self.ells * self.ells % n * self.ells % n
+        self.square = _mod(self.ells * self.ells - 1, n)
+        self.cube = _mod(_mod(self.ells * self.ells, n) * self.ells, n)
 
     def constraints(self, bases):
         """Masks of the four constraints, in `residues.REJECTIONS` order."""
         n, ells, unit = self.n, self.ells, self.unit
-        return ((ells - bases) % n != 0, unit[ells], unit[self.square],
-                unit[(self.cube - bases) % n])
+        return (_mod(ells - bases, n) != 0, unit[ells], unit[self.square],
+                unit[_mod(self.cube - bases, n)])
 
     @cached_property
     def inverse(self):
@@ -53,13 +62,8 @@ class ConstantTables:
         """
         n, unit = self.n, self.unit
         cubes = self.cube[unit[self.ells] & unit[self.square]]  # l^3 for every l in W
-        dropped = np.count_nonzero(unit[(cubes - 1) % n]) + np.count_nonzero(unit[(cubes + 1) % n])
+        dropped = np.count_nonzero(unit[_mod(cubes - 1, n)]) + np.count_nonzero(unit[_mod(cubes + 1, n)])
         return cubes.size * (int(np.count_nonzero(unit)) - 2) - int(dropped), (n - 3) * (n - 4)
-
-
-def _mod(v, n: int):
-    """v % n; int64 floor division by a scalar is about three times faster than np.remainder."""
-    return v - v // n * n
 
 
 def _base_chunks(lo: int, hi: int, width: int):
@@ -78,21 +82,21 @@ def _first_violations(n: int, a: int, grids, rows) -> list:
 
 def _semi_coefficients(n: int, a, m):
     """The mask's loop coefficients (m*a, 1 - m*(a^2 + 1)) mod n."""
-    return m * a % n, (1 - m * ((a * a + 1) % n)) % n
+    return _mod(m * a, n), _mod(1 - m * _mod(a * a + 1, n), n)
 
 
 def _semi_grids(n: int, a, m, x):
     """Failure masks of the three half-coupled equations, broadcasting a, m and x."""
-    x2 = x * x % n
-    lx = a * x % n  # link values
-    theta = a * x2 % n
+    x2 = _mod(x * x, n)
+    lx = _mod(a * x, n)  # link values
+    theta = _mod(a * x2, n)
     # equation 1 is mask-free: bit0(link(x)) == link(bit1(x))
-    e1 = (lx * lx - a * theta) % n != 0
+    e1 = _mod(lx * lx - a * theta, n) != 0
     ma, f11 = _semi_coefficients(n, a, m)
     # f(x, lx) and f(lx, x) coincide termwise: both quadratic terms are
     # symmetric, so one value serves equations 2 and 3
-    fval = _mod(ma * ((x2 + lx * lx) % n) + f11 * (x * lx % n), n)
-    return e1, fval != theta, fval != a * x2 % n
+    fval = _mod(ma * _mod(x2 + lx * lx, n) + f11 * _mod(x * lx, n), n)
+    return e1, fval != theta, fval != _mod(a * x2, n)
 
 
 def _semi_violations(n: int, a: int) -> list:
@@ -125,16 +129,16 @@ def _valid_constants(tables: ConstantTables, bases):
     ok = c0 & c1 & c2 & c3
     a, ell, v2, cube = (np.broadcast_to(c, ok.shape)[ok]
                         for c in (bases, tables.ells, tables.square, tables.cube))
-    v0, v3 = (ell - a) % n, (cube - a) % n
+    v0, v3 = _mod(ell - a, n), _mod(cube - a, n)
     u2, u3 = inv[v2], inv[v3]
-    return (a, ell, inv[ell] * u2 % n * v3 % n, -v0 * u2 % n,
-            a * v2 % n * u3 % n, ell * v0 % n * u3 % n)
+    return (a, ell, _mod(_mod(inv[ell] * u2, n) * v3, n), _mod(-v0 * u2, n),
+            _mod(_mod(a * v2, n) * u3, n), _mod(_mod(ell * v0, n) * u3, n))
 
 
 def _fully_grids(n: int, a, L, K0, K1, K2, K3, x):
     """Failure masks of the four fully-coupled equations, broadcasting a, l, coefficients and x."""
-    x2 = x * x % n
-    theta = a * x2 % n
+    x2 = _mod(x * x, n)
+    theta = _mod(a * x2, n)
     lx = _mod(L * x, n)
     lx2 = _mod(lx * lx, n)
     uv = _mod(x * lx, n)  # x * link(x), symmetric in the two eval orders

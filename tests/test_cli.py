@@ -1,17 +1,20 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ladderlab
 from ladderlab.cli import main
-from ladderlab.ladders import spec_to_json
-from ladderlab.modarith import Ring
+from ladderlab.ladders import DEFAULT_SWEEP_LIMIT, spec_to_json
+from ladderlab.modarith import Ring, is_probable_prime
 from ladderlab.modexp import masked_semi_spec
 
 
@@ -166,6 +169,41 @@ def test_dsa_census_below_the_n_guard_runs_at_once(capsys):
     assert code == 0
     assert err == ""
     assert json.loads(out)["match"] is True
+
+
+FIRST_PRIME_ABOVE_GUARD = next(p for p in range(DEFAULT_SWEEP_LIMIT + 1, 2 * DEFAULT_SWEEP_LIMIT)
+                               if is_probable_prime(p))
+# the moduli that run stay at or below 2^16, so one example takes milliseconds
+CENSUS_MODULI = st.one_of(st.integers(-2**40, -1), st.integers(0, 7), st.integers(8, 256),
+                          st.sampled_from([65521, 65535, DEFAULT_SWEEP_LIMIT, FIRST_PRIME_ABOVE_GUARD]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([("gauss", "--p"), ("dsa-exact", "--n")]), CENSUS_MODULI,
+       st.one_of(st.integers(0, 8), st.just(2**40 + 1)))
+@example(("gauss", "--p"), 2, 2**40 + 1)  # p - 1 = 1: every exponent reduces to 0
+@example(("gauss", "--p"), 65521, 2**40 + 1)  # the widest prime that runs, the widest exponent
+@example(("gauss", "--p"), 13, 0)  # --r must be positive
+@example(("gauss", "--p"), FIRST_PRIME_ABOVE_GUARD, 3)
+@example(("dsa-exact", "--n"), 5, 3)  # n < 7
+@example(("dsa-exact", "--n"), 7, 3)  # the smallest census
+@example(("dsa-exact", "--n"), 65521, 3)
+@example(("dsa-exact", "--n"), FIRST_PRIME_ABOVE_GUARD, 3)
+def test_census_commands_end_in_an_exit_code(capsys, mode, modulus, r):
+    # every argv ends in 0, 2 (usage) or 3 (refused) within 1 s, never a traceback; a census
+    # that runs must match its closed form
+    (name, flag), start = mode, time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "prob", "--mode", name, f"{flag}={modulus}", f"--r={r}")
+    except SystemExit as exc:
+        code, out, err = exc.code, *capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code == 0 and name == "gauss":
+        assert json.loads(out)["residue_count"] == (modulus - 1) // math.gcd(modulus - 1, r)
+    elif code == 0:
+        assert json.loads(out)["match"] is True
 
 
 def test_import_leaves_numpy_unloaded():

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ladderlab import sweeps
-from ladderlab.ladders import check_fully_equations, check_semi_equations
+from ladderlab.ladders import DEFAULT_SWEEP_LIMIT, check_fully_equations, check_semi_equations
 from ladderlab.modarith import Ring
 from ladderlab.modexp import _constants_for, fully_ladder_spec, ladder_constants, masked_semi_spec
 from ladderlab.sweeps import (
@@ -18,6 +20,19 @@ from ladderlab.sweeps import (
     sweep_fully_constants,
     sweep_masked_semi,
 )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 2**62 - 1), st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=16))
+@example(DEFAULT_SWEEP_LIMIT, [-1])
+@example(DEFAULT_SWEEP_LIMIT, [-DEFAULT_SWEEP_LIMIT])
+@example(DEFAULT_SWEEP_LIMIT, [DEFAULT_SWEEP_LIMIT**2 - 1])
+def test_mod_is_the_canonical_residue(n, values):
+    # the kernels reduce negative entries (l - a, -v0 * u2, 1 - m * ...) and int64 products
+    # below n^2; x = 1 reaches them as a Python int
+    v = np.array(values, dtype=np.int64)
+    assert sweeps._mod(v, n).tolist() == np.remainder(v, n).tolist()
+    assert [sweeps._mod(x, n) for x in values] == [x % n for x in values]
 
 
 def test_small_families_verify():
