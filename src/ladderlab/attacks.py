@@ -31,10 +31,9 @@ curve with a discrete-log table its registers, snapshots, kept outputs
 and rejoin comparisons are logs mod N.  A call's start registers and
 explicit fault values enter as logs before the run (`ecc.enter_run`), and
 its outputs leave as points.  Seeded faults and attack 3's pool inputs
-draw in that group, so on such a curve they draw logs from the table's
-logs of each x (`ecc.LogTable.draw`), the pool inputs leaving as points:
-the point `ecc.random_point` would give for the same RNG, with no square
-root.  On logs each ladder step is an affine map of the registers mod N,
+draw in that group, so on such a curve they draw logs (`ecc.LogOps.draw`),
+the pool inputs leaving as the point `ecc.random_point` would give for the
+same RNG, with no square root.  On logs each ladder step is an affine map of the registers mod N,
 the same map for every iteration that reads the same bit, so a call with
 a stuck-at (t, b) drives only up to t or its last register fault and
 answers the rest, which all read b, in closed form (`Target.tail`).
@@ -63,6 +62,7 @@ leave y0 to the ladder's link, so the randomness cancels from every output.
 
 import random
 from dataclasses import dataclass, replace
+from itertools import product
 
 from .ecc import (
     Curve, EccLadderParams, Point, ecc_step, enter_run, find_small_curve, fully_params, oracle_ops,
@@ -403,33 +403,24 @@ def attack2_semi(
 ) -> AttackReport:
     """Descending stuck-at scan that breaks any half-coupled ladder completely.
 
-    Walking i from the last iteration to the first, all later bits are
-    pinned to the value of the bit just recovered, which keeps the fault
-    confined to one register: pinned-0 tails never move a y fault into x,
-    pinned-1 tails never move an x fault into y.  The state machine flips
-    whenever the watched output changes.
+    Walking i from the last iteration to the first, every bit after i is
+    pinned to `fix`, the bit recovered last (0 at the start), and register
+    "yx"[fix] is faulted before iteration i: a pinned-0 tail never moves a
+    y fault into x, a pinned-1 tail never an x fault into y.  Output `fix`
+    then moves exactly when bit i is not `fix`, so `fix` flips when it
+    moves, and bit i is recorded as `fix`.
     """
     if not {"x", "y"} <= oracle.readable:
         raise ValueError("this attack reads both outputs")
     rng = rng or random.Random(0)
     start = oracle.calls
     recovered = [None] * oracle.nbits
-    fix = 0  # 1 while probing inside a pinned-1 tail
+    fix = 0
     for i in range(oracle.nbits, 0, -1):
-        if fix:
-            base = FaultPlan(key_stuckat=(i, 1))
-            if not _probe_differs(oracle, base, "x", i, 1, rng, attempts):
-                recovered[i - 1] = 1
-            else:
-                recovered[i - 1] = 0
-                fix = 0
-        else:
-            base = FaultPlan(key_stuckat=(i, 0))
-            if not _probe_differs(oracle, base, "y", i, 0, rng, attempts):
-                recovered[i - 1] = 0
-            else:
-                recovered[i - 1] = 1
-                fix = 1
+        base = FaultPlan(key_stuckat=(i, fix))
+        if _probe_differs(oracle, base, "yx"[fix], i, fix, rng, attempts):
+            fix = 1 - fix
+        recovered[i - 1] = fix
     return AttackReport(tuple(recovered), oracle.calls - start)
 
 
@@ -452,16 +443,10 @@ def attack3_stuckat(
     recovered = [None] * oracle.nbits
     inputs = [(None, None)] + [oracle.sample_input(rng) for _ in range(pool_size - 1)]
     for i in range(oracle.nbits):
-        for x0, y0 in inputs:
-            out_i = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i, 0)))
-            out_next = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i + 1, 0)))
-            if out_i != out_next:
-                recovered[i] = 1
-                break
-            out_i = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i, 1)))
-            out_next = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i + 1, 1)))
-            if out_i != out_next:
-                recovered[i] = 0
+        for (x0, y0), b in product(inputs, (0, 1)):
+            out_i = oracle.exe(x0, y0, FaultPlan(key_stuckat=(i, b)))
+            if out_i != oracle.exe(x0, y0, FaultPlan(key_stuckat=(i + 1, b))):
+                recovered[i] = 1 - b
                 break
     return AttackReport(tuple(recovered), oracle.calls - start)
 

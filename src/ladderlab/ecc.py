@@ -33,7 +33,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidCoefficient, NotOnCurve
 from .faults import FaultPlan
@@ -206,7 +206,7 @@ def curve_order(curve: Curve) -> int:
 def random_point(curve: Curve, rng: random.Random) -> Point:
     """A uniformly-sampled x with a valid y, by Tonelli-Shanks; a seeded fault's value.
 
-    A curve with a log table draws the same point from its `LogTable.draw`.
+    A curve with a log table draws the same point's log by `LogOps.draw`.
     """
     p = curve.p
     while True:
@@ -266,52 +266,22 @@ def find_small_curve() -> tuple[Curve, Point, int]:
 TABLE_MAX_P = 2**10
 
 
-class LogTable(NamedTuple):
-    """A curve's discrete logs to the base G, its first affine point, with a draw of them."""
-
-    mults: list[Point]  # mults[i] = i*G
-    log: dict[Point, int]  # log[mults[i]] = i
-    by_x: list[tuple]  # by_x[x]: the logs of (x, y) and (x, p - y), y as sqrt_mod_prime's root
-    # draw(rng): the log of random_point(curve, rng), by the same calls on rng
-    draw: Callable[[random.Random], int]
-
-
 @functools.lru_cache(maxsize=8)
-def _log_table(curve: Curve) -> LogTable | None:
-    """The curve's `LogTable` (O(N) points), built on the first `oracle_ops` of the curve.
+def _log_table(curve: Curve) -> "LogOps | None":
+    """The curve's `LogOps` (O(N) points), built on the first `oracle_ops` of the curve.
 
     None unless p <= TABLE_MAX_P and the group order N is an odd prime: then
-    G generates the group and no point has order 2 (y = 0), so each x on the
-    curve has two points.  `draw` makes `random_point`'s calls on the RNG:
-    `getrandbits(k)`, k = p.bit_length(), redrawn where `by_x` is empty (at
-    x >= p, as `randrange(p)` redraws, and at x with no point), then
-    `getrandbits(1)` for the sign.  No square root is taken.
+    any affine point generates the group and no point has order 2 (y = 0),
+    so each x on the curve has two points.  One `LogOps` serves every run
+    on the curve; it holds no per-run state.
     """
-    p = curve.p
-    if p > TABLE_MAX_P:
+    if curve.p > TABLE_MAX_P:
         return None
     points = curve_points(curve)
     N = len(points) + 1
     if N == 2 or not is_probable_prime(N):
         return None
-    G = points[0]
-    mults = [INFINITY, G]
-    for _ in range(N - 2):
-        mults.append(_add(curve, mults[-1], G))
-    log = {P: i for i, P in enumerate(mults)}
-    k = p.bit_length()
-    by_x = [()] * (1 << k)
-    for P, Q in zip(points[::2], points[1::2]):  # curve_points gives (x, y), then (x, p - y)
-        by_x[P.x] = log[P], log[Q]
-
-    def draw(rng):
-        getrandbits = rng.getrandbits
-        while True:
-            logs = by_x[getrandbits(k)]
-            if logs:
-                return logs[0] if getrandbits(1) else logs[1]
-
-    return LogTable(mults, log, by_x, draw)
+    return LogOps(curve, points)
 
 
 class AffineOps:
@@ -359,18 +329,41 @@ class AffineOps:
 class LogOps:
     """The group of a curve with a log table as discrete logs: the int i stands for i*G.
 
-    Each operation is one integer operation mod N.  Points enter as their
-    logs, through `enter`, which checks and reduces them as
-    `AffineOps.enter` does, and `draw`, the table's: the log of the point
-    `random_point` would draw from the same RNG, found without a square
-    root.  `leave(i)` turns a log back into its point.
+    G is the curve's first affine point, `mults[i]` is i*G and `log` its
+    inverse.  Each operation is one integer operation mod N.  Points enter
+    as their logs, through `enter`, which checks and reduces them as
+    `AffineOps.enter` does, and `draw`.  `leave(i)` turns a log back into
+    its point.
     """
 
-    def __init__(self, curve: Curve, table: LogTable):
+    def __init__(self, curve: Curve, points: list[Point]):
         self.curve = curve
-        self.mults, self.log, self.draw = table.mults, table.log, table.draw
-        self.order = len(self.mults)
-        self.leave = self.mults.__getitem__  # a log back to its point
+        G = points[0]
+        self.mults = mults = [INFINITY, G]
+        for _ in range(len(points) - 1):
+            mults.append(_add(curve, mults[-1], G))
+        self.log = log = {P: i for i, P in enumerate(mults)}
+        self.order = len(mults)
+        self.leave = mults.__getitem__  # a log back to its point
+        self.bits = curve.p.bit_length()
+        # by_x[x]: the logs of (x, y) and (x, p - y), y as sqrt_mod_prime's root; curve_points
+        # gives them in that order
+        self.by_x = by_x = [()] * (1 << self.bits)
+        for P, Q in zip(points[::2], points[1::2]):
+            by_x[P.x] = log[P], log[Q]
+
+    def draw(self, rng: random.Random) -> int:
+        """The log of `random_point(curve, rng)`, by the same calls on rng and no square root.
+
+        `getrandbits(k)`, k = p.bit_length(), redrawn where `by_x` is empty
+        (at x >= p, as `randrange(p)` redraws, and at x with no point),
+        then `getrandbits(1)` for the sign.
+        """
+        by_x, k, getrandbits = self.by_x, self.bits, rng.getrandbits
+        while True:
+            logs = by_x[getrandbits(k)]
+            if logs:
+                return logs[0] if getrandbits(1) else logs[1]
 
     def enter(self, P: Point) -> int:
         # the table holds exactly the reduced curve points, so a hit is the on-curve check
@@ -392,8 +385,7 @@ class LogOps:
 
 def oracle_ops(curve: Curve) -> LogOps | AffineOps:
     """The curve's own group, the one every ECC run takes: `LogOps` with a log table, else `AffineOps`."""
-    table = _log_table(curve)
-    return AffineOps(curve) if table is None else LogOps(curve, table)
+    return _log_table(curve) or AffineOps(curve)
 
 
 class PointOps:

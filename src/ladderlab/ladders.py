@@ -17,11 +17,10 @@ n above 2**31 is refused (int64 products overflow).
 `drive` is the one loop driver behind every ladder runner: the generic
 spec runners here, the five `modexp` variants and the `ecc` ladders each
 supply only a per-bit step (the latter two in a `Target`), and `drive`
-applies the fault plan, records snapshots and tallies each iteration's
-operations.  Ring operations are counted one way only: the step runs on
-a `CountingRing`, whose `counts` the runner hands to `drive`.  Uncounted
-`modexp` runs take each step's straight-line form instead, one reduction
-per register write or value multiplied again; tests hold the two equal.
+applies the fault plan and records snapshots.  Ring operations are
+counted one way only: the step runs on a `CountingRing`, whose `tallied`
+wraps it to record each iteration's operations.  Uncounted `modexp` runs
+take each step's straight-line form instead; tests hold the two equal.
 """
 
 from dataclasses import dataclass, field
@@ -83,6 +82,18 @@ class CountingRing:
     def sub(self, x, y):
         self.counts.add += 1
         return (x - y) % self.n
+
+    def tallied(self, step, per_iter: list):
+        """`step`, appending to `per_iter` the `OpCounts` each call of it adds to `counts`."""
+        counts = self.counts
+
+        def counted(bit, x, y):
+            before = counts.copy()
+            x, y = step(bit, x, y)
+            per_iter.append(counts - before)
+            return x, y
+
+        return counted
 
 
 @dataclass(frozen=True)
@@ -253,8 +264,7 @@ class Target(NamedTuple):
     tail: Callable | None = None
 
 
-def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
-          per_iter=None, counts=None, i0=0, stop=None, rejoin=None):
+def drive(bits, x, y, step, *, plan=None, draw=None, trace=None, i0=0, stop=None, rejoin=None):
     """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
 
     The loop every ladder here shares, exp and ECC alike.  (x, y) are the
@@ -263,12 +273,11 @@ def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
     stay absolute: register faults are applied just before the iterations
     they name, `draw(rng)` giving a seeded fault's value; iterations past
     a stuck-at's threshold read its bit, and the key is never copied.  With
-    `per_iter`, each iteration appends what it added to `counts`, the
-    `OpCounts` the step tallies on.  With `stop`, the run ends after
-    iteration `stop`.  `rejoin=states` runs on from there, for an untraced
-    run with no fault after iteration `stop` that then reads the bits of a
-    clean run with snapshots `states`: once the registers after an
-    iteration i >= stop equal `states[i]`, it returns that run's output.
+    `stop`, the run ends after iteration `stop`.  `rejoin=states` runs on
+    from there, for an untraced run with no fault after iteration `stop`
+    that then reads the bits of a clean run with snapshots `states`: once
+    the registers after an iteration i >= stop equal `states[i]`, it
+    returns that run's output.
     """
     consumed, faulted = islice, ()  # consumed(bits, i, j): the bits iterations i + 1 .. j read
     if plan is not None:
@@ -284,12 +293,7 @@ def drive(bits, x, y, step, *, plan=None, draw=None, trace=None,
             if trace is not None:
                 # the boundary snapshot must show what this iteration reads
                 trace.xs[-1], trace.ys[-1] = x, y
-        if per_iter is None:
-            x, y = step(bit, x, y)
-        else:
-            before = counts.copy()
-            x, y = step(bit, x, y)
-            per_iter.append(counts - before)
+        x, y = step(bit, x, y)
         if trace is not None:
             _record(trace, x, y)
     if rejoin is not None:
@@ -310,7 +314,7 @@ def run_branching(ring: Ring, spec: LadderSpec, key, x_init: int) -> Trace:
         return (bit1 if bit else bit0).eval1(ops, x), None
 
     trace = Trace()
-    drive(as_key(key).bits, ring.reduce(x_init), None, step, trace=trace, per_iter=trace.ops, counts=ops.counts)
+    drive(as_key(key).bits, ring.reduce(x_init), None, ops.tallied(step, trace.ops), trace=trace)
     return trace
 
 
@@ -337,8 +341,7 @@ def _run_two_register(ring, spec, key, x_init, plan, y_init, other) -> Trace:
     x = ring.reduce(x_init)
     y = spec.link.eval(ring, x) if y_init is None else ring.reduce(y_init)
     trace = Trace()
-    drive(bits, x, y, step, plan=plan, draw=_mod_draw(ring.n),
-          trace=trace, per_iter=trace.ops, counts=ops.counts)
+    drive(bits, x, y, ops.tallied(step, trace.ops), plan=plan, draw=_mod_draw(ring.n), trace=trace)
     return trace
 
 

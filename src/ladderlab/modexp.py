@@ -5,13 +5,12 @@ its always-multiply sibling, the classic two-register ladder keeping
 y = a*x, a masked half-coupled ladder whose mask may be redrawn every
 iteration, and a fully-coupled ladder parameterized by a ladder constant.
 Each variant is one loop step, built by `exp_step` into a `ladders.Target`
-and run by `ladders.drive`, the driver every ladder shares, which optionally
-consumes a fault plan and records register snapshots.  Modular
+and run by `ladders.drive`, the driver every ladder shares.  Modular
 multiplications / squarings / additions are tallied per iteration only
 when a caller asks for them (`per_iter`, `cost_per_bit`, and through it
-the CLI's `--count-ops`), by running the step's counted form on a
-`ladders.CountingRing`; every other run takes its straight-line form, one
-reduction per register write or value multiplied again; tests hold them equal.
+the CLI's `--count-ops`): the step's counted form runs on a
+`ladders.CountingRing`, whose `tallied` wraps it.  Every other run takes
+its straight-line form; tests hold the two equal.
 """
 
 import random
@@ -332,8 +331,8 @@ def run_exp_algorithm(
         plan.validate(len(bits))
     ops = None if per_iter is None else CountingRing(n)
     t = exp_step(algo, a, n, ops, x0=x0, y0=y0, plan=plan, constants=constants, mask=mask, rng=rng)
-    return drive(bits, t.x, t.y, t.step, plan=t.plan, draw=t.draw, trace=trace,
-                 per_iter=per_iter, counts=None if per_iter is None else ops.counts)
+    step = t.step if ops is None else ops.tallied(t.step, per_iter)
+    return drive(bits, t.x, t.y, step, plan=t.plan, draw=t.draw, trace=trace)
 
 
 def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, mask=None,

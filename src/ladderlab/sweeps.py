@@ -86,22 +86,22 @@ def _semi_coefficients(n: int, a, m):
 
 
 def _semi_grids(n: int, a, m, x):
-    """Failure masks of the three half-coupled equations, broadcasting a, m and x."""
+    """Failure masks of equation 1 and of equations 2 and 3 (one grid), broadcasting a, m and x."""
     x2 = _mod(x * x, n)
     lx = _mod(a * x, n)  # link values
     theta = _mod(a * x2, n)
     # equation 1 is mask-free: bit0(link(x)) == link(bit1(x))
     e1 = _mod(lx * lx - a * theta, n) != 0
     ma, f11 = _semi_coefficients(n, a, m)
-    # f(x, lx) and f(lx, x) coincide termwise: both quadratic terms are
-    # symmetric, so one value serves equations 2 and 3
+    # f(x, lx) and f(lx, x) coincide termwise: both quadratic terms are symmetric, and both right
+    # sides are theta (bit1(x) = a*x^2, link(bit0(x)) = a*x^2), so one grid serves equations 2 and 3
     fval = _mod(ma * _mod(x2 + lx * lx, n) + f11 * _mod(x * lx, n), n)
-    return e1, fval != theta, fval != _mod(a * x2, n)
+    return e1, fval != theta
 
 
 def _semi_violations(n: int, a: int) -> list:
     xs = np.arange(n, dtype=np.int64)
-    return _first_violations(n, a, _semi_grids(n, a, xs[:, None], xs), ([None], range(n), range(n)))
+    return _first_violations(n, a, _semi_grids(n, a, xs[:, None], xs), ([None], range(n)))
 
 
 def sweep_masked_semi(n_max: int = 200, n_min: int = 2) -> list:
@@ -115,8 +115,8 @@ def sweep_masked_semi(n_max: int = 200, n_min: int = 2) -> list:
     """
     for n in range(n_min, n_max + 1):
         for bases in _base_chunks(1, n, n):
-            e1, e2, e3 = _semi_grids(n, bases, np.arange(n, dtype=np.int64), 1)
-            failed = (e1 | e2 | e3).any(axis=1)
+            e1, e2 = _semi_grids(n, bases, np.arange(n, dtype=np.int64), 1)
+            failed = (e1 | e2).any(axis=1)
             if failed.any():
                 return _semi_violations(n, int(bases[failed.argmax(), 0]))
     return []

@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ladderlab
+from ladderlab.attacks import ECC_TARGETS, EXP_TARGETS
 from ladderlab.cli import main
 from ladderlab.ladders import DEFAULT_SWEEP_LIMIT, spec_to_json
 from ladderlab.modarith import Ring, is_probable_prime
-from ladderlab.modexp import masked_semi_spec
+from ladderlab.modexp import ALGORITHMS, masked_semi_spec
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,19 @@ def test_dsa_census_below_the_n_guard_runs_at_once(capsys):
     assert json.loads(out)["match"] is True
 
 
+def _ends_in_an_exit_code(capsys, *argv):
+    """(exit code, stdout) of `argv` run in-process, which must end in exit code 0, 2 (usage)
+    or 3 (refused) within 1 s, never in a traceback."""
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    except SystemExit as exc:
+        code, out, err = exc.code, *capsys.readouterr()
+    assert time.perf_counter() - start < 1.0, argv
+    assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)
+    return code, out
+
+
 FIRST_PRIME_ABOVE_GUARD = next(p for p in range(DEFAULT_SWEEP_LIMIT + 1, 2 * DEFAULT_SWEEP_LIMIT)
                                if is_probable_prime(p))
 # the moduli that run stay at or below 2^16, so one example takes milliseconds
@@ -191,19 +205,90 @@ CENSUS_MODULI = st.one_of(st.integers(-2**40, -1), st.integers(0, 7), st.integer
 @example(("dsa-exact", "--n"), 65521, 3)
 @example(("dsa-exact", "--n"), FIRST_PRIME_ABOVE_GUARD, 3)
 def test_census_commands_end_in_an_exit_code(capsys, mode, modulus, r):
-    # every argv ends in 0, 2 (usage) or 3 (refused) within 1 s, never a traceback; a census
-    # that runs must match its closed form
-    (name, flag), start = mode, time.perf_counter()
-    try:
-        code, out, err = run_cli(capsys, "prob", "--mode", name, f"{flag}={modulus}", f"--r={r}")
-    except SystemExit as exc:
-        code, out, err = exc.code, *capsys.readouterr()
-    assert time.perf_counter() - start < 1.0
-    assert code in (0, 2, 3) and "Traceback" not in err
+    # a census that runs must match its closed form
+    name, flag = mode
+    code, out = _ends_in_an_exit_code(capsys, "prob", "--mode", name, f"{flag}={modulus}", f"--r={r}")
     if code == 0 and name == "gauss":
         assert json.loads(out)["residue_count"] == (modulus - 1) // math.gcd(modulus - 1, r)
     elif code == 0:
         assert json.loads(out)["match"] is True
+
+
+# n < 2, n < 7, gcd(n, 6) > 1 scanned (n <= DEFAULT_SWEEP_LIMIT) and drawn (above it), primes
+EXP_MODULI = st.one_of(st.integers(-2**40, 1), st.integers(2, 300),
+                       st.sampled_from([1000, 65535, 65537, DEFAULT_SWEEP_LIMIT + 2, 2**61 - 1, 2**64]))
+MASKS = st.sampled_from(["zero", "fresh", "fixed:3", "fixed:0x10", "fixed:-1", "fixed:x", "warp", ""])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(ALGORITHMS), st.one_of(st.integers(-3, 300), st.just(2**64 + 1)),
+       st.one_of(st.integers(-2, 2**16), st.just(2**256 - 1)), EXP_MODULI, MASKS,
+       st.one_of(st.none(), st.integers(-2, 300)), st.booleans(), st.booleans())
+@example("sm", 2, 5, 1, "zero", None, False, False)  # n < 2
+@example("fully", 2, 5, 5, "zero", None, False, False)  # n < 7
+@example("fully", 2, 5, 0, "zero", 3, False, False)  # n < 7 with an explicit constant
+@example("fully", 2, 5, 1000, "zero", None, False, True)  # gcd(n, 6) > 1: every constant scanned
+@example("fully", 2, 5, DEFAULT_SWEEP_LIMIT + 2, "zero", None, False, False)  # 64 draws, no scan
+@example("fully", 5, 3, 13, "zero", 7, False, False)  # an --ell that violates a constraint
+@example("semi", 7, 1000, 99991, "fixed:x", None, False, False)  # a --mask that does not parse
+@example("semi", 7, 2**256 - 1, 2**61 - 1, "fresh", None, True, True)  # the widest run
+def test_exp_ends_in_an_exit_code(capsys, algo, a, k, n, mask, ell, trace, count_ops):
+    # a run that succeeds gives a^k mod n, whatever the ladder
+    argv = ["exp", "--algo", algo, f"--a={a}", f"--k={k}", f"--n={n}", f"--mask={mask}"]
+    argv += [f"--ell={ell}"] * (ell is not None) + ["--trace"] * trace + ["--count-ops"] * count_ops
+    code, out = _ends_in_an_exit_code(capsys, *argv)
+    if code == 0:
+        assert json.loads(out)["x"] == str(pow(a, k, n))
+
+
+# (p, a, b, Ax, Ay, order): the generated curve with its base point of order 97, the largest table
+# curve (group order 1033, prime) and a prime-order curve past TABLE_MAX_P (1061), or any input
+ECC_INPUTS = st.one_of(
+    *map(st.just, [(101, 7, 4, 0, 99, 97), (101, 7, 4, 101, -2, 97), (101, 7, 4, 0, 99, 2**64),
+                   (1013, 3, 5, 1, 3, 1033), (1033, 1, 1, 0, 1, 1061)]),
+    st.tuples(st.sampled_from([-3, 0, 4, 5, 7, 100, 101]), st.integers(-2, 10), st.integers(-2, 10),
+              st.integers(-2, 120), st.integers(-2, 120), st.integers(-1, 200)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ECC_INPUTS, st.sampled_from(["daa", "montgomery", "semi", "fully"]),
+       st.one_of(st.integers(-3, 5), st.sampled_from([96, 97, 98, 2**64])),
+       st.one_of(st.integers(-2, 2**16), st.just(2**64 - 1)), st.booleans(), st.booleans())
+@example((100, 7, 4, 0, 99, 97), "fully", 3, 29, False, False)  # p not prime
+@example((101, 0, 0, 0, 0, 97), "fully", 3, 29, False, False)  # singular: 4a^3 + 27b^2 = 0
+@example((101, 7, 4, 0, 99, 95), "fully", 3, 29, False, False)  # 95 A is not infinity
+@example((101, 7, 4, 0, 99, 97), "semi", 0, 29, False, False)  # --cP 0, 1 and 2 are refused
+@example((101, 7, 4, 0, 99, 97), "semi", 1, 29, True, False)
+@example((101, 7, 4, 0, 99, 97), "semi", 2, 29, False, True)
+@example((101, 7, 4, 0, 99, 97), "fully", 0, 29, False, False)
+@example((101, 7, 4, 0, 99, 97), "fully", 1, 29, False, False)
+@example((101, 7, 4, 0, 99, 97), "fully", 2, 29, False, False)
+@example((1033, 1, 1, 0, 1, 1061), "semi", 3, 2**64 - 1, True, True)  # the affine law, 64 bits
+def test_ecc_ends_in_an_exit_code(capsys, inputs, algo, cP, k, fresh, trace):
+    # a two-register run that succeeds keeps its link at every snapshot
+    p, a, b, Ax, Ay, order = inputs
+    argv = ["ecc", f"--p={p}", f"--a={a}", f"--b={b}", f"--Ax={Ax}", f"--Ay={Ay}",
+            f"--order={order}", "--algo", algo, f"--cP={cP}", f"--k={k}"]
+    code, out = _ends_in_an_exit_code(capsys, *argv + ["--fresh-cP"] * fresh + ["--trace"] * trace)
+    if code == 0:
+        assert json.loads(out).get("invariant_ok", True) is True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([1, 2, 3]), st.sampled_from(EXP_TARGETS + ECC_TARGETS),
+       st.sampled_from(["x", "y", "both"]), st.integers(1, 3), st.integers(0, 2**64 - 1))
+@example(2, "semi", "x", 1, 0)  # attack 2 reads both outputs
+@example(1, "sma", "y", 1, 0)  # attack 1 on sma reads x
+@example(3, "ecc-fully", "both", 3, 0)
+def test_one_bit_attacks_end_in_an_exit_code(capsys, model, target, readable, trials, seed):
+    code, out = _ends_in_an_exit_code(capsys, f"--seed={seed}", "attack", f"--model={model}",
+                                      "--target", target, "--bits", "1", f"--trials={trials}",
+                                      "--readable", readable)
+    if code == 0:
+        assert json.loads(out)["aggregate"]["bits"] == 1
 
 
 def test_import_leaves_numpy_unloaded():
