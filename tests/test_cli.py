@@ -339,6 +339,21 @@ def test_prob_rsa_bound_and_sample(capsys):
     assert doc["samples"] == 500
 
 
+@pytest.mark.parametrize("fmt, argv, expected", [
+    ("json", ["--mode", "dsa-formula", "--n", "13"],
+     '{\n  "mode": "dsa-formula",\n  "n": "13",\n  "formula": "14/15"\n}\n'),
+    ("csv", ["--mode", "dsa-formula", "--n", "13"], "mode,n,formula\r\ndsa-formula,13,14/15\r\n"),
+    ("json", ["--mode", "rsa-bound", "--p", "11", "--q", "13"],
+     '{\n  "mode": "rsa-bound",\n  "p": "11",\n  "q": "13",\n  "bound": "106/139"\n}\n'),
+    ("csv", ["--mode", "rsa-bound", "--p", "11", "--q", "13"],
+     "mode,p,q,bound\r\nrsa-bound,11,13,106/139\r\n"),
+])
+def test_prob_header_and_stdout_are_exact(capsys, fmt, argv, expected):
+    # the header is the mode, then the moduli the mode needs, in that order, as decimal strings
+    code, out, err = run_cli(capsys, "--format", fmt, "prob", *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_ecc_subcommand(capsys, small_curve):
     curve, A, N = small_curve
     base = ["ecc", "--p", str(curve.p), "--a", str(curve.a), "--b", str(curve.b),
