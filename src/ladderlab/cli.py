@@ -144,6 +144,11 @@ def cmd_attack(args) -> tuple[dict, list | None]:
     return {"aggregate": aggregate, "trials": trials}, trials
 
 
+# the moduli each `prob` mode needs; its output starts with the mode, then these as decimal strings
+_PROB_MODULI = {"dsa-exact": ("n",), "dsa-formula": ("n",), "rsa-bound": ("p", "q"),
+               "rsa-sample": ("p", "q"), "gauss": ("p",)}
+
+
 def _need(args, *names) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
@@ -152,58 +157,35 @@ def _need(args, *names) -> None:
 
 
 def cmd_prob(args) -> tuple[dict, list | None]:
-    if args.mode.startswith("dsa-"):
-        _need(args, "n")
-    elif args.mode.startswith("rsa-"):
-        _need(args, "p", "q")
-    else:
-        _need(args, "p")
+    names = _PROB_MODULI.get(args.mode, ())
+    _need(args, *names)
+    out = {"mode": args.mode, **{name: str(getattr(args, name)) for name in names}}
     if args.mode == "dsa-exact":
         suitable, total = residues.dsa_exhaustive_counts(args.n)
         formula = residues.dsa_probability_formula(args.n)
-        return {
-            "mode": args.mode,
-            "n": str(args.n),
-            "exact": f"{suitable}/{total}",
-            "formula": _frac(formula),
-            "match": Fraction(suitable, total) == formula,
-        }, None
-    if args.mode == "dsa-formula":
-        return {
-            "mode": args.mode,
-            "n": str(args.n),
-            "formula": _frac(residues.dsa_probability_formula(args.n)),
-        }, None
-    if args.mode == "rsa-bound":
-        return {
-            "mode": args.mode,
-            "p": str(args.p),
-            "q": str(args.q),
-            "bound": _frac(residues.rsa_probability_bound(args.p, args.q)),
-        }, None
-    if args.mode == "rsa-sample":
+        out["exact"] = f"{suitable}/{total}"
+        out["formula"] = _frac(formula)
+        out["match"] = Fraction(suitable, total) == formula
+    elif args.mode == "dsa-formula":
+        out["formula"] = _frac(residues.dsa_probability_formula(args.n))
+    elif args.mode == "rsa-bound":
+        out["bound"] = _frac(residues.rsa_probability_bound(args.p, args.q))
+    elif args.mode == "rsa-sample":
         rng = random.Random(args.seed)
         freq, bound = residues.rsa_sampled_frequency(args.p, args.q, args.samples, rng)
-        return {
-            "mode": args.mode,
-            "p": str(args.p),
-            "q": str(args.q),
-            "samples": args.samples,
-            "frequency": _frac(freq),
-            "bound": _frac(bound),
-            "ge_bound": freq >= bound,
-        }, None
-    if args.mode == "gauss":
+        out["samples"] = args.samples
+        out["frequency"] = _frac(freq)
+        out["bound"] = _frac(bound)
+        out["ge_bound"] = freq >= bound
+    elif args.mode == "gauss":
         census = residues.gauss_residue_census(args.p, args.r)
-        return {
-            "mode": args.mode,
-            "p": str(args.p),
-            "r": args.r,
-            "b": census.b,
-            "residue_count": census.residue_count,
-            "roots_per_residue": {str(k): v for k, v in sorted(census.roots_per_residue.items())},
-        }, None
-    raise ValueError(f"unknown mode {args.mode!r}")
+        out["r"] = args.r
+        out["b"] = census.b
+        out["residue_count"] = census.residue_count
+        out["roots_per_residue"] = {str(k): v for k, v in sorted(census.roots_per_residue.items())}
+    else:
+        raise ValueError(f"unknown mode {args.mode!r}")
+    return out, None
 
 
 def _ecc_point_json(P) -> dict | str:
@@ -297,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("prob", help="ladder-constant probabilities and residue censuses")
-    p.add_argument("--mode", choices=("dsa-exact", "dsa-formula", "rsa-bound", "rsa-sample", "gauss"),
-                   required=True)
+    p.add_argument("--mode", choices=tuple(_PROB_MODULI), required=True)
     p.add_argument("--n", type=_int)
     p.add_argument("--p", type=_int)
     p.add_argument("--q", type=_int)
@@ -359,10 +340,7 @@ def main(argv=None) -> int:
         payload, rows = args.func(args)
     except argparse.ArgumentError as exc:
         args.command_parser.error(str(exc))
-    except LadderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
+    except (LadderError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     _emit(payload, rows, args.format, args.out)
