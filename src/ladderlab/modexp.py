@@ -143,9 +143,11 @@ def ladder_constants(a: int, ell: int, n: int) -> LadderConstants:
 def find_ladder_constant(a: int, n: int, rng: random.Random) -> LadderConstants:
     """Sample a ladder constant from [2, n-2] minus {a} until all constraints hold.
 
-    After `MAX_DRAWS` failed samples it scans every constant when n is at
-    most `DEFAULT_SWEEP_LIMIT`.  NoConstantExists then means that none
-    qualifies; above that limit it means only that every draw failed.
+    After `MAX_DRAWS` failed samples it raises NoConstantExists at once when
+    gcd(n, 6) > 1: every unit l then makes l^2 - 1 even (2 | n) or a multiple
+    of 3 (3 | n), so no constant exists.  Otherwise it scans every constant
+    when n is at most `DEFAULT_SWEEP_LIMIT`, and NoConstantExists means that
+    none qualifies; above that limit it means only that every draw failed.
     """
     _check_modulus(n)
     if not 2 <= a <= n - 2:
@@ -158,6 +160,9 @@ def find_ladder_constant(a: int, n: int, rng: random.Random) -> LadderConstants:
         c = _constants_for(a, ell, n, attempt)
         if c is not None:
             return c
+    absent = f"no suitable ladder constant for a={a}, n={n}"
+    if gcd(n, 6) > 1:
+        raise NoConstantExists(absent)
     if n <= DEFAULT_SWEEP_LIMIT:
         for ell in range(2, n - 1):
             if ell == a:
@@ -165,8 +170,8 @@ def find_ladder_constant(a: int, n: int, rng: random.Random) -> LadderConstants:
             c = _constants_for(a, ell, n, MAX_DRAWS)
             if c is not None:
                 return c
-        raise NoConstantExists(f"no suitable ladder constant for a={a}, n={n}")
-    raise NoConstantExists(f"no suitable ladder constant for a={a}, n={n} found in {MAX_DRAWS} draws")
+        raise NoConstantExists(absent)
+    raise NoConstantExists(f"{absent} found in {MAX_DRAWS} draws")
 
 
 def _start(n, x0, y0, link_scale):

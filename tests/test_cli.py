@@ -214,7 +214,7 @@ def test_census_commands_end_in_an_exit_code(capsys, mode, modulus, r):
         assert json.loads(out)["match"] is True
 
 
-# n < 2, n < 7, gcd(n, 6) > 1 scanned (n <= DEFAULT_SWEEP_LIMIT) and drawn (above it), primes
+# n < 2, n < 7, gcd(n, 6) > 1 at and around DEFAULT_SWEEP_LIMIT (refused after the draws), primes
 EXP_MODULI = st.one_of(st.integers(-2**40, 1), st.integers(2, 300),
                        st.sampled_from([1000, 65535, 65537, DEFAULT_SWEEP_LIMIT + 2, 2**61 - 1, 2**64]))
 MASKS = st.sampled_from(["zero", "fresh", "fixed:3", "fixed:0x10", "fixed:-1", "fixed:x", "warp", ""])
@@ -228,7 +228,8 @@ MASKS = st.sampled_from(["zero", "fresh", "fixed:3", "fixed:0x10", "fixed:-1", "
 @example("sm", 2, 5, 1, "zero", None, False, False)  # n < 2
 @example("fully", 2, 5, 5, "zero", None, False, False)  # n < 7
 @example("fully", 2, 5, 0, "zero", 3, False, False)  # n < 7 with an explicit constant
-@example("fully", 2, 5, 1000, "zero", None, False, True)  # gcd(n, 6) > 1: every constant scanned
+@example("fully", 2, 5, 1000, "zero", None, False, True)  # gcd(n, 6) > 1 below the scan guard
+@example("fully", 2, 5, DEFAULT_SWEEP_LIMIT, "zero", None, False, False)  # gcd(n, 6) > 1: no scan
 @example("fully", 2, 5, DEFAULT_SWEEP_LIMIT + 2, "zero", None, False, False)  # 64 draws, no scan
 @example("fully", 5, 3, 13, "zero", 7, False, False)  # an --ell that violates a constraint
 @example("semi", 7, 1000, 99991, "fixed:x", None, False, False)  # a --mask that does not parse

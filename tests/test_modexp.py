@@ -5,7 +5,9 @@ import pytest
 
 from ladderlab import modexp
 from ladderlab.errors import InvalidCoefficient, NoConstantExists
-from ladderlab.ladders import KeyBits, Trace, check_fully_equations, check_semi_equations
+from ladderlab.ladders import (
+    DEFAULT_SWEEP_LIMIT, KeyBits, Trace, check_fully_equations, check_semi_equations,
+)
 from ladderlab.modarith import Ring, modpow_reference
 from ladderlab.modexp import (
     MaskPolicy,
@@ -163,6 +165,21 @@ class TestFindLadderConstant:
         with pytest.raises(NoConstantExists) as caught:
             find_ladder_constant(2, 21, random.Random(0))
         assert "draws" not in str(caught.value)
+
+    @pytest.mark.parametrize("n", [DEFAULT_SWEEP_LIMIT, DEFAULT_SWEEP_LIMIT - 1])
+    def test_no_scan_when_gcd_with_six_exceeds_one(self, monkeypatch, n):
+        # 2 | n or 3 | n leaves no constant, so only the draws run before NoConstantExists
+        calls = []
+        real = modexp._constants_for
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modexp, "_constants_for", counted)
+        with pytest.raises(NoConstantExists):
+            find_ladder_constant(7, n, random.Random(0))
+        assert len(calls) <= modexp.MAX_DRAWS
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
