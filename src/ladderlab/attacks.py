@@ -1,63 +1,15 @@
 """Fault-injection attack protocols against the exponentiation and ECC ladders.
 
-Three attacker capabilities are modeled:
+Three attacker capabilities are modeled: register faults alone (safe-error
+probing, `attack1_*`), register faults plus key stuck-at faults
+(`attack2_semi`), and stuck-at faults alone (`attack3_stuckat`).  Attack
+code sees the secret only through an `ExecutionOracle`.
 
-1. Register faults only: safe-error probing.  Against the non-coupled
-   always-multiply variant every key bit leaks; against half-coupled
-   ladders only the trailing constant run of bits (plus the bit that ends
-   it) leaks; against fully-coupled ladders a fault disturbs both outputs
-   regardless of the bit, so the comparisons carry no information.
-2. Register faults plus key stuck-at faults: a descending scan that pins
-   every later bit to a known constant before probing, recovering the
-   whole key from any half-coupled ladder.
-3. Key stuck-at faults alone: differential comparison of two stuck-at
-   thresholds, recovering every bit that influences the output, against
-   any ladder.
-
-Attack code sees the secret only through an ExecutionOracle; whether a
-recovered bit matches the true key is computed by the evaluation harness,
-never inside the attack.
-
-The attacks make many calls that differ only in where a fault or a
-stuck-at threshold starts, so the exp and ECC oracles checkpoint through
-one wrapper, `_resuming_run`, given one builder of `ladders.Target`
-records (`modexp.exp_step`, `ecc.ecc_step`): on the first call for an
-input it keeps the clean run's register snapshots (an internal run, not
-counted in `calls`) and resumes every run at its first register fault or
-the first key bit its stuck-at changes, driving the target it built once
-(sma's `takes` wraps that step with the plan's y faults).  The ECC oracle
-runs uncounted, on the curve's own group `ecc.oracle_ops(curve)`: on a
-curve with a discrete-log table its registers, snapshots, kept outputs
-and rejoin comparisons are logs mod N.  A call's start registers and
-explicit fault values enter as logs before the run (`ecc.enter_run`), and
-its outputs leave as points.  Seeded faults and attack 3's pool inputs
-draw in that group, so on such a curve they draw logs (`ecc.LogOps.draw`),
-the pool inputs leaving as the point `ecc.random_point` would give for the
-same RNG, with no square root.  On logs each ladder step is an affine map of the registers mod N,
-the same map for every iteration that reads the same bit, so a call with
-a stuck-at (t, b) drives only up to t or its last register fault and
-answers the rest, which all read b, in closed form (`Target.tail`).
-Curves without a table (`ecc.AffineOps`, the affine law), fresh
-coefficients (whose draws are replayed) and the exp ladders drive every
-step.
-Square-and-multiply and double-and-add take no fault plan, so building
-their oracles raises ValueError.  It also keeps the outputs of an input's
-calls without register faults, which attacks 2 and 3 repeat: such a plan
-keeps the link (below), so its outputs never change.  Register faults
-are seeded anew on every call; a faulted run that rejoins the clean
-registers after its last fault (a 0 bit overwrites sma's dummy register)
-returns the clean output.  Semi under fresh masks (exp) or fresh coefficients (ECC) draws once per
-iteration from the oracle's RNG through the target's `fresh` draw,
-CPython's `randrange` loop built once, so the stream is `randrange`'s.
-While the registers keep the ladder's link, y = a*x or Q = -(P + A), that
-draw cancels out of every clean step: a mask multiplies (a*x - y)(x - a*y),
-a coefficient multiplies P + Q + A = infinity.  Such an input keeps the
-snapshots of a zero-mask or fixed-coefficient run, and each call first
-replays the draws of the iterations it does not run, all of them for a call
-answered from memory.  An input that breaks the link runs in full, every
-time.  Outputs, `calls` and the RNG stream are exactly those of full
-runs.  Under fresh masks or coefficients the pool inputs attack 3 swaps in
-leave y0 to the ladder's link, so the randomness cancels from every output.
+An oracle call's outputs, `calls` and RNG stream are those of a full run,
+however much of it `_resuming_run` skips.  Only the two-register targets
+have oracles: building one for square-and-multiply or double-and-add
+raises ValueError.  Both oracles build their runs with `modexp.exp_step`
+or `ecc.ecc_step`; the ECC oracle runs on `ecc.oracle_ops(curve)`.
 """
 
 import random
@@ -80,8 +32,7 @@ class ExecutionOracle:
     """Runs the target with attacker-chosen inputs and fault plan.
 
     Readability of the two outputs is an explicit capability: an
-    unreadable register comes back as None.  The wrapped closure owns the
-    secret key; nothing else about it is exposed.
+    unreadable register comes back as None.
     """
 
     def __init__(self, run, nbits, sample_input, readable=("x", "y")):
@@ -141,27 +92,30 @@ def _exp_run(algo, a, n, bits, constants, mask, rng):
 
 
 def _resuming_run(key, build):
-    """`run(x_init, y_init, plan)` giving a full run's outputs and RNG use.
+    """The oracle's `run(x_init, y_init, plan)`, resumed from kept clean runs.
 
     `build(plan, x0=, y0=, clean=)` gives the `ladders.Target` of a run on
     the key bits `key`; `clean=True` swaps a fresh draw for the constant
-    that cancels from every clean step, so a clean run draws nothing.
-    `kept`, built once, drives every resumed call (through `kept.takes`
-    for a plan with register faults).  When `kept.fresh` is not None,
-    looping it replays the draws of skipped iterations, and only an input
-    whose y0 is the ladder's link (None, or what the clean run starts from
-    for y0=None) resumes; any other runs in full.
+    that cancels from every clean step.  `kept`, built once, drives every
+    resumed call (through `kept.takes` for a plan with register faults).
 
-    A call resumes from snapshot d - 1 of its input's clean run: d is its
-    first register fault or, for a stuck-at (t, b), the first iteration
-    j > t whose key bit is not b.  A plan without register faults keeps the
-    link and reads bits fixed by (j, b), so its outputs are kept per input
-    under (j, b) and a repeated call only replays its nbits draws.  A
+    The first call for an input keeps the snapshots of its clean run, which
+    is not counted.  A call resumes from snapshot d - 1: d is its first
+    register fault or, for a stuck-at (t, b), the first iteration j > t
+    whose key bit is not b.  A plan without register faults keeps the link
+    and reads bits fixed by (j, b), so its outputs are kept per input under
+    (j, b); register faults are seeded anew per call and never kept.  A
     register-faulted call whose stuck-at never diverges, on a target that
     draws nothing, rejoins: once its registers after its last fault equal
-    the clean snapshot of the same iteration, it returns the clean output.
-    With `kept.tail`, a call under a stuck-at (t, b) drives iterations d to
-    max(t, last register fault) only and gives `kept.tail` the rest.
+    the clean snapshot (a 0 bit overwrites sma's dummy register), it returns
+    the clean output.  With `kept.tail`, a stuck-at (t, b) call drives up
+    to max(t, last register fault) only and gives `kept.tail` the rest.
+
+    With `kept.fresh`, each call first replays the draws of the iterations
+    it does not drive.  Semi's fresh draw cancels from a step while y = a*x
+    or Q = -(P + A): a mask multiplies (a*x - y)(x - a*y), a coefficient
+    P + Q + A = infinity.  So only an input whose y0 is that link (None, or
+    the clean run's y0 for y0=None) resumes; any other runs in full.
     """
     kept, nbits = build(FaultPlan()), len(key)
     fresh = kept.fresh
@@ -259,11 +213,7 @@ def make_ecc_oracle(
 
 
 def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
-    """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A).
-
-    It runs on `oracle_ops(curve)`, discrete logs on a curve with a log
-    table: points enter once per call (`enter_run`) and leave as points.
-    """
+    """The ECC oracle's `run`; fixed-coefficient clean runs equal fresh ones while Q = -(P + A)."""
     ops = oracle_ops(curve)
     A, leave = ops.enter(A), ops.leave
 
@@ -284,11 +234,7 @@ def _ecc_run(algo, curve, A, bits, params, fresh_coef, rng):
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Per-iteration recovered bits: 0, 1, or None for unknown.
-
-    matches_true_key stays None inside the attacker boundary; only
-    evaluate_report fills it in.
-    """
+    """Per-iteration recovered bits: 0, 1, or None for unknown; `evaluate_report` scores them."""
 
     recovered: tuple
     oracle_calls: int

@@ -1,32 +1,14 @@
 """Short-Weierstrass curves, the affine group law, and scalar-multiplication ladders.
 
-Everything runs on desk-scale curves: affine coordinates, one field
-inversion per addition, points enumerable for test oracles.  The ladder
-coefficients act on scalars modulo the order of the working subgroup.
+Everything runs on desk-scale curves: affine coordinates, points enumerable
+for test oracles, ladder coefficients modulo the working subgroup's order.
+`double_and_add` and the public `point_add`/`point_double`/`point_neg`
+check their points and run the affine law.  Inside a ladder run no point
+is checked, and its outputs and trace snapshots leave it as points.
 
-`ecc_step` turns each ladder into a `ladders.Target` (a per-bit step and
-its start registers) for `ladders.drive`, the loop driver the exp
-ladders share; `run_ecc_algorithm` and the ECC fault oracle drive it.
-`ladder_link` defines each ladder's link map once, for `ecc_step` and
-the CLI.
-
-The public `point_add`/`point_double`/`point_neg` reject points off the
-curve.  A run checks each point once, before its loop: the base point,
-the start registers and every explicit fault value pass through its
-group's `enter` (`enter_run`), which rejects a point off the curve and
-reduces its coordinates mod p.  Inside a run nothing is checked: the
-group law maps curve points to curve points, and seeded faults draw them.
-
-Every run takes the curve's own group, `oracle_ops(curve)`, counted or
-not.  When the whole group has prime order N and p <= `TABLE_MAX_P`, that
-group is `LogOps`: registers, snapshots and fault values are discrete
-logs, each operation is one integer operation mod N, and `ecc_step` also
-gives k steps of one bit in closed form (`Target.tail`).  On any other
-curve it is `AffineOps`, the affine law on points.  A counted run passes
-a `PointOps`, a tally of additions and doublings over that same group.
-`double_and_add` and `point_add`/`point_double`/`point_neg` always run
-the affine law, the independent reference every ladder result is
-checked against.
+One rule picks the group a ladder run takes: the curve's own group,
+`oracle_ops(curve)`, counted or not; a counted run passes a `PointOps`
+tally over it.
 """
 
 import functools
@@ -204,10 +186,7 @@ def curve_order(curve: Curve) -> int:
 
 
 def random_point(curve: Curve, rng: random.Random) -> Point:
-    """A uniformly-sampled x with a valid y, by Tonelli-Shanks; a seeded fault's value.
-
-    A curve with a log table draws the same point's log by `LogOps.draw`.
-    """
+    """A uniformly-sampled x with a valid y, by Tonelli-Shanks; a seeded fault's value."""
     p = curve.p
     while True:
         x = rng.randrange(p)
@@ -287,11 +266,7 @@ def _log_table(curve: Curve) -> "LogOps | None":
 class AffineOps:
     """The affine group law on points: the group of a curve without a log table.
 
-    The operations do not check their operands: `enter` checks and reduces
-    the points that enter a run, `draw` is `random_point` (a seeded fault's
-    value), and the group law keeps them on the curve.  `leave` is the
-    identity.  `cmul(c, P)` runs the double-and-add loop over the bits of
-    abs(c).
+    Only `enter` checks its point; the group law keeps points on the curve.
     """
 
     def __init__(self, curve: Curve):
@@ -330,10 +305,8 @@ class LogOps:
     """The group of a curve with a log table as discrete logs: the int i stands for i*G.
 
     G is the curve's first affine point, `mults[i]` is i*G and `log` its
-    inverse.  Each operation is one integer operation mod N.  Points enter
-    as their logs, through `enter`, which checks and reduces them as
-    `AffineOps.enter` does, and `draw`.  `leave(i)` turns a log back into
-    its point.
+    inverse.  Each operation is one integer operation mod N.  `enter`
+    checks a point as `AffineOps.enter` does and gives its log.
     """
 
     def __init__(self, curve: Curve, points: list[Point]):
@@ -384,20 +357,15 @@ class LogOps:
 
 
 def oracle_ops(curve: Curve) -> LogOps | AffineOps:
-    """The curve's own group, the one every ECC run takes: `LogOps` with a log table, else `AffineOps`."""
+    """The curve's own group: `LogOps` with a log table, else `AffineOps`."""
     return _log_table(curve) or AffineOps(curve)
 
 
 class PointOps:
     """A tally of additions and doublings over the curve's own group, `oracle_ops(curve)`.
 
-    What a counted run passes: the CLI and the benchmark's op counts give
-    one to `run_ecc_algorithm` and read `adds` and `doubles`.  `enter`,
-    `draw`, `leave` and `neg` are the group's; `add` and `dbl` count, then
-    call it.  `cmul(c, P)` counts what the double-and-add loop over abs(c)
-    runs, `abs(c).bit_length()` doublings and `abs(c).bit_count()`
-    additions, and takes the group's `cmul`.  It is no `LogOps`, so a
-    counted run gets no closed-form tail and drives every step.
+    `add` and `dbl` count one each; `cmul(c, P)` counts what the
+    double-and-add loop over abs(c) runs.  Every operation is the group's.
     """
 
     def __init__(self, curve: Curve):
@@ -486,8 +454,7 @@ def ladder_link(algo: str, ops: AffineOps | LogOps | PointOps, A, params: EccLad
 
     B is A for montgomery (Q = P + A) and semi (Q = -(P + A)), and
     link_scale*A for fully (Q = P + B), computed once with `ops.cmul`.
-    A, P and B are elements of `ops`: points, or logs on `LogOps` and on
-    a `PointOps` over it.
+    A, P and B are elements of `ops`.
     """
     if algo == "montgomery":
         return (lambda P: ops.add(P, A)), A
@@ -518,9 +485,7 @@ def run_ecc_algorithm(
 ) -> tuple[Point, Point | None]:
     """Uniform entry point; NotOnCurve for an off-curve base, start or fault point.
 
-    The run takes the curve's own group, `oracle_ops(curve)`; a counted
-    run passes a `PointOps`, which tallies over that same group.  Its
-    outputs and `trace`'s snapshots leave the group as points.
+    `ops` defaults to `oracle_ops(curve)`.
     """
     bits = as_key(key).bits
     ops = ops or oracle_ops(curve)
@@ -542,16 +507,13 @@ def ecc_step(algo: str, ops, A, params: EccLadderParams | None = None,
              x0=None, y0=None, plan: FaultPlan | None = None) -> Target:
     """`algo`'s per-bit step over the group `ops`, its start registers and `plan`, as one `Target`.
 
-    The one builder of ECC ladder steps, for `run_ecc_algorithm` and for
-    the ECC oracle, which builds one per oracle.  The step is the same
-    over every group: A, x0, y0 and the plan's explicit fault values are
-    already elements of `ops` (`ops.enter`, `enter_run`), and the target's
-    `draw` is `ops.draw`.  y0 defaults to the ladder's link of x0 (the
-    point at infinity by default).  Semi's coefficient defaults to 3; with
-    `fresh_coef` it is drawn from `rng` on every iteration, and that draw
-    is `fresh`.  On `LogOps` itself without it, `tail` gives k steps of one
-    bit in closed form (`_affine_tail`); a `PointOps` gets none, so a
-    counted run drives every step it counts.
+    The one builder of ECC ladder steps, for `run_ecc_algorithm` and the
+    ECC oracle.  A, x0, y0 and the plan's explicit fault values are already
+    elements of `ops` (`enter_run`).  y0 defaults to the ladder's link of
+    x0 (the point at infinity by default).  Semi's coefficient defaults to
+    3; with `fresh_coef` it is drawn from `rng` on every iteration, and
+    that draw is `fresh`.  Only a fixed-coefficient step on a `LogOps`
+    itself gets a `tail` (`_affine_tail`), so a counted run drives every step.
     """
     curve = ops.curve
     if fresh_coef:

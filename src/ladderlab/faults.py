@@ -1,10 +1,7 @@
 """Declarative fault plans consumed by the ladder runners.
 
-Register faults overwrite a register value between two loop iterations
-(the value a fault at iteration i replaces is the one the loop body of
-iteration i is about to read).  Key stuck-at faults force every bit
-consumed after a threshold iteration to a constant, without mutating the
-actual key.
+Register faults overwrite a register between two loop iterations; key
+stuck-at faults pin the bits a run reads, never the key itself.
 """
 
 import random

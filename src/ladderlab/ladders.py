@@ -1,26 +1,16 @@
 """Generic two-register ladders over a modular ring.
 
 A secret-dependent loop updates one register x through a unary step per
-branch (`bit1_step` when the key bit is 1, `bit0_step` otherwise).  The
-two-register rewrites keep a companion register y tied to x through the
-affine `link` map: y == link(x) between any two iterations.  In the
-half-coupled form each branch updates one register from both values and
-the other from itself alone; in the fully-coupled form both registers are
-recomputed from both previous values.  `check_semi_equations` and
-`check_fully_equations` verify the equation systems that make those
-rewrites faithful for every ring element.  Each side has degree <= 4 in x,
-so the spec's own polynomials at x = 0..4 decide a passing spec for any n;
-a failing one is enumerated over int64 chunks of x to list counterexamples,
-and only that enumeration is refused above `limit`.  Whatever `limit` is,
-n above 2**31 is refused (int64 products overflow).
+branch (`bit1_step` on a 1 bit, `bit0_step` on a 0).  The two-register
+rewrites keep a companion register y == link(x) between any two
+iterations: the half-coupled form updates one register from both values
+and the other from itself, the fully-coupled form both from both.
+`check_semi_equations` and `check_fully_equations` decide whether a spec's
+rewrite is faithful for every ring element.
 
-`drive` is the one loop driver behind every ladder runner: the generic
-spec runners here, the five `modexp` variants and the `ecc` ladders each
-supply only a per-bit step (the latter two in a `Target`), and `drive`
-applies the fault plan and records snapshots.  Ring operations are
-counted one way only: the step runs on a `CountingRing`, whose `tallied`
-wraps it to record each iteration's operations.  Uncounted `modexp` runs
-take each step's straight-line form instead; tests hold the two equal.
+`drive` is the one loop driver of every ladder runner, here and in
+`modexp` and `ecc`, which supply only a per-bit step.  Ring operations are
+counted one way only: on a `CountingRing`, whose `tallied` wraps the step.
 """
 
 from dataclasses import dataclass, field
@@ -244,14 +234,11 @@ class Target(NamedTuple):
     """One ladder run as `drive` takes it, built by `modexp.exp_step` or `ecc.ecc_step`.
 
     `step` starts from registers (x, y) and `plan` is what is left of the
-    fault plan for `drive`, with `draw` giving a seeded fault's value.
-    `fresh()` is the step's per-iteration draw, None when it draws nothing.
-    `takes(plan, i0) -> (step, plan)`, set for sma only, wraps `step` with
-    the faults it applies itself for a run resumed after iteration i0.
-    `tail(b, k, x, y)`, set for the ECC ladders on discrete logs only, gives
-    the registers after k more iterations that all read bit b from (x, y),
-    exactly what `drive` gives over those k steps, in closed form: there
-    each step is an affine map mod N (`ecc.ecc_step`).
+    fault plan for `drive`, with `draw` giving a seeded fault's value.  The
+    optional fields are None when unused: `fresh()`, the step's draw per
+    iteration; `takes(plan, i0) -> (step, plan)` (`modexp._sma`); and
+    `tail(b, k, x, y)`, what `drive` gives over k more iterations that all
+    read bit b (`ecc._affine_tail`).
     """
 
     step: Callable
@@ -267,16 +254,15 @@ class Target(NamedTuple):
 def drive(bits, x, y, step, *, plan=None, draw=None, trace=None, i0=0, stop=None, rejoin=None):
     """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
 
-    The loop every ladder here shares, exp and ECC alike.  (x, y) are the
-    registers after iteration i0 (0 for a whole run; y is None for a
-    one-register loop, whose `trace` keeps ys None).  Iteration numbers
-    stay absolute: register faults are applied just before the iterations
-    they name, `draw(rng)` giving a seeded fault's value; iterations past
-    a stuck-at's threshold read its bit, and the key is never copied.  With
-    `stop`, the run ends after iteration `stop`.  `rejoin=states` runs on
-    from there, for an untraced run with no fault after iteration `stop`
-    that then reads the bits of a clean run with snapshots `states`: once
-    the registers after an iteration i >= stop equal `states[i]`, it
+    (x, y) are the registers after iteration i0 (0 for a whole run; y is
+    None for a one-register loop, whose `trace` keeps ys None).  Iteration
+    numbers stay absolute: register faults are applied just before the
+    iterations they name, `draw(rng)` giving a seeded fault's value, and
+    iterations past a stuck-at's threshold read its bit; the key is never
+    copied.  With `stop`, the run ends after iteration `stop`.
+    `rejoin=states` runs on from there, for an untraced run with no later
+    fault that then reads the bits of a clean run with snapshots `states`:
+    once the registers after an iteration i >= stop equal `states[i]`, it
     returns that run's output.
     """
     consumed, faulted = islice, ()  # consumed(bits, i, j): the bits iterations i + 1 .. j read
@@ -391,17 +377,24 @@ class SweepResult:
 
 
 def _sweep(ring: Ring, spec: LadderSpec, equations, limit: int) -> SweepResult:
+    """Decide `equations` (pairs of sides) at every x in [0, n).
+
+    Each side has degree <= 4 in x, so x = 0..4 decide a passing spec at
+    any n; a failing one is enumerated over int64 chunks of x to list its
+    first counterexamples, and only that enumeration is refused above
+    `limit`.  n above `INT64_SWEEP_LIMIT` is refused whatever `limit` is.
+    """
     import numpy as np
 
     if ring.n > INT64_SWEEP_LIMIT:
         raise DomainTooLarge(f"sweep over n={ring.n} exceeds guard {INT64_SWEEP_LIMIT}")
     # canonical coefficients keep every product below (n-1)**2 < 2**62
     ring, spec = spec_from_json(spec_to_json(ring, spec))
-    # each side has degree <= 4 in x, and lhs - rhs = sum_k C(x, k) * D^k(0) over k <= 4 (forward
-    # differences, integer combinations of its values at 0..4): zero mod n there is zero at every x
+    # lhs - rhs = sum_k C(x, k) * D^k(0) over k <= 4 (forward differences, integer combinations
+    # of its values at 0..4): zero mod n there is zero at every x
     if all((lhs == rhs).all() for lhs, rhs in equations(ring, spec, np.arange(5, dtype=np.int64))):
         return SweepResult(True, [])
-    if ring.n > limit:  # only a failing spec is enumerated, so only it meets `limit`
+    if ring.n > limit:
         raise DomainTooLarge(f"spec fails; listing its counterexamples over n={ring.n} "
                              f"exceeds limit {limit}")
     bad = []
@@ -429,9 +422,7 @@ def check_semi_equations(
 
     For every x: the link commutes with the taken branch, the coupled step
     reproduces the bit-1 update, and the swapped coupled step lands on the
-    link of the bit-0 update.  Five values of x decide a passing spec; a
-    failing one is enumerated over every x, for n up to `limit`, to list
-    its first counterexamples.
+    link of the bit-0 update.  Decided by `_sweep`.
     """
     spec.validate(ring)
     return _sweep(ring, spec, _semi_equations, limit)
@@ -451,7 +442,7 @@ def _fully_equations(ring: Ring, spec: LadderSpec, x):
 def check_fully_equations(
     spec: LadderSpec, ring: Ring, limit: int = DEFAULT_SWEEP_LIMIT
 ) -> SweepResult:
-    """Verify the four fully-coupled ladder equations at every x, decided as the semi check is."""
+    """Verify the four fully-coupled ladder equations at every x; decided by `_sweep`."""
     spec.validate(ring)
     if spec.sync_step is None:
         raise ValueError("fully check requires a spec with sync_step")

@@ -1,16 +1,15 @@
 """Concrete modular-exponentiation algorithms with per-bit operation accounting.
 
-Five left-to-right variants of a**k mod n: the plain square-and-multiply,
-its always-multiply sibling, the classic two-register ladder keeping
-y = a*x, a masked half-coupled ladder whose mask may be redrawn every
-iteration, and a fully-coupled ladder parameterized by a ladder constant.
-Each variant is one loop step, built by `exp_step` into a `ladders.Target`
-and run by `ladders.drive`, the driver every ladder shares.  Modular
-multiplications / squarings / additions are tallied per iteration only
-when a caller asks for them (`per_iter`, `cost_per_bit`, and through it
-the CLI's `--count-ops`): the step's counted form runs on a
-`ladders.CountingRing`, whose `tallied` wraps it.  Every other run takes
-its straight-line form; tests hold the two equal.
+Five left-to-right variants of a**k mod n: square-and-multiply, its
+always-multiply sibling, the classic two-register ladder keeping y = a*x,
+a masked half-coupled ladder whose mask may be redrawn every iteration,
+and a fully-coupled ladder built on a ladder constant.  Each leaves a**k
+mod n in x, whatever its mask or constant.
+
+One rule picks a step's form (`exp_step`): a run that counts its ring
+operations (`per_iter`, `cost_per_bit`, the CLI's `--count-ops`) takes the
+counted form on a `ladders.CountingRing`, every other run the
+straight-line form.  Tests hold the two equal.
 """
 
 import random
@@ -34,11 +33,7 @@ MAX_DRAWS = 64  # random draws of `find_ladder_constant` before its exhaustive s
 
 @dataclass(frozen=True)
 class MaskPolicy:
-    """How the per-iteration mask of the half-coupled ladder is chosen.
-
-    `per_iteration(n, rng)` is the step's one draw: a constant, or for fresh
-    masks `_below(n, rng)`, which is `rng.randrange(n)` value for value.
-    """
+    """How the per-iteration mask of the half-coupled ladder is chosen."""
 
     mode: str = "zero"  # "zero" | "fixed" | "fresh"
     value: int | None = None
@@ -68,7 +63,7 @@ class MaskPolicy:
         raise ValueError(f"unknown mask policy {text!r}")
 
     def per_iteration(self, n: int, rng: random.Random | None):
-        """The zero-argument draw of each iteration's mask, built once per step."""
+        """The zero-argument draw of each iteration's mask: a constant, or `modarith._below`."""
         if self.mode == "fresh":
             if rng is None:
                 raise ValueError("fresh mask policy needs an RNG")
@@ -180,8 +175,7 @@ def _start(n, x0, y0, link_scale):
     return x, y
 
 
-# Each variant below is its per-bit step over `sq/mul/add/sub` bound from `ops`, or for `ops=None`
-# the same sums reduced once per register write or value multiplied again; `exp_step` picks one.
+# Each variant below gives its per-bit step in both forms; `exp_step` picks one.
 
 
 def _sm(a, n, x0, y0, ops):
@@ -344,15 +338,13 @@ def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, ma
              rng=None) -> Target:
     """`algo`'s step, start registers and the plan left for `drive`, as one `Target`.
 
-    The one builder of exp steps, for `run_exp_algorithm` and for the exp
-    oracle, which builds one per oracle.  On a `CountingRing` `ops` the
-    step is the counted form that tallies each operation; with `ops=None`
-    it is the straight-line form, one reduction per register write or value
-    multiplied again, which uncounted runs take (tests hold them equal).  Semi
-    under fresh masks sets `fresh` to its mask draw.  Only sma's step
-    depends on the plan: its `takes` wraps the step with the y faults,
-    which land on the multiplier output, and the step built here with a
-    plan is already wrapped.
+    The one builder of exp steps, for `run_exp_algorithm` and the exp
+    oracle.  On a `CountingRing` `ops` the step is the counted form, which
+    tallies each operation.  With `ops=None` it is the straight-line form:
+    a value is reduced once, before it is written to a register or
+    multiplied again, and a product that only feeds a sum is left
+    unreduced.  Semi under fresh masks sets `fresh` to its mask draw.  Only
+    sma's step depends on the plan: with one it comes wrapped by `takes`.
     """
     args, fresh, takes = (a % n, n, x0, y0, ops), None, None
     if algo == "sm":
@@ -392,7 +384,7 @@ def montgomery_ladder(a: int, k, n: int) -> tuple[int, int]:
 def semi_interleaved_exp(
     a: int, k, n: int, mask: MaskPolicy | None = None, rng: random.Random | None = None
 ) -> tuple[int, int]:
-    """Masked half-coupled ladder; x = a**k mod n for every mask policy."""
+    """Masked half-coupled ladder; returns (x, y)."""
     return run_exp_algorithm("semi", a, k, n, mask=mask, rng=rng)
 
 

@@ -1,17 +1,11 @@
 """Bulk exhaustive verification of the exponentiation ladder families.
 
-These sweeps cover every modulus up to a bound, every base, every mask or
-every valid ladder constant, and every ring element x, in closed form on
-int64 arrays.  `_mod` is the one array reduction, here and in the residue
-census; values are reduced after each product, so the widest intermediate
-is below n**2.  x is discharged, not enumerated: the link is
-a*x or l*x, so every equation entry is x**2 times its value at x = 1 mod
-n, prime or composite, and the x = 1 column decides each (n, a).  The full
-x grid only lists the violations of the first failing (n, a).
-`ladders.check_*_equations` decide one spec at x = 0..4 by a degree bound
-(not homogeneity), enumerating x only to list a failing spec's
-counterexamples, and the tests cross-check the routes.  `ConstantTables`
-is `modexp._suits`'s predicate in numpy; its census discharges a just as x.
+Both sweeps run on int64 arrays reduced by `_mod` after each product, so
+the widest intermediate is below n**2.  x is discharged, not enumerated: the link is a*x or l*x, so every equation
+entry is x**2 times its value at x = 1 mod n, prime or composite, and the
+x = 1 column decides each (n, a); the full x grid only lists the
+violations of the first failing (n, a).  `ladders.check_*_equations`
+decide a spec by a degree bound instead; the tests cross-check both.
 """
 
 from functools import cached_property
@@ -30,7 +24,7 @@ def _mod(v, n: int):
 
 
 class ConstantTables:
-    """The four ladder-constant constraints over every l in [2, n-2], for one n.
+    """`modexp._suits`'s four ladder-constant constraints over every l in [2, n-2], for one n.
 
     l suits the base a when l != a and l, l^2 - 1 and l^3 - a are units mod n.
     `bases` is an int or an int64 column, broadcast against the row of l.
@@ -110,8 +104,7 @@ def sweep_masked_semi(n_max: int = 200, n_min: int = 2) -> list:
     Returns the (n, a, m, x, equation) violations of the first (n, a,
     equation) that fails, empty when the whole family verifies.  The base a
     runs over nonzero ring elements (a = 0 gives a degenerate link and is
-    outside the family).  x is discharged by the degree-2 identity: one
-    (a, m) array at x = 1 per n decides every (n, a).
+    outside the family).
     """
     for n in range(n_min, n_max + 1):
         for bases in _base_chunks(1, n, n):
@@ -161,8 +154,7 @@ def sweep_fully_constants(n_max: int = 200, n_min: int = 7) -> list:
     Bases run over [2, n-2]; constants over every value passing the four
     suitability constraints.  Returns the (n, a, ell, x, equation)
     violations of the first (n, a, equation) that fails, empty when the
-    whole family verifies.  x is discharged by the degree-2 identity: the
-    (a, l) cells at x = 1, SWEEP_CHUNK at a time, decide every (n, a).
+    whole family verifies.
     """
     for n in range(n_min, n_max + 1):
         tables = ConstantTables(n)
