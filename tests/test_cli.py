@@ -348,7 +348,7 @@ def test_prob_rsa_bound_and_sample(capsys):
      '{\n  "mode": "rsa-bound",\n  "p": "11",\n  "q": "13",\n  "bound": "106/139"\n}\n'),
     ("csv", ["--mode", "rsa-bound", "--p", "11", "--q", "13"],
      "mode,p,q,bound\r\nrsa-bound,11,13,106/139\r\n"),
-])
+], ids=["dsa-formula-json", "dsa-formula-csv", "rsa-bound-json", "rsa-bound-csv"])
 def test_prob_header_and_stdout_are_exact(capsys, fmt, argv, expected):
     # the header is the mode, then the moduli the mode needs, in that order, as decimal strings
     code, out, err = run_cli(capsys, "--format", fmt, "prob", *argv)
