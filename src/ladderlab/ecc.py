@@ -264,10 +264,7 @@ def _log_table(curve: Curve) -> "LogOps | None":
 
 
 class AffineOps:
-    """The affine group law on points: the group of a curve without a log table.
-
-    Only `enter` checks its point; the group law keeps points on the curve.
-    """
+    """The affine group law on points: the group of a curve without a log table."""
 
     def __init__(self, curve: Curve):
         self.curve = curve
@@ -362,10 +359,9 @@ def oracle_ops(curve: Curve) -> LogOps | AffineOps:
 
 
 class PointOps:
-    """A tally of additions and doublings over the curve's own group, `oracle_ops(curve)`.
+    """Counts `adds` and `doubles` while `oracle_ops(curve)` does each operation.
 
-    `add` and `dbl` count one each; `cmul(c, P)` counts what the
-    double-and-add loop over abs(c) runs.  Every operation is the group's.
+    `cmul(c, P)` counts what the double-and-add loop over abs(c) runs.
     """
 
     def __init__(self, curve: Curve):

@@ -4,13 +4,13 @@ A secret-dependent loop updates one register x through a unary step per
 branch (`bit1_step` on a 1 bit, `bit0_step` on a 0).  The two-register
 rewrites keep a companion register y == link(x) between any two
 iterations: the half-coupled form updates one register from both values
-and the other from itself, the fully-coupled form both from both.
-`check_semi_equations` and `check_fully_equations` decide whether a spec's
-rewrite is faithful for every ring element.
+and the other from itself, the fully-coupled form both from both.  A
+spec whose equations hold (`check_semi_equations`, `check_fully_equations`)
+gives a faithful rewrite for every ring element.
 
 `drive` is the one loop driver of every ladder runner, here and in
 `modexp` and `ecc`, which supply only a per-bit step.  Ring operations are
-counted one way only: on a `CountingRing`, whose `tallied` wraps the step.
+counted one way only, on a `CountingRing`.
 """
 
 from dataclasses import dataclass, field
