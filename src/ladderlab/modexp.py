@@ -341,8 +341,9 @@ def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, ma
     The one builder of exp steps, for `run_exp_algorithm` and the exp
     oracle.  With `ops=None` the step is the straight-line form: a value
     is reduced once, before it is written to a register or multiplied
-    again, and a product that only feeds a sum is left unreduced.  Semi under fresh masks sets `fresh` to its mask draw.  Only
-    sma's step depends on the plan: with one it comes wrapped by `takes`.
+    again, and a product that only feeds a sum is left unreduced.  Semi
+    under fresh masks sets `fresh` to its mask draw.  Only sma's step
+    depends on the plan: with one it comes wrapped by `takes`.
     """
     args, fresh, takes = (a % n, n, x0, y0, ops), None, None
     if algo == "sm":

@@ -1,11 +1,12 @@
 """Bulk exhaustive verification of the exponentiation ladder families.
 
 Both sweeps run on int64 arrays reduced by `_mod` after each product, so
-the widest intermediate is below n**2.  x is discharged, not enumerated: the link is a*x or l*x, so every equation
-entry is x**2 times its value at x = 1 mod n, prime or composite, and the
-x = 1 column decides each (n, a); the full x grid only lists the
-violations of the first failing (n, a).  `ladders.check_*_equations`
-decide a spec by a degree bound instead; the tests cross-check both.
+the widest intermediate is below n**2.  x is discharged, not enumerated:
+the link is a*x or l*x, so every equation entry is x**2 times its value at
+x = 1 mod n, prime or composite, and the x = 1 column decides each (n, a);
+the full x grid only lists the violations of the first failing (n, a).
+`ladders.check_*_equations` decide a spec by a degree bound instead; the
+tests cross-check both routes.
 """
 
 from functools import cached_property

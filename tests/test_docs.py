@@ -73,10 +73,10 @@ def _has(obj, name: str, classdef: ast.ClassDef | None) -> bool:
 def _resolves(name: str, classes) -> bool | None:
     """True or False for a package reference, None for any other backticked name."""
     head, *rest = name.split(".")
+    if head == "ladderlab" and rest and rest[0] in MODULES:
+        head, *rest = rest
     if head == "ladderlab" or head in MODULES:
-        if head == "ladderlab":
-            head, *rest = rest or ["__init__"]
-        obj = importlib.import_module("ladderlab" if head == "__init__" else f"ladderlab.{head}")
+        obj = importlib.import_module("ladderlab" if head == "ladderlab" else f"ladderlab.{head}")
     elif head in classes:
         module, _ = classes[head]
         obj = getattr(importlib.import_module(f"ladderlab.{module}"), head)
