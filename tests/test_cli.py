@@ -230,7 +230,7 @@ MASKS = st.sampled_from(["zero", "fresh", "fixed:3", "fixed:0x10", "fixed:-1", "
 @example("fully", 2, 5, 0, "zero", 3, False, False)  # n < 7 with an explicit constant
 @example("fully", 2, 5, 1000, "zero", None, False, True)  # gcd(n, 6) > 1 below the scan guard
 @example("fully", 2, 5, DEFAULT_SWEEP_LIMIT, "zero", None, False, False)  # gcd(n, 6) > 1: no scan
-@example("fully", 2, 5, DEFAULT_SWEEP_LIMIT + 2, "zero", None, False, False)  # 64 draws, no scan
+@example("fully", 2, 5, DEFAULT_SWEEP_LIMIT + 2, "zero", None, False, False)  # gcd(n, 6) > 1 above it
 @example("fully", 5, 3, 13, "zero", 7, False, False)  # an --ell that violates a constraint
 @example("semi", 7, 1000, 99991, "fixed:x", None, False, False)  # a --mask that does not parse
 @example("semi", 7, 2**256 - 1, 2**61 - 1, "fresh", None, True, True)  # the widest run

@@ -165,6 +165,10 @@ class TestFindLadderConstant:
         with pytest.raises(NoConstantExists) as caught:
             find_ladder_constant(2, 21, random.Random(0))
         assert "draws" not in str(caught.value)
+        # gcd(n, 6) > 1 proves absence on either side of the limit
+        with pytest.raises(NoConstantExists) as caught:
+            find_ladder_constant(7, DEFAULT_SWEEP_LIMIT + 2, random.Random(0))
+        assert "draws" not in str(caught.value)
 
     @pytest.mark.parametrize("n", [DEFAULT_SWEEP_LIMIT, DEFAULT_SWEEP_LIMIT - 1])
     def test_no_scan_when_gcd_with_six_exceeds_one(self, monkeypatch, n):
