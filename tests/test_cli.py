@@ -16,7 +16,7 @@ from ladderlab.attacks import ECC_TARGETS, EXP_TARGETS
 from ladderlab.cli import main
 from ladderlab.ladders import DEFAULT_SWEEP_LIMIT, spec_to_json
 from ladderlab.modarith import Ring, is_probable_prime
-from ladderlab.modexp import ALGORITHMS, masked_semi_spec
+from ladderlab.modexp import ALGORITHMS, fully_ladder_spec, ladder_constants, masked_semi_spec
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +116,24 @@ def test_verify_roundtrip(tmp_path, capsys):
     result = json.loads(out)
     assert result["ok"] is False
     assert 0 < len(result["counterexamples"]) <= 16
+
+
+def test_verify_reads_a_spec_from_stdin(monkeypatch, capsys):
+    ring = Ring(101)
+    doc = spec_to_json(ring, masked_semi_spec(ring, 5, 17))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, _ = run_cli(capsys, "verify", "--spec", "-")
+    assert code == 0
+    assert json.loads(out) == {"kind": "semi", "n": "101", "ok": True, "counterexamples": []}
+
+
+def test_verify_checks_a_fully_coupled_spec(tmp_path, capsys):
+    ring = Ring(101)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_json(ring, fully_ladder_spec(ring, ladder_constants(5, 3, 101)))))
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 0
+    assert json.loads(out) == {"kind": "fully", "n": "101", "ok": True, "counterexamples": []}
 
 
 def test_verify_refuses_int64_overflow_whatever_the_limit(tmp_path, capsys):

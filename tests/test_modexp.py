@@ -170,6 +170,13 @@ class TestFindLadderConstant:
             find_ladder_constant(7, DEFAULT_SWEEP_LIMIT + 2, random.Random(0))
         assert "draws" not in str(caught.value)
 
+    def test_failed_draws_below_the_scan_limit_fall_back_to_the_scan(self):
+        # at n = 2275 = 5^2*7*13 only 70 of the 2,271 candidates suit a = 8, and all 64 draws
+        # of seed 1 miss them, so the scan returns the smallest suitable constant
+        c = find_ladder_constant(8, 2275, random.Random(1))
+        assert c == modexp._constants_for(8, 3, 2275, modexp.MAX_DRAWS)
+        assert not modexp._suits(8, 2, 2275)
+
     @pytest.mark.parametrize("n", [DEFAULT_SWEEP_LIMIT, DEFAULT_SWEEP_LIMIT - 1])
     def test_no_scan_when_gcd_with_six_exceeds_one(self, monkeypatch, n):
         # 2 | n or 3 | n leaves no constant, so only the draws run before NoConstantExists
