@@ -175,7 +175,31 @@ def _start(n, x0, y0, link_scale):
     return x, y
 
 
-# Each variant below gives its per-bit step in both forms; `exp_step` picks one.
+# Each variant below gives its per-bit step in both forms; `exp_step` picks one.  The
+# straight-line form also gives its `Target.tail`: k iterations on one bit in closed form.
+
+
+def _squarings(a, n, bit, k, x):
+    """x after k iterations on `bit` that each square x, then multiply it by a on a 1 bit."""
+    e = 1 << k
+    x = pow(x, e, n)
+    return x * pow(a, e - 1, n) % n if bit else x
+
+
+def _linked_tail(a, s, n):
+    """The tail of semi (s = a) and fully (s = the ladder constant): None off the link y = s*x.
+
+    On the link each step squares x (times a on a 1 bit) and keeps the
+    link: semi's mask multiplies (a*x - y)(x - a*y) = 0, and fully's step
+    is a homogeneous quadratic that keeps y = s*x.
+    """
+    def tail(bit, k, x, y):
+        if (y - s * x) % n:
+            return None
+        x = _squarings(a, n, bit, k, x)
+        return x, s * x % n
+
+    return tail
 
 
 def _sm(a, n, x0, y0, ops):
@@ -194,12 +218,17 @@ def _sm(a, n, x0, y0, ops):
 
 
 def _sma(a, n, x0, y0, ops):
-    """The step, its start registers, and `takes`, which wraps the step with a plan's y faults."""
+    """The step, its start registers, `takes`, which adds a plan's y faults to the step, and a tail."""
+    tail = None
     if ops is None:
         def step(bit, x, y):
             x = x * x % n
             t = a * x % n
             return (t, y) if bit else (x, t)
+
+        def tail(bit, k, x, y):  # a 1 bit leaves y alone, a 0 bit writes a*x there
+            x = _squarings(a, n, bit, k, x)
+            return x, (y if bit or not k else a * x % n)
     else:
         sq, mul = ops.sq, ops.mul
 
@@ -228,20 +257,28 @@ def _sma(a, n, x0, y0, ops):
 
     x = 1 if x0 is None else x0 % n
     y = a if y0 is None else y0 % n  # sentinel until the first 0 bit writes it
-    return step, x, y, takes
+    return step, x, y, takes, tail
 
 
 def _montgomery(a, n, x0, y0, ops):
+    tail = None
     if ops is None:
         def step(bit, x, y):
             return (x * y % n, y * y % n) if bit else (x * x % n, y * x % n)
+
+        def tail(bit, k, x, y):  # bit 1 gives (x*y^(2^k - 1), y^(2^k)); bit 0 swaps the roles
+            if not bit:
+                x, y = y, x
+            p = pow(y, (1 << k) - 1, n)
+            x, y = x * p % n, y * p % n
+            return (x, y) if bit else (y, x)
     else:
         sq, mul = ops.sq, ops.mul
 
         def step(bit, x, y):
             return (mul(x, y), sq(y)) if bit else (sq(x), mul(y, x))
 
-    return step, *_start(n, x0, y0, a)
+    return step, *_start(n, x0, y0, a), tail
 
 
 def _semi(a, n, x0, y0, ops, policy, rng):
@@ -274,7 +311,8 @@ def _semi(a, n, x0, y0, ops, policy, rng):
             x = add(t, mul(w, mul(x, y)))
             return (x, z) if bit else (z, x)
 
-    return step, *_start(n, x0, y0, a), (mask if policy.mode == "fresh" else None)
+    tail = _linked_tail(a, a, n) if ops is None else None
+    return step, *_start(n, x0, y0, a), (mask if policy.mode == "fresh" else None), tail
 
 
 def _fully(a, n, x0, y0, ops, constants):
@@ -304,7 +342,8 @@ def _fully(a, n, x0, y0, ops, constants):
             y = add(mul(k2, z), mul(k3, x))
             return (x, y) if bit else (y, x)
 
-    return step, *_start(n, x0, y0, constants.constant)
+    tail = _linked_tail(a, constants.constant, n) if ops is None else None
+    return step, *_start(n, x0, y0, constants.constant), tail
 
 
 def run_exp_algorithm(
@@ -343,26 +382,28 @@ def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, ma
     is reduced once, before it is written to a register or multiplied
     again, and a product that only feeds a sum is left unreduced.  Semi
     under fresh masks sets `fresh` to its mask draw.  Only sma's step
-    depends on the plan: with one it comes wrapped by `takes`.
+    depends on the plan: with one it comes wrapped by `takes`.  Every
+    two-register straight-line form gets a `tail`, which for semi and fully
+    gives None off their link; a counted run drives every step.
     """
-    args, fresh, takes = (a % n, n, x0, y0, ops), None, None
+    args, fresh, takes, tail = (a % n, n, x0, y0, ops), None, None, None
     if algo == "sm":
         if plan is not None:
             raise ValueError("the one-register variant takes no fault plan")
         step, x, y = _sm(*args)
     elif algo == "sma":
-        step, x, y, takes = _sma(*args)
+        step, x, y, takes, tail = _sma(*args)
         if plan is not None:
             step, plan = takes(plan, 0)
     elif algo == "montgomery":
-        step, x, y = _montgomery(*args)
+        step, x, y, tail = _montgomery(*args)
     elif algo == "semi":
-        step, x, y, fresh = _semi(*args, mask, rng)
+        step, x, y, fresh, tail = _semi(*args, mask, rng)
     elif algo == "fully":
-        step, x, y = _fully(*args, constants)
+        step, x, y, tail = _fully(*args, constants)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
-    return Target(step, x, y, plan, _mod_draw(n), fresh=fresh, takes=takes)
+    return Target(step, x, y, plan, _mod_draw(n), fresh=fresh, takes=takes, tail=tail)
 
 
 def square_and_multiply(a: int, k, n: int) -> int:

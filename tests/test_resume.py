@@ -4,13 +4,16 @@ Both oracles resume each run at its first register fault or the first
 key bit its stuck-at changes, from snapshots of the clean run they keep
 per input, and a faulted run whose registers rejoin the clean ones after
 its last fault returns the clean output; the tests that count the steps
-`attacks.drive` runs pin both down.  On discrete logs the ECC oracle
-answers a stuck-at's pinned tail in closed form (`Target.tail`), which
-is checked against `drive` directly and by those step counts.  Under semi's fresh masks (exp) or
-fresh coefficients (ECC) a linked input replays the draws it skips.
-Property tests and fixed sequences drive
-`attacks._exp_run` / `_ecc_run` and plain `run_exp_algorithm` /
-`run_ecc_algorithm` with equally seeded RNGs through one call sequence
+`attacks.drive` runs pin both down.  A stuck-at's pinned tail is answered
+in closed form (`Target.tail`) by the exp oracle, and by the ECC oracle
+on discrete logs; semi's and fully's exp tails give None off their link,
+and the call then drives on.  Each tail is checked against `drive`
+directly and by those step counts.  Under semi's fresh masks (exp) or
+fresh coefficients (ECC) a linked input replays the draws it skips, the
+draws of a tail's iterations included.  Property tests and fixed
+sequences drive `attacks._exp_run` / `_ecc_run` and plain
+`run_exp_algorithm` / `run_ecc_algorithm` with equally seeded RNGs
+through one call sequence
 (inputs linked, unlinked or left to the default, plans with register
 faults and a stuck-at) and require equal outputs, equal RNG states at
 the end and one counted oracle call per `exe`.  The ECC cases also take
@@ -26,7 +29,7 @@ between calls, are never kept.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladderlab import attacks
@@ -47,8 +50,8 @@ from ladderlab.ecc import (
     semi_params,
 )
 from ladderlab.faults import FaultPlan, RegisterFault
-from ladderlab.ladders import KeyBits, Trace, drive
-from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
+from ladderlab.ladders import CountingRing, KeyBits, Trace, drive
+from ladderlab.modexp import MaskPolicy, exp_step, find_ladder_constant, run_exp_algorithm
 
 ALGOS = [("sma", None), ("montgomery", None), ("fully", None),
          ("semi", "zero"), ("semi", "fixed:3"), ("semi", "fresh")]
@@ -117,6 +120,16 @@ def _check(algo, mask, n, a, key, starts, calls, seed):
     return outputs
 
 
+KEY = KeyBits.from_int(0b101100111010, width=12)
+
+
+# under fresh masks, a stuck-at the tail answers and then a call driven off the link, whose
+# masks show a draw the tail failed to replay
+@example(("semi", "fresh", 1_000_003, 7, KEY, ["default"],
+          [(0, FaultPlan(key_stuckat=(6, 1))), (0, FaultPlan((RegisterFault("x", 3, seed=1),)))], 5))
+@example(("semi", "fresh", 1_000_003, 7, KEY, ["linked"],
+          [(0, FaultPlan(key_stuckat=(2, 0))),
+           (0, FaultPlan((RegisterFault("y", 4, seed=2),), key_stuckat=(8, 0)))], 5))
 @settings(max_examples=60, deadline=None)
 @given(_case())
 def test_checkpointed_oracle_equals_full_runs(case):
@@ -338,12 +351,29 @@ def test_resumed_calls_start_where_the_key_diverges(algo, driven):
         full = run_exp_algorithm(algo, 7, key, 1_000_003, plan=plan, constants=constants,
                                  mask=mask, rng=rng)
         assert oracle.exe(plan=plan) == full
-    # (11, 0) never diverges; 6, 7 and 8 pinning 1 all first differ at iteration 10
-    assert driven == [3]
+    # (11, 0) never diverges; 6, 7 and 8 pinning 1 all first differ at iteration 10, from
+    # which the tail answers the last 3 iterations
+    assert driven == [0]
 
 
 STUCKAT_PLANS = tuple(FaultPlan(key_stuckat=s) for s in ((11, 0), (7, 1), (8, 1), (6, 1), (3, 0),
                                                          (0, 1), (0, 0), (12, 1)))
+
+
+@pytest.mark.parametrize("algo", ["sma", "montgomery", "semi", "fully"])
+def test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides(algo, driven):
+    """The tail answers after a fault at the stuck-at's threshold, except off semi's or fully's link."""
+    oracle, rng = make_exp_oracle(algo, 7, 1_000_003, KEY, seed=3), random.Random(3)
+    constants = find_ladder_constant(7, 1_000_003, rng) if algo == "fully" else None
+    mask = MaskPolicy.fresh() if algo == "semi" else None
+    for i, b, register in ((1, 0, "x"), (5, 1, "y"), (9, 0, "x"), (12, 1, "y"), (12, 0, "x")):
+        plan = FaultPlan((RegisterFault(register, i, seed=i),), key_stuckat=(i, b))
+        full = run_exp_algorithm(algo, 7, KEY, 1_000_003, plan=plan, constants=constants,
+                                 mask=mask, rng=rng)
+        calls = len(driven)
+        assert oracle.exe(plan=plan) == full
+        # the fault moves semi's and fully's registers off the link, so their tail gives None
+        assert driven[calls:] == ([1, 12 - i] if algo in ("semi", "fully") else [1])
 
 
 @pytest.mark.parametrize("algo", ["montgomery", "semi", "fully"])
@@ -391,6 +421,43 @@ def test_tail_equals_driven_steps(algo):
             drive((bit,) * 64, x, y, target.step, trace=trace)
             # longest first, so the first start builds all 64 powers at once
             assert [target.tail(bit, k, x, y) for k in reversed(range(65))][::-1] == trace.snapshots()
+
+
+@pytest.mark.parametrize("algo, mask", ALGOS)
+def test_exp_tail_equals_driven_steps(algo, mask):
+    """`Target.tail` of an exp step equals `drive` over k steps of one bit, every k in 0..64.
+
+    Sma and montgomery answer from any start, semi and fully from starts on
+    their link y = s*x only: off it they give None.
+    """
+    n, a, rng = 1_000_003, 7, random.Random(21)
+    constants = find_ladder_constant(a, n, rng) if algo == "fully" else None
+    target = exp_step(algo, a, n, None, constants=constants, mask=mask and MaskPolicy.parse(mask),
+                      rng=rng)
+    s = constants.constant if constants else a
+    xs = [0, 1, a, n - 1] + [rng.randrange(n) for _ in range(4)]
+    linked = [(x, s * x % n) for x in xs]
+    unlinked = [(x, (s * x + rng.randrange(1, n)) % n) for x in xs]
+    for bit in (0, 1):
+        for x, y in linked + unlinked:
+            tails = [target.tail(bit, k, x, y) for k in range(65)]
+            if algo in ("semi", "fully") and (x, y) in unlinked:
+                assert tails == [None] * 65
+                continue
+            trace = Trace()
+            drive((bit,) * 64, x, y, target.step, trace=trace)
+            assert tails == trace.snapshots()
+
+
+def test_exp_tail_is_set_only_on_straight_line_two_register_steps():
+    n = 1_000_003
+    constants = find_ladder_constant(7, n, random.Random(0))
+    for algo, mask in ALGOS:
+        kw = dict(constants=constants, mask=mask and MaskPolicy.parse(mask), rng=random.Random(0))
+        assert exp_step(algo, 7, n, None, **kw).tail is not None
+        # a counted run drives every step
+        assert exp_step(algo, 7, n, CountingRing(n), **kw).tail is None
+    assert exp_step("sm", 7, n, None).tail is None
 
 
 def test_tail_is_set_only_on_logs_without_fresh_coefficients():

@@ -72,6 +72,19 @@ MUTANTS = (
            ("tests/test_modexp.py::TestFindLadderConstant::test_no_scan_when_gcd_with_six_exceeds_one[1048576]",
             "tests/test_modexp.py::TestFindLadderConstant::test_no_scan_when_gcd_with_six_exceeds_one[1048575]",
             "tests/test_modexp.py::TestFindLadderConstant::test_failed_draws_above_the_scan_limit_claim_no_absence")),
+    Mutant("constant-scan-deleted", "modexp.py", "    if n <= DEFAULT_SWEEP_LIMIT:\n", "    if False:\n",
+           ("tests/test_modexp.py::TestFindLadderConstant::test_failed_draws_below_the_scan_limit_fall_back_to_the_scan",)),
+    Mutant("tail-replays-one-draw-short", "attacks.py", "skip(nbits - last)", "skip(nbits - last - 1)",
+           ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",
+            "tests/test_resume.py::test_repeated_calls_equal_full_runs[semi-fresh]")),
+    Mutant("linked-tail-off-the-link", "modexp.py", "        if (y - s * x) % n:\n            return None\n", "",
+           ("tests/test_resume.py::test_exp_tail_equals_driven_steps[fully-None]",
+            "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fresh]",
+            "tests/test_resume.py::test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides[semi]")),
+    Mutant("bit-one-tail-one-multiply-too-many", "modexp.py", "pow(a, e - 1, n)", "pow(a, e, n)",
+           ("tests/test_resume.py::test_exp_tail_equals_driven_steps[sma-None]",
+            "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-zero]",
+            "tests/test_attack_goldens.py::test_attack_matches_golden[m3-sma-16]")),
     Mutant("prob-moduli-as-ints", "cli.py", "**{name: str(getattr(args, name)) for name in names}",
            "**{name: getattr(args, name) for name in names}",
            ("tests/test_cli.py::test_prob_header_and_stdout_are_exact[dsa-formula-json]",

@@ -5,10 +5,11 @@
 
 Every loop in ladderlab runs through `ladders.drive`, which the runners and
 the oracles import by name, so each of those names is replaced by a wrapper
-that counts the calls to the step it is given.  A pinned key tail that the
-ECC oracle answers in closed form (`Target.tail`) drives no step; it is
-counted apart, by wrapping the `tail` of every target `attacks.ecc_step`
-builds.  The keys and cell seeds are those `bench/workloads.py` draws for
+that counts the calls to the step it is given.  A pinned key tail that an
+oracle answers in closed form (`Target.tail`) drives no step; it is counted
+apart, by wrapping the `tail` of every target `attacks.exp_step` and
+`attacks.ecc_step` build.  A tail that gives None (semi or fully off its
+link) answers nothing, and the steps driven in its place are counted.  The keys and cell seeds are those `bench/workloads.py` draws for
 `attack-matrix` (its ten exp cells) and `ecc-ladders` (its three ECC attack
 cells, not its five direct ladders) from `--seed`.  The counts are
 deterministic: they measure the work an oracle skips, free of the timing
@@ -49,20 +50,22 @@ def count_steps(root, seed, keys):
         module = importlib.import_module(f"ladderlab.{name}")
         module.drive = counting(module.drive)
 
-    def counting_tails(ecc_step):
+    def counting_tails(build):
         def wrapped(*args, **kw):
-            target = ecc_step(*args, **kw)
+            target = build(*args, **kw)
             if target.tail is None:
                 return target
 
             def counted(*args):
-                tails[0] += 1
-                return target.tail(*args)
+                out = target.tail(*args)
+                tails[0] += out is not None
+                return out
 
             return target._replace(tail=counted)
 
         return wrapped
 
+    lib.attacks.exp_step = counting_tails(lib.attacks.exp_step)
     lib.attacks.ecc_step = counting_tails(lib.attacks.ecc_step)
 
     out = {}
