@@ -13,10 +13,10 @@ fresh coefficients (ECC) a linked input replays the draws it skips, the
 draws of a tail's iterations included.  Property tests and fixed
 sequences drive `attacks._exp_run` / `_ecc_run` and plain
 `run_exp_algorithm` / `run_ecc_algorithm` with equally seeded RNGs
-through one call sequence
-(inputs linked, unlinked or left to the default, plans with register
-faults and a stuck-at) and require equal outputs, equal RNG states at
-the end and one counted oracle call per `exe`.  The ECC cases also take
+through one call sequence (inputs linked, unlinked or left to the
+default, plans with register faults and a stuck-at) and require equal
+outputs, equal RNG states at the end and one counted oracle call per
+`exe`.  The ECC cases also take
 an unreduced x0 and explicit point fault values, unreduced ones and ones
 equal to the clean register they overwrite, which the oracle enters as
 discrete logs on the generated curve: its outputs must still be

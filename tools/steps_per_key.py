@@ -9,7 +9,8 @@ that counts the calls to the step it is given.  A pinned key tail that an
 oracle answers in closed form (`Target.tail`) drives no step; it is counted
 apart, by wrapping the `tail` of every target `attacks.exp_step` and
 `attacks.ecc_step` build.  A tail that gives None (semi or fully off its
-link) answers nothing, and the steps driven in its place are counted.  The keys and cell seeds are those `bench/workloads.py` draws for
+link) answers nothing, and the steps driven in its place are counted.  The
+keys and cell seeds are those `bench/workloads.py` draws for
 `attack-matrix` (its ten exp cells) and `ecc-ladders` (its three ECC attack
 cells, not its five direct ladders) from `--seed`.  The counts are
 deterministic: they measure the work an oracle skips, free of the timing
