@@ -110,13 +110,12 @@ def _resuming_run(key, build):
     the clean snapshot (a 0 bit overwrites sma's dummy register), it returns
     the clean output.  With `kept.tail`, a stuck-at (t, b) call drives up
     to max(t, last register fault) only and gives `kept.tail` the rest,
-    replaying the draws of the iterations it answers; where the tail gives
-    None (semi or fully off its link), the call drives on from there.
+    which replays the draws of the iterations it answers.
 
-    With `kept.fresh`, each call first replays the draws of the iterations
-    it does not drive.  Semi's fresh draw cancels from a step while y = a*x
-    or Q = -(P + A): a mask multiplies (a*x - y)(x - a*y), a coefficient
-    P + Q + A = infinity.  So only an input whose y0 is that link (None, or
+    With `kept.fresh`, each call replays the draws of the iterations before
+    its resume point, or of all of them when answered from memory.  Semi's
+    fresh draw cancels from a step while y = a*x or Q = -(P + A): a mask
+    multiplies (a*x - y)(x - a*y), a coefficient P + Q + A = infinity.  So only an input whose y0 is that link (None, or
     the clean run's y0 for y0=None) resumes; any other runs in full.
     """
     kept, nbits = build(FaultPlan()), len(key)
@@ -171,10 +170,6 @@ def _resuming_run(key, build):
             last = max(d - 1, t, *faults)  # every later iteration reads b and takes no fault
             x, y = drive(key, *states[d - 1], step, plan=rest, draw=kept.draw, i0=d - 1, stop=last)
             out = kept.tail(b, nbits - last, x, y)
-            if out is None:
-                out = drive(key, x, y, step, plan=rest, draw=kept.draw, i0=last)
-            elif fresh is not None:
-                skip(nbits - last)
         else:
             rejoins = faults and j > nbits and fresh is None
             out = drive(key, *states[d - 1], step, plan=rest, draw=kept.draw, i0=d - 1,

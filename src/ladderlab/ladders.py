@@ -238,9 +238,8 @@ class Target(NamedTuple):
     optional fields are None when unused: `fresh()`, the step's draw per
     iteration; `takes(plan, i0) -> (step, plan)` (`modexp._sma`); and
     `tail(b, k, x, y)`, what `drive` gives over k more iterations that all
-    read bit b, or None where it has no closed form from (x, y): off the
-    link of semi or fully (`modexp._linked_tail`).  ECC's is
-    `ecc._affine_tail`.
+    read bit b, the step's draws included (`modexp._linked_tail` for semi
+    and fully, `ecc._affine_tail` for ECC on discrete logs).
     """
 
     step: Callable

@@ -176,7 +176,7 @@ def _start(n, x0, y0, link_scale):
 
 
 # Each variant below gives its per-bit step in both forms; `exp_step` picks one.  The
-# straight-line form also gives its `Target.tail`: k iterations on one bit in closed form.
+# straight-line form also gives its `Target.tail`: k iterations on one bit without `drive`.
 
 
 def _squarings(a, n, bit, k, x):
@@ -186,16 +186,21 @@ def _squarings(a, n, bit, k, x):
     return x * pow(a, e - 1, n) % n if bit else x
 
 
-def _linked_tail(a, s, n):
-    """The tail of semi (s = a) and fully (s = the ladder constant): None off the link y = s*x.
+def _linked_tail(a, s, n, unlinked, fresh=None):
+    """The tail of semi (s = a) and fully (s = the ladder constant); `unlinked` runs it off the link.
 
-    On the link each step squares x (times a on a 1 bit) and keeps the
-    link: semi's mask multiplies (a*x - y)(x - a*y) = 0, and fully's step
-    is a homogeneous quadratic that keeps y = s*x.
+    On the link y = s*x each step squares x (times a on a 1 bit) and keeps
+    the link: semi's mask multiplies (a*x - y)(x - a*y) = 0, and fully's
+    step is a homogeneous quadratic that keeps y = s*x.  There `fresh`,
+    semi's fresh mask draw, is replayed once per iteration.  Off the link
+    `unlinked(bit, k, x, y)` runs the k iterations one by one.
     """
     def tail(bit, k, x, y):
         if (y - s * x) % n:
-            return None
+            return unlinked(bit, k, x, y)
+        if fresh is not None:
+            for _ in range(k):
+                fresh()
         x = _squarings(a, n, bit, k, x)
         return x, s * x % n
 
@@ -285,6 +290,7 @@ def _semi(a, n, x0, y0, ops, policy, rng):
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
     policy = policy or MaskPolicy.zero()
     mask = policy.per_iteration(n, rng)
+    fresh, tail = (mask if policy.mode == "fresh" else None), None
     # a 0 bit runs the same body with the registers' roles swapped
     if ops is None:
         def step(bit, x, y):
@@ -297,6 +303,18 @@ def _semi(a, n, x0, y0, ops, policy, rng):
             u = (a * ((x * x + z) % n) - c * xy) % n
             x = (m * u + xy) % n
             return (x, z) if bit else (z, x)
+
+        def unlinked(bit, k, x, y):
+            # on a 1 bit y squares and x takes x*y + m*(a*(x^2 + y^2) - c*x*y), whose mask
+            # term factors as m*(a*x - y)*(x - a*y)
+            if not bit:
+                x, y = y, x
+            for _ in range(k):
+                m = mask()
+                x, y = (x * y + m * ((a * x - y) * (x - a * y) % n)) % n, y * y % n
+            return (x, y) if bit else (y, x)
+
+        tail = _linked_tail(a, a, n, unlinked, fresh)
     else:
         sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
 
@@ -311,8 +329,7 @@ def _semi(a, n, x0, y0, ops, policy, rng):
             x = add(t, mul(w, mul(x, y)))
             return (x, z) if bit else (z, x)
 
-    tail = _linked_tail(a, a, n) if ops is None else None
-    return step, *_start(n, x0, y0, a), (mask if policy.mode == "fresh" else None), tail
+    return step, *_start(n, x0, y0, a), fresh, tail
 
 
 def _fully(a, n, x0, y0, ops, constants):
@@ -322,6 +339,7 @@ def _fully(a, n, x0, y0, ops, constants):
         raise ValueError("constants were built for a different (a, n)")
     k0, k1 = constants.xy_coef, constants.sq_coef
     k2, k3 = constants.sync_sq_coef, constants.sync_x_coef
+    tail = None
     # a 0 bit runs the same body with the registers' roles swapped; z serves both lines
     if ops is None:
         def step(bit, x, y):
@@ -331,6 +349,13 @@ def _fully(a, n, x0, y0, ops, constants):
             x = (k0 * (x * y % n) + k1 * z) % n
             y = (k2 * z + k3 * x) % n
             return (x, y) if bit else (y, x)
+
+        def unlinked(bit, k, x, y):
+            for _ in range(k):
+                x, y = step(bit, x, y)
+            return x, y
+
+        tail = _linked_tail(a, constants.constant, n, unlinked)
     else:
         sq, mul, add = ops.sq, ops.mul, ops.add
 
@@ -342,7 +367,6 @@ def _fully(a, n, x0, y0, ops, constants):
             y = add(mul(k2, z), mul(k3, x))
             return (x, y) if bit else (y, x)
 
-    tail = _linked_tail(a, constants.constant, n) if ops is None else None
     return step, *_start(n, x0, y0, constants.constant), tail
 
 
@@ -383,8 +407,9 @@ def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, ma
     again, and a product that only feeds a sum is left unreduced.  Semi
     under fresh masks sets `fresh` to its mask draw.  Only sma's step
     depends on the plan: with one it comes wrapped by `takes`.  Every
-    two-register straight-line form gets a `tail`, which for semi and fully
-    gives None off their link; a counted run drives every step.
+    two-register straight-line form gets a `tail`, which answers from any
+    registers and replays the draws of the iterations it answers; a counted
+    run drives every step.
     """
     args, fresh, takes, tail = (a % n, n, x0, y0, ops), None, None, None
     if algo == "sm":

@@ -119,6 +119,11 @@ class TestDoubleAndAdd:
         assert is_probable_prime(N)
         assert double_and_add(curve, N, A) == INFINITY
 
+    def test_negative_scalar_gives_the_negation(self, small_curve):
+        curve, A, N = small_curve
+        for k in (1, 2, 7, N - 1, N, N + 3):
+            assert double_and_add(curve, -k, A) == point_neg(curve, double_and_add(curve, k, A))
+
 
 class TestCurveSearch:
     def test_generated_curve_is_verified(self, small_curve):

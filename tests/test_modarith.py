@@ -102,6 +102,18 @@ def test_is_probable_prime_against_sieve():
         assert is_probable_prime(n) == sieve[n], n
 
 
+def test_is_probable_prime_near_the_deterministic_bound():
+    """The bases 2..41 decide every n below 3,317,044,064,679,887,385,961,981; random ones from there.
+
+    The first number is a strong pseudoprime to every base from 2 to 37, the
+    bound itself to every base from 2 to 41.
+    """
+    assert 399_165_290_221 * 798_330_580_441 == 318_665_857_834_031_151_167_461
+    assert not is_probable_prime(318_665_857_834_031_151_167_461)
+    assert not is_probable_prime(3_317_044_064_679_887_385_961_981)
+    assert is_probable_prime(2**89 - 1)
+
+
 def test_random_prime_has_requested_size():
     rng = random.Random(0)
     for bits in (8, 16, 24):

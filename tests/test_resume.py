@@ -5,12 +5,12 @@ key bit its stuck-at changes, from snapshots of the clean run they keep
 per input, and a faulted run whose registers rejoin the clean ones after
 its last fault returns the clean output; the tests that count the steps
 `attacks.drive` runs pin both down.  A stuck-at's pinned tail is answered
-in closed form (`Target.tail`) by the exp oracle, and by the ECC oracle
-on discrete logs; semi's and fully's exp tails give None off their link,
-and the call then drives on.  Each tail is checked against `drive`
-directly and by those step counts.  Under semi's fresh masks (exp) or
-fresh coefficients (ECC) a linked input replays the draws it skips, the
-draws of a tail's iterations included.  Property tests and fixed
+without `drive` (`Target.tail`) by the exp oracle, and by the ECC oracle
+on discrete logs: in closed form, or for semi and fully off their link
+by a loop of their own.  Each tail is checked against `drive` directly,
+from linked and unlinked starts, and by those step counts.  Under semi's
+fresh masks (exp) or fresh coefficients (ECC) a linked input replays the
+draws it skips, the draws of a tail's iterations included.  Property tests and fixed
 sequences drive `attacks._exp_run` / `_ecc_run` and plain
 `run_exp_algorithm` / `run_ecc_algorithm` with equally seeded RNGs
 through one call sequence (inputs linked, unlinked or left to the
@@ -123,8 +123,8 @@ def _check(algo, mask, n, a, key, starts, calls, seed):
 KEY = KeyBits.from_int(0b101100111010, width=12)
 
 
-# under fresh masks, a stuck-at the tail answers and then a call driven off the link, whose
-# masks show a draw the tail failed to replay
+# under fresh masks, a stuck-at the tail answers on the link and then a register-faulted call,
+# whose masks show a draw the tail failed to replay
 @example(("semi", "fresh", 1_000_003, 7, KEY, ["default"],
           [(0, FaultPlan(key_stuckat=(6, 1))), (0, FaultPlan((RegisterFault("x", 3, seed=1),)))], 5))
 @example(("semi", "fresh", 1_000_003, 7, KEY, ["linked"],
@@ -362,7 +362,7 @@ STUCKAT_PLANS = tuple(FaultPlan(key_stuckat=s) for s in ((11, 0), (7, 1), (8, 1)
 
 @pytest.mark.parametrize("algo", ["sma", "montgomery", "semi", "fully"])
 def test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides(algo, driven):
-    """The tail answers after a fault at the stuck-at's threshold, except off semi's or fully's link."""
+    """After a fault at the stuck-at's threshold the tail answers, on the link or off it."""
     oracle, rng = make_exp_oracle(algo, 7, 1_000_003, KEY, seed=3), random.Random(3)
     constants = find_ladder_constant(7, 1_000_003, rng) if algo == "fully" else None
     mask = MaskPolicy.fresh() if algo == "semi" else None
@@ -372,8 +372,8 @@ def test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides(algo, dr
                                  mask=mask, rng=rng)
         calls = len(driven)
         assert oracle.exe(plan=plan) == full
-        # the fault moves semi's and fully's registers off the link, so their tail gives None
-        assert driven[calls:] == ([1, 12 - i] if algo in ("semi", "fully") else [1])
+        # the fault moves semi's and fully's registers off the link, where their tail loops
+        assert driven[calls:] == [1]
 
 
 @pytest.mark.parametrize("algo", ["montgomery", "semi", "fully"])
@@ -427,28 +427,27 @@ def test_tail_equals_driven_steps(algo):
 def test_exp_tail_equals_driven_steps(algo, mask):
     """`Target.tail` of an exp step equals `drive` over k steps of one bit, every k in 0..64.
 
-    Sma and montgomery answer from any start, semi and fully from starts on
-    their link y = s*x only: off it they give None.
+    Every start must agree, on semi's and fully's link y = s*x and off it.
+    The tail and the driven steps each build their step on an RNG seeded
+    with k, and must leave the two RNGs in equal states: under fresh masks
+    the tail draws what the steps draw.
     """
     n, a, rng = 1_000_003, 7, random.Random(21)
     constants = find_ladder_constant(a, n, rng) if algo == "fully" else None
-    target = exp_step(algo, a, n, None, constants=constants, mask=mask and MaskPolicy.parse(mask),
-                      rng=rng)
+    mask = mask and MaskPolicy.parse(mask)
     s = constants.constant if constants else a
     xs = [0, 1, a, n - 1] + [rng.randrange(n) for _ in range(4)]
     linked = [(x, s * x % n) for x in xs]
     unlinked = [(x, (s * x + rng.randrange(1, n)) % n) for x in xs]
+
     for bit in (0, 1):
         for x, y in linked + unlinked:
-            tails = [target.tail(bit, k, x, y) for k in range(65)]
-            if algo in ("semi", "fully") and (x, y) in unlinked:
-                assert tails == [None] * 65
-                continue
-            trace = Trace()
-            drive((bit,) * 64, x, y, target.step, trace=trace)
-            assert tails == trace.snapshots()
-
-
+            for k in range(65):
+                rngs = random.Random(k), random.Random(k)
+                tail, steps = (exp_step(algo, a, n, None, constants=constants, mask=mask, rng=r)
+                               for r in rngs)
+                assert tail.tail(bit, k, x, y) == drive((bit,) * k, x, y, steps.step)
+                assert rngs[0].getstate() == rngs[1].getstate()
 def test_exp_tail_is_set_only_on_straight_line_two_register_steps():
     n = 1_000_003
     constants = find_ladder_constant(7, n, random.Random(0))

@@ -74,11 +74,18 @@ MUTANTS = (
             "tests/test_modexp.py::TestFindLadderConstant::test_failed_draws_above_the_scan_limit_claim_no_absence")),
     Mutant("constant-scan-deleted", "modexp.py", "    if n <= DEFAULT_SWEEP_LIMIT:\n", "    if False:\n",
            ("tests/test_modexp.py::TestFindLadderConstant::test_failed_draws_below_the_scan_limit_fall_back_to_the_scan",)),
-    Mutant("tail-replays-one-draw-short", "attacks.py", "skip(nbits - last)", "skip(nbits - last - 1)",
+    Mutant("tail-replays-one-draw-short", "modexp.py", "for _ in range(k):\n                fresh()",
+           "for _ in range(k - 1):\n                fresh()",
            ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",
-            "tests/test_resume.py::test_repeated_calls_equal_full_runs[semi-fresh]")),
-    Mutant("linked-tail-off-the-link", "modexp.py", "        if (y - s * x) % n:\n            return None\n", "",
+            "tests/test_resume.py::test_repeated_calls_equal_full_runs[semi-fresh]",
+            "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fresh]")),
+    Mutant("linked-tail-off-the-link", "modexp.py",
+           "        if (y - s * x) % n:\n            return unlinked(bit, k, x, y)\n", "",
            ("tests/test_resume.py::test_exp_tail_equals_driven_steps[fully-None]",
+            "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fresh]",
+            "tests/test_resume.py::test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides[semi]")),
+    Mutant("unlinked-semi-mask-term-sign", "modexp.py", "(a * x - y)", "(a * x + y)",
+           ("tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fixed:3]",
             "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fresh]",
             "tests/test_resume.py::test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides[semi]")),
     Mutant("bit-one-tail-one-multiply-too-many", "modexp.py", "pow(a, e - 1, n)", "pow(a, e, n)",

@@ -6,22 +6,24 @@
 Every loop in ladderlab runs through `ladders.drive`, which the runners and
 the oracles import by name, so each of those names is replaced by a wrapper
 that counts the calls to the step it is given.  A pinned key tail that an
-oracle answers in closed form (`Target.tail`) drives no step; it is counted
-apart, by wrapping the `tail` of every target `attacks.exp_step` and
-`attacks.ecc_step` build.  A tail that gives None (semi or fully off its
-link) answers nothing, and the steps driven in its place are counted.  The
+oracle answers without `drive` (`Target.tail`) drives no step; it is
+counted apart, by wrapping the `tail` of every target `attacks.exp_step`
+and `attacks.ecc_step` build.  Semi's and fully's exp tails run their
+iterations one by one off their link (`modexp._linked_tail`'s `unlinked`),
+and those iterations are counted apart again, as loop iterations.  The
 keys and cell seeds are those `bench/workloads.py` draws for
 `attack-matrix` (its ten exp cells) and `ecc-ladders` (its three ECC attack
 cells, not its five direct ladders) from `--seed`.  The counts are
 deterministic: they measure the work an oracle skips, free of the timing
 noise of `bench/run.py`.  Prints one JSON object: per workload,
-`steps_per_key` and `tails_per_key`, and `steps_per_cell` and
-`tails_per_cell`, one number per listed cell, so a changed total shows
-which cell moved and where the skipped steps went.
+`steps_per_key`, `tails_per_key` and `loops_per_key`, and `steps_per_cell`,
+`tails_per_cell` and `loops_per_cell`, one number per listed cell, so a
+changed total shows which cell moved and where the skipped steps went.
 """
 
 import argparse
 import importlib
+import inspect
 import json
 import os
 import sys
@@ -35,7 +37,7 @@ def count_steps(root, seed, keys):
     from spans import NullTracer
 
     lib = workloads.load_lib("ladderlab")
-    steps, tails = [0], [0]
+    steps, tails, loops = [0], [0], [0]
 
     def counting(drive):
         def wrapped(bits, x, y, step, **kw):
@@ -59,15 +61,27 @@ def count_steps(root, seed, keys):
 
             def counted(*args):
                 out = target.tail(*args)
-                tails[0] += out is not None
+                tails[0] += out is not None  # an older checkout's tail gives None off the link
                 return out
 
             return target._replace(tail=counted)
 
         return wrapped
 
+    def counting_loops(linked_tail):
+        def wrapped(a, s, n, unlinked, *rest):
+            def counted(bit, k, x, y):
+                loops[0] += k
+                return unlinked(bit, k, x, y)
+
+            return linked_tail(a, s, n, counted, *rest)
+
+        return wrapped
+
     lib.attacks.exp_step = counting_tails(lib.attacks.exp_step)
     lib.attacks.ecc_step = counting_tails(lib.attacks.ecc_step)
+    if "unlinked" in inspect.signature(lib.modexp._linked_tail).parameters:
+        lib.modexp._linked_tail = counting_loops(lib.modexp._linked_tail)
 
     out = {}
     matrix = workloads.AttackMatrix(lib, seed, pool_size=keys)
@@ -77,21 +91,24 @@ def count_steps(root, seed, keys):
         ("attack-matrix", workloads.EXP_CELLS, matrix.inputs, None),
         ("ecc-ladders", workloads.ECC_CELLS, [i[:2] for i in ecc.inputs], ecc.bundle),
     ):
-        per_cell, tails_per_cell = [0] * len(cells), [0] * len(cells)
+        per_cell, tails_per_cell, loops_per_cell = ([0] * len(cells) for _ in range(3))
         for key, seeds in inputs:
             run = workloads._run_cells(lib.attacks, cells, key, seeds, NullTracer(), bundle)
             for cell in range(len(cells)):  # the generator yields once after each cell
-                steps[0] = tails[0] = 0
+                steps[0] = tails[0] = loops[0] = 0
                 next(run)
                 per_cell[cell] += steps[0]
                 tails_per_cell[cell] += tails[0]
+                loops_per_cell[cell] += loops[0]
             reports = workloads.run_to_end(run)
             if not all(workloads._cell_ok(m, t, r, key) for (m, t), r in zip(cells, reports)):
                 raise SystemExit(f"{name}: a cell gave the wrong outcome")
         out[name] = {"cells": [f"m{m}.{t}" for m, t in cells], "steps_per_key": sum(per_cell) / keys,
                      "steps_per_cell": [n / keys for n in per_cell],
                      "tails_per_key": sum(tails_per_cell) / keys,
-                     "tails_per_cell": [n / keys for n in tails_per_cell]}
+                     "tails_per_cell": [n / keys for n in tails_per_cell],
+                     "loops_per_key": sum(loops_per_cell) / keys,
+                     "loops_per_cell": [n / keys for n in loops_per_cell]}
     return out
 
 
