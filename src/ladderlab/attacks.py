@@ -115,8 +115,9 @@ def _resuming_run(key, build):
     With `kept.fresh`, each call replays the draws of the iterations before
     its resume point, or of all of them when answered from memory.  Semi's
     fresh draw cancels from a step while y = a*x or Q = -(P + A): a mask
-    multiplies (a*x - y)(x - a*y), a coefficient P + Q + A = infinity.  So only an input whose y0 is that link (None, or
-    the clean run's y0 for y0=None) resumes; any other runs in full.
+    multiplies (a*x - y)(x - a*y), a coefficient P + Q + A = infinity.  So
+    only an input whose y0 is that link (None, or the clean run's y0 for
+    y0=None) resumes; any other runs in full.
     """
     kept, nbits = build(FaultPlan()), len(key)
     fresh = kept.fresh

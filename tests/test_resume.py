@@ -7,23 +7,23 @@ its last fault returns the clean output; the tests that count the steps
 `attacks.drive` runs pin both down.  A stuck-at's pinned tail is answered
 without `drive` (`Target.tail`) by the exp oracle, and by the ECC oracle
 on discrete logs: in closed form, or for semi and fully off their link
-by a loop of their own.  Each tail is checked against `drive` directly,
-from linked and unlinked starts, and by those step counts.  Under semi's
-fresh masks (exp) or fresh coefficients (ECC) a linked input replays the
-draws it skips, the draws of a tail's iterations included.  Property tests and fixed
-sequences drive `attacks._exp_run` / `_ecc_run` and plain
-`run_exp_algorithm` / `run_ecc_algorithm` with equally seeded RNGs
-through one call sequence (inputs linked, unlinked or left to the
-default, plans with register faults and a stuck-at) and require equal
-outputs, equal RNG states at the end and one counted oracle call per
-`exe`.  The ECC cases also take
-an unreduced x0 and explicit point fault values, unreduced ones and ones
-equal to the clean register they overwrite, which the oracle enters as
-discrete logs on the generated curve: its outputs must still be
-`Point`s.  Calls that repeat a plan without register faults, which the
-oracle answers from memory, replay their draws like any other; register
-faults and unlinked inputs under fresh randomness, whose outputs change
-between calls, are never kept.
+by a loop of their own step.  Each tail is checked against `drive`
+directly, from linked and unlinked starts, and by those step counts.
+Under semi's fresh masks (exp) or fresh coefficients (ECC) a linked
+input replays the draws it skips, the draws of a tail's iterations
+included.  Property tests and fixed sequences drive `attacks._exp_run` /
+`_ecc_run` and plain `run_exp_algorithm` / `run_ecc_algorithm` with
+equally seeded RNGs through one call sequence (inputs linked, unlinked
+or left to the default, plans with register faults and a stuck-at) and
+require equal outputs, equal RNG states at the end and one counted
+oracle call per `exe`.  The ECC cases also take an unreduced x0 and
+explicit point fault values, unreduced ones and ones equal to the clean
+register they overwrite, which the oracle enters as discrete logs on the
+generated curve: its outputs must still be `Point`s.  Calls that repeat
+a plan without register faults, which the oracle answers from memory,
+replay their draws like any other; register faults and unlinked inputs
+under fresh randomness, whose outputs change between calls, are never
+kept.
 """
 
 import random
@@ -439,7 +439,6 @@ def test_exp_tail_equals_driven_steps(algo, mask):
     xs = [0, 1, a, n - 1] + [rng.randrange(n) for _ in range(4)]
     linked = [(x, s * x % n) for x in xs]
     unlinked = [(x, (s * x + rng.randrange(1, n)) % n) for x in xs]
-
     for bit in (0, 1):
         for x, y in linked + unlinked:
             for k in range(65):
@@ -448,6 +447,8 @@ def test_exp_tail_equals_driven_steps(algo, mask):
                                for r in rngs)
                 assert tail.tail(bit, k, x, y) == drive((bit,) * k, x, y, steps.step)
                 assert rngs[0].getstate() == rngs[1].getstate()
+
+
 def test_exp_tail_is_set_only_on_straight_line_two_register_steps():
     n = 1_000_003
     constants = find_ladder_constant(7, n, random.Random(0))

@@ -8,12 +8,12 @@ the oracles import by name, so each of those names is replaced by a wrapper
 that counts the calls to the step it is given.  A pinned key tail that an
 oracle answers without `drive` (`Target.tail`) drives no step; it is
 counted apart, by wrapping the `tail` of every target `attacks.exp_step`
-and `attacks.ecc_step` build.  Semi's and fully's exp tails run their
-iterations one by one off their link (`modexp._linked_tail`'s `unlinked`),
-and those iterations are counted apart again, as loop iterations.  The
-keys and cell seeds are those `bench/workloads.py` draws for
-`attack-matrix` (its ten exp cells) and `ecc-ladders` (its three ECC attack
-cells, not its five direct ladders) from `--seed`.  The counts are
+and `attacks.ecc_step` build.  Semi's and fully's exp tails loop their
+step off their link, where `modexp._linked_tail` is given it, and those
+steps are counted apart again, as loop iterations.  The keys and cell
+seeds are those `bench/workloads.py` draws for `attack-matrix` (its ten
+exp cells) and `ecc-ladders` (its three ECC attack cells, not its five
+direct ladders) from `--seed`.  The counts are
 deterministic: they measure the work an oracle skips, free of the timing
 noise of `bench/run.py`.  Prints one JSON object: per workload,
 `steps_per_key`, `tails_per_key` and `loops_per_key`, and `steps_per_cell`,
@@ -23,7 +23,6 @@ changed total shows which cell moved and where the skipped steps went.
 
 import argparse
 import importlib
-import inspect
 import json
 import os
 import sys
@@ -61,7 +60,7 @@ def count_steps(root, seed, keys):
 
             def counted(*args):
                 out = target.tail(*args)
-                tails[0] += out is not None  # an older checkout's tail gives None off the link
+                tails[0] += 1
                 return out
 
             return target._replace(tail=counted)
@@ -69,10 +68,10 @@ def count_steps(root, seed, keys):
         return wrapped
 
     def counting_loops(linked_tail):
-        def wrapped(a, s, n, unlinked, *rest):
-            def counted(bit, k, x, y):
-                loops[0] += k
-                return unlinked(bit, k, x, y)
+        def wrapped(a, s, n, step, *rest):
+            def counted(bit, x, y):
+                loops[0] += 1
+                return step(bit, x, y)
 
             return linked_tail(a, s, n, counted, *rest)
 
@@ -80,8 +79,7 @@ def count_steps(root, seed, keys):
 
     lib.attacks.exp_step = counting_tails(lib.attacks.exp_step)
     lib.attacks.ecc_step = counting_tails(lib.attacks.ecc_step)
-    if "unlinked" in inspect.signature(lib.modexp._linked_tail).parameters:
-        lib.modexp._linked_tail = counting_loops(lib.modexp._linked_tail)
+    lib.modexp._linked_tail = counting_loops(lib.modexp._linked_tail)
 
     out = {}
     matrix = workloads.AttackMatrix(lib, seed, pool_size=keys)
