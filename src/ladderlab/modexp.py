@@ -186,21 +186,19 @@ def _squarings(a, n, bit, k, x):
     return x * pow(a, e - 1, n) % n if bit else x
 
 
-def _linked_tail(a, s, n, step, fresh=None):
-    """The tail of semi (s = a) and fully (s = the ladder constant) over `step`.
+def _linked_tail(a, s, n, unlinked, fresh=None):
+    """The tail of semi (s = a) and fully (s = the ladder constant).
 
     On the link y = s*x each step squares x (times a on a 1 bit) and keeps
     the link: semi's mask multiplies (a*x - y)(x - a*y) = 0, and fully's
     step is a homogeneous quadratic that keeps y = s*x.  There `fresh`,
     semi's fresh mask draw, is replayed once per iteration.  Off the link
-    the straight-line `step` runs the k iterations one by one, its own
-    draws included.
+    `unlinked(bit, k, x, y)` runs the k iterations one by one, the step's
+    draws included: fully's loops its step, semi's inlines its arithmetic.
     """
     def tail(bit, k, x, y):
         if (y - s * x) % n:
-            for _ in range(k):
-                x, y = step(bit, x, y)
-            return x, y
+            return unlinked(bit, k, x, y)
         if fresh is not None:
             for _ in range(k):
                 fresh()
@@ -293,7 +291,7 @@ def _semi(a, n, x0, y0, ops, policy, rng):
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
     policy = policy or MaskPolicy.zero()
     mask = policy.per_iteration(n, rng)
-    fresh = mask if policy.mode == "fresh" else None
+    fresh, tail = (mask if policy.mode == "fresh" else None), None
     # a 0 bit runs the same body with the registers' roles swapped
     if ops is None:
         def step(bit, x, y):
@@ -306,6 +304,19 @@ def _semi(a, n, x0, y0, ops, policy, rng):
             u = (a * ((x * x + z) % n) - c * xy) % n
             x = (m * u + xy) % n
             return (x, z) if bit else (z, x)
+
+        def unlinked(bit, k, x, y):
+            # on a 1 bit y squares and x takes x*y + m*(a*(x^2 + y^2) - c*x*y), whose mask
+            # term factors as m*(a*x - y)*(x - a*y); inlined, not a loop of `step`, since
+            # the exp oracle runs most of its semi iterations here
+            if not bit:
+                x, y = y, x
+            for _ in range(k):
+                m = mask()
+                x, y = (x * y + m * ((a * x - y) * (x - a * y) % n)) % n, y * y % n
+            return (x, y) if bit else (y, x)
+
+        tail = _linked_tail(a, a, n, unlinked, fresh)
     else:
         sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
 
@@ -320,7 +331,6 @@ def _semi(a, n, x0, y0, ops, policy, rng):
             x = add(t, mul(w, mul(x, y)))
             return (x, z) if bit else (z, x)
 
-    tail = _linked_tail(a, a, n, step, fresh) if ops is None else None
     return step, *_start(n, x0, y0, a), fresh, tail
 
 
@@ -331,6 +341,7 @@ def _fully(a, n, x0, y0, ops, constants):
         raise ValueError("constants were built for a different (a, n)")
     k0, k1 = constants.xy_coef, constants.sq_coef
     k2, k3 = constants.sync_sq_coef, constants.sync_x_coef
+    tail = None
     # a 0 bit runs the same body with the registers' roles swapped; z serves both lines
     if ops is None:
         def step(bit, x, y):
@@ -340,6 +351,13 @@ def _fully(a, n, x0, y0, ops, constants):
             x = (k0 * (x * y % n) + k1 * z) % n
             y = (k2 * z + k3 * x) % n
             return (x, y) if bit else (y, x)
+
+        def unlinked(bit, k, x, y):
+            for _ in range(k):
+                x, y = step(bit, x, y)
+            return x, y
+
+        tail = _linked_tail(a, constants.constant, n, unlinked)
     else:
         sq, mul, add = ops.sq, ops.mul, ops.add
 
@@ -351,7 +369,6 @@ def _fully(a, n, x0, y0, ops, constants):
             y = add(mul(k2, z), mul(k3, x))
             return (x, y) if bit else (y, x)
 
-    tail = _linked_tail(a, constants.constant, n, step) if ops is None else None
     return step, *_start(n, x0, y0, constants.constant), tail
 
 

@@ -4,10 +4,10 @@ Both oracles resume each run at its first register fault or the first
 key bit its stuck-at changes, from snapshots of the clean run they keep
 per input, and a faulted run whose registers rejoin the clean ones after
 its last fault returns the clean output; the tests that count the steps
-`attacks.drive` runs pin both down.  A stuck-at's pinned tail is answered
-without `drive` (`Target.tail`) by the exp oracle, and by the ECC oracle
-on discrete logs: in closed form, or for semi and fully off their link
-by a loop of their own step.  Each tail is checked against `drive`
+`attacks.drive` runs pin both down.  A stuck-at's pinned tail is
+answered without `drive` (`Target.tail`) by the exp oracle, and by the
+ECC oracle on discrete logs: in closed form, or for semi and fully off
+their link by a loop of their own.  Each tail is checked against `drive`
 directly, from linked and unlinked starts, and by those step counts.
 Under semi's fresh masks (exp) or fresh coefficients (ECC) a linked
 input replays the draws it skips, the draws of a tail's iterations

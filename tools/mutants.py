@@ -80,16 +80,13 @@ MUTANTS = (
             "tests/test_resume.py::test_repeated_calls_equal_full_runs[semi-fresh]",
             "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fresh]")),
     Mutant("linked-tail-off-the-link", "modexp.py",
-           "        if (y - s * x) % n:\n            for _ in range(k):\n"
-           "                x, y = step(bit, x, y)\n            return x, y\n", "",
+           "        if (y - s * x) % n:\n            return unlinked(bit, k, x, y)\n", "",
            ("tests/test_resume.py::test_exp_tail_equals_driven_steps[fully-None]",
             "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fresh]",
             "tests/test_resume.py::test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides[semi]")),
-    Mutant("unlinked-tail-one-step-short", "modexp.py",
-           "for _ in range(k):\n                x, y = step(bit, x, y)",
-           "for _ in range(k - 1):\n                x, y = step(bit, x, y)",
+    Mutant("unlinked-semi-mask-term-sign", "modexp.py", "(a * x - y)", "(a * x + y)",
            ("tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fixed:3]",
-            "tests/test_resume.py::test_exp_tail_equals_driven_steps[fully-None]",
+            "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-fresh]",
             "tests/test_resume.py::test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides[semi]")),
     Mutant("bit-one-tail-one-multiply-too-many", "modexp.py", "pow(a, e - 1, n)", "pow(a, e, n)",
            ("tests/test_resume.py::test_exp_tail_equals_driven_steps[sma-None]",

@@ -8,12 +8,12 @@ the oracles import by name, so each of those names is replaced by a wrapper
 that counts the calls to the step it is given.  A pinned key tail that an
 oracle answers without `drive` (`Target.tail`) drives no step; it is
 counted apart, by wrapping the `tail` of every target `attacks.exp_step`
-and `attacks.ecc_step` build.  Semi's and fully's exp tails loop their
-step off their link, where `modexp._linked_tail` is given it, and those
-steps are counted apart again, as loop iterations.  The keys and cell
-seeds are those `bench/workloads.py` draws for `attack-matrix` (its ten
-exp cells) and `ecc-ladders` (its three ECC attack cells, not its five
-direct ladders) from `--seed`.  The counts are
+and `attacks.ecc_step` build.  Semi's and fully's exp tails run their
+iterations one by one off their link (`modexp._linked_tail`'s `unlinked`),
+and those iterations are counted apart again, as loop iterations.  The
+keys and cell seeds are those `bench/workloads.py` draws for
+`attack-matrix` (its ten exp cells) and `ecc-ladders` (its three ECC attack
+cells, not its five direct ladders) from `--seed`.  The counts are
 deterministic: they measure the work an oracle skips, free of the timing
 noise of `bench/run.py`.  Prints one JSON object: per workload,
 `steps_per_key`, `tails_per_key` and `loops_per_key`, and `steps_per_cell`,
@@ -68,10 +68,10 @@ def count_steps(root, seed, keys):
         return wrapped
 
     def counting_loops(linked_tail):
-        def wrapped(a, s, n, step, *rest):
-            def counted(bit, x, y):
-                loops[0] += 1
-                return step(bit, x, y)
+        def wrapped(a, s, n, unlinked, *rest):
+            def counted(bit, k, x, y):
+                loops[0] += k
+                return unlinked(bit, k, x, y)
 
             return linked_tail(a, s, n, counted, *rest)
 
