@@ -448,9 +448,7 @@ def make_oracle_for_target(
     if target in EXP_TARGETS:
         return make_exp_oracle(target, a, n, key, seed=seed, readable=readable)
     if target in ECC_TARGETS:
-        if curve_bundle is None:
-            curve_bundle = find_small_curve()
-        curve, A, _ = curve_bundle
+        curve, A, _ = curve_bundle or find_small_curve()
         algo = target.split("-", 1)[1]
         return make_ecc_oracle(algo, curve, A, key, seed=seed, readable=readable)
     raise ValueError(f"unknown target {target!r}")

@@ -106,15 +106,13 @@ def cmd_verify(args) -> tuple[dict, list | None]:
 def cmd_attack(args) -> tuple[dict, list | None]:
     rng = random.Random(args.seed)
     readable = ("x", "y") if args.readable == "both" else (args.readable,)
-    curve_bundle = ecc.find_small_curve() if args.target in attacks.ECC_TARGETS else None
     trials = []
     claimed_total = 0
     correct_total = 0
     for t in range(args.trials):
         key = KeyBits.from_int(rng.getrandbits(args.bits), width=args.bits)
         oracle = attacks.make_oracle_for_target(
-            args.target, key,
-            seed=rng.getrandbits(64), readable=readable, curve_bundle=curve_bundle,
+            args.target, key, seed=rng.getrandbits(64), readable=readable
         )
         report = attacks.run_attack(
             args.model, args.target, oracle, random.Random(rng.getrandbits(64)), args.readable

@@ -173,18 +173,6 @@ def curve_points(curve: Curve) -> list[Point]:
     return pts
 
 
-def curve_order(curve: Curve) -> int:
-    p = curve.p
-    count = 1
-    for x in range(p):
-        rhs = (x * x % p * x + curve.a * x + curve.b) % p
-        if rhs == 0:
-            count += 1
-        elif pow(rhs, (p - 1) // 2, p) == 1:
-            count += 2
-    return count
-
-
 def random_point(curve: Curve, rng: random.Random) -> Point:
     """A uniformly-sampled x with a valid y, by Tonelli-Shanks; a seeded fault's value."""
     p = curve.p
@@ -198,48 +186,13 @@ def random_point(curve: Curve, rng: random.Random) -> Point:
             return Point(x, y if rng.getrandbits(1) else p - y)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def find_small_curve() -> tuple[Curve, Point, int]:
-    """Scan for a small curve, from p = 101 up, with a prime-order subgroup in [80, 200].
+    """The attack curve, its generator and their order: y^2 = x^3 + 7x + 4 over F_101.
 
-    Deterministic: returns the first (curve, generator, order) found, verified
-    by exhaustive enumeration rather than taken on faith.
+    The group has prime order 97, so every affine point, (0, 99) among them,
+    generates it; the tests check the order by enumerating the points.
     """
-    p = 101
-    while p < 2000:
-        if is_probable_prime(p):
-            for b in range(1, 20):
-                for a in range(0, 8):
-                    if (4 * a**3 + 27 * b**2) % p == 0:
-                        continue
-                    curve = Curve(p, a, b)
-                    order = curve_order(curve)
-                    primes = [q for q in _prime_factors(order) if 80 <= q <= 200]
-                    if not primes:
-                        continue
-                    n_sub = max(primes)
-                    cofactor = order // n_sub
-                    for pt in curve_points(curve):
-                        gen = double_and_add(curve, cofactor, pt)
-                        if gen.is_infinity:
-                            continue
-                        if double_and_add(curve, n_sub, gen).is_infinity:
-                            return Curve(p, a, b, subgroup_order=n_sub), gen, n_sub
-        p += 2
-    raise RuntimeError("no suitable small curve found in scan range")
+    return Curve(101, 7, 4, subgroup_order=97), Point(0, 99), 97
 
 
 TABLE_MAX_P = 2**10

@@ -190,9 +190,6 @@ class KeyBits:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __iter__(self):
-        return iter(self.bits)
-
 
 def as_key(k) -> KeyBits:
     return k if isinstance(k, KeyBits) else KeyBits.from_int(k)
@@ -219,8 +216,6 @@ class Trace:
         return self.ys[-1] if self.ys is not None else None
 
     def snapshots(self):
-        if self.ys is None:
-            return [(x, None) for x in self.xs]
         return list(zip(self.xs, self.ys))
 
 

@@ -160,8 +160,6 @@ def find_ladder_constant(a: int, n: int, rng: random.Random) -> LadderConstants:
         raise NoConstantExists(absent)
     if n <= DEFAULT_SWEEP_LIMIT:
         for ell in range(2, n - 1):
-            if ell == a:
-                continue
             c = _constants_for(a, ell, n, MAX_DRAWS)
             if c is not None:
                 return c

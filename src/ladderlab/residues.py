@@ -97,9 +97,6 @@ class ConstantCensus:
     suitable: int
     rejected: dict  # reason -> count, mutually exclusive in REJECTIONS order
 
-    def frequency(self) -> Fraction:
-        return Fraction(self.suitable, self.total)
-
 
 def census_suitable_constants(a: int, n: int) -> ConstantCensus:
     """Sweep every candidate constant and classify it by the first failed constraint."""

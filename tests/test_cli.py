@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -232,6 +233,44 @@ def test_census_commands_end_in_an_exit_code(capsys, mode, modulus, r):
         assert json.loads(out)["match"] is True
 
 
+# negative and small values, primes and composites among them, and a few wide ones
+PROB_VALUES = st.one_of(st.integers(-2**40, 1), st.integers(2, 120),
+                        st.sampled_from([65521, 65535, 2**61 - 1, 2**61 + 1, 2**64]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["rsa-bound", "rsa-sample", "dsa-formula"]), PROB_VALUES, PROB_VALUES,
+       st.integers(-2, 3000))
+@example("rsa-bound", 7, 7, 1)  # p = q
+@example("rsa-bound", 2, 5, 1)  # pq < 11
+@example("rsa-bound", 2, 7, 1)  # the smallest semiprime that runs
+@example("rsa-bound", -7, 11, 1)  # a negative p is no prime
+@example("rsa-sample", 5, 7, 12)  # a drawn constant equals the base and is drawn again
+@example("rsa-sample", 5, 7, 0)  # --samples must be positive
+@example("rsa-sample", 65535, 7, 5)  # a composite p
+@example("rsa-sample", 2**61 - 1, 65521, 3000)  # the widest run
+@example("dsa-formula", 5, 1, 1)  # n < 7
+@example("dsa-formula", 7, 1, 1)  # the smallest prime that runs
+@example("dsa-formula", 2**61 - 1, 1, 1)
+def test_probability_commands_end_in_an_exit_code(capsys, mode, p, q, samples):
+    # a bound that prints is the stated one, and a sampled frequency counts whole samples
+    if mode == "dsa-formula":
+        argv = [f"--n={p}"]
+    else:
+        argv = [f"--p={p}", f"--q={q}"] + [f"--samples={samples}"] * (mode == "rsa-sample")
+    code, out = _ends_in_an_exit_code(capsys, "prob", "--mode", mode, *argv)
+    if code == 0 and mode != "dsa-formula":
+        result = json.loads(out)
+        assert Fraction(result["bound"]) == 1 - Fraction(p + q + 9, p * q - 4)
+        if mode == "rsa-sample":
+            frequency = Fraction(result["frequency"])
+            assert (frequency * samples).denominator == 1 and 0 <= frequency <= 1
+            assert result["ge_bound"] == (frequency >= Fraction(result["bound"]))
+    elif code == 0:
+        assert 0 < Fraction(json.loads(out)["formula"]) <= 1  # 1 at n = 7, where every constant suits
+
+
 # n < 2, n < 7, gcd(n, 6) > 1 at and around DEFAULT_SWEEP_LIMIT (refused after the draws), primes
 EXP_MODULI = st.one_of(st.integers(-2**40, 1), st.integers(2, 300),
                        st.sampled_from([1000, 65535, 65537, DEFAULT_SWEEP_LIMIT + 2, 2**61 - 1, 2**64]))
@@ -261,7 +300,7 @@ def test_exp_ends_in_an_exit_code(capsys, algo, a, k, n, mask, ell, trace, count
         assert json.loads(out)["x"] == str(pow(a, k, n))
 
 
-# (p, a, b, Ax, Ay, order): the generated curve with its base point of order 97, the largest table
+# (p, a, b, Ax, Ay, order): the attack curve with its base point of order 97, the largest table
 # curve (group order 1033, prime) and a prime-order curve past TABLE_MAX_P (1061), or any input
 ECC_INPUTS = st.one_of(
     *map(st.just, [(101, 7, 4, 0, 99, 97), (101, 7, 4, 101, -2, 97), (101, 7, 4, 0, 99, 2**64),

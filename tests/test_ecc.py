@@ -15,7 +15,6 @@ from ladderlab.ecc import (
     Curve,
     Point,
     PointOps,
-    curve_order,
     curve_points,
     double_and_add,
     ecc_fully_interleaved,
@@ -128,11 +127,12 @@ class TestDoubleAndAdd:
 class TestCurveSearch:
     def test_generated_curve_is_verified(self, small_curve):
         curve, A, N = small_curve
-        assert curve.subgroup_order == N
-        assert 80 <= N <= 200
-        assert is_on_curve(curve, A)
-        assert curve_order(curve) % N == 0
-        assert len(curve_points(curve)) + 1 == curve_order(curve)
+        assert small_curve == (Curve(101, 7, 4, subgroup_order=97), Point(0, 99), 97)
+        assert is_probable_prime(N)
+        assert is_on_curve(curve, A) and not A.is_infinity
+        assert double_and_add(curve, N, A) == INFINITY
+        # so A has order 97, which divides the group order; Hasse bounds that to [82, 122]
+        assert len(curve_points(curve)) + 1 == N
 
 
 class TestSqrt:
@@ -315,7 +315,7 @@ def test_point_ops_counter(small_curve):
     # initialization adds once (link), then one add + one double per iteration
     assert ops.doubles == 3
     assert ops.adds == 4
-    # a counted run takes the curve's own group: discrete logs on the generated curve
+    # a counted run takes the curve's own group: discrete logs on the attack curve
     assert type(ops.enter(A)) is int
 
 
@@ -324,6 +324,16 @@ def test_random_point_is_on_curve(small_curve):
     rng = random.Random(6)
     for _ in range(100):
         assert is_on_curve(curve, random_point(curve, rng))
+
+
+def test_random_point_takes_a_point_of_order_2_without_a_sign_draw():
+    # (0, 0) is the one affine point of y^2 = x^3 + 2x over F_5; y = 0 has no sign to draw
+    ours, theirs = random.Random(6), random.Random(6)
+    for _ in range(20):
+        assert random_point(Curve(5, 2, 0), ours) == Point(0, 0)
+        while theirs.randrange(5):
+            pass
+    assert ours.getstate() == theirs.getstate()
 
 
 def _bit_loop(curve, c, P):
@@ -451,7 +461,7 @@ class TestLogTable:
             assert all(P.y != 0 for P in curve_points(curve)), curve
 
     def test_built_on_first_use(self):
-        # neither the import nor the curve search pays for a table
+        # neither the import nor the attack curve pays for a table
         src = os.path.dirname(os.path.dirname(os.path.abspath(ecc.__file__)))
         code = ("import ladderlab.ecc as e; e.find_small_curve(); "
                 "print(e._log_table.cache_info().currsize)")

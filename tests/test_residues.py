@@ -179,6 +179,12 @@ class TestRsaProbability:
             with pytest.raises(ValueError):
                 rsa_sampled_frequency(5, 7, samples, random.Random(0))
 
+    def test_sampled_frequency_redraws_a_constant_equal_to_the_base(self):
+        # at n = 35 the sixth sample draws a = ell = 32 and redraws ell; without the redraw
+        # every later sample shifts by one draw and the frequency reads 1/4
+        # (n = 15 would not show it: gcd(15, 6) > 1, so no constant suits and it reads 0 either way)
+        assert rsa_sampled_frequency(5, 7, 12, random.Random(3)) == (Fraction(1, 3), Fraction(10, 31))
+
     def test_exhaustive_matches_per_base_census(self):
         n = 11 * 13
         agg_s = sum(census_suitable_constants(a, n).suitable for a in range(2, n - 1))

@@ -19,7 +19,7 @@ require equal outputs, equal RNG states at the end and one counted
 oracle call per `exe`.  The ECC cases also take an unreduced x0 and
 explicit point fault values, unreduced ones and ones equal to the clean
 register they overwrite, which the oracle enters as discrete logs on the
-generated curve: its outputs must still be `Point`s.  Calls that repeat
+attack curve: its outputs must still be `Point`s.  Calls that repeat
 a plan without register faults, which the oracle answers from memory,
 replay their draws like any other; register faults and unlinked inputs
 under fresh randomness, whose outputs change between calls, are never
@@ -158,7 +158,7 @@ def test_fixed_sequence_equals_full_runs(algo, mask, start):
 
 ECC_ALGOS = [("montgomery", False), ("semi", False), ("semi", True), ("fully", False)]
 ECC_STARTS = ["default", "linked", "unlinked", "unreduced"]
-# the generated curve (table group law) and a base point of order 16 (affine law)
+# the attack curve (table group law) and a base point of order 16 (affine law)
 CURVES = [find_small_curve(), (Curve(101, 2, 3, subgroup_order=16), Point(23, 46), 16)]
 
 

@@ -92,6 +92,21 @@ MUTANTS = (
            ("tests/test_resume.py::test_exp_tail_equals_driven_steps[sma-None]",
             "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-zero]",
             "tests/test_attack_goldens.py::test_attack_matches_golden[m3-sma-16]")),
+    Mutant("resume-from-snapshot-d", "attacks.py", "x, y = drive(key, *states[d - 1], step",
+           "x, y = drive(key, *states[d], step",
+           ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",)),
+    Mutant("resume-skips-one-draw-short", "attacks.py", "skip(d - 1)", "skip(d - 2)",
+           ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",)),
+    Mutant("divergence-one-late", "attacks.py", "diverge[bit][t + 1], t + 1", "diverge[bit][t + 1], t + 2",
+           ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",)),
+    # right after the last fault's step the registers still differ from the clean snapshot,
+    # so a rejoin check that starts one iteration later finds the same rejoin
+    Mutant("rejoin-checked-one-late", "attacks.py", "stop=max(faults) if rejoins",
+           "stop=max(faults) + 1 if rejoins",
+           ("tests/test_resume.py", "tests/test_attacks.py", "tests/test_attack_goldens.py",
+            "tests/test_cli_goldens.py"), survives=True),
+    Mutant("sampled-frequency-without-redraw", "residues.py", "while ell == a:", "while False:",
+           ("tests/test_residues.py::TestRsaProbability::test_sampled_frequency_redraws_a_constant_equal_to_the_base",)),
     Mutant("prob-moduli-as-ints", "cli.py", "**{name: str(getattr(args, name)) for name in names}",
            "**{name: getattr(args, name) for name in names}",
            ("tests/test_cli.py::test_prob_header_and_stdout_are_exact[dsa-formula-json]",
