@@ -28,8 +28,9 @@ import threading
 import time
 from typing import NamedTuple
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "ladderlab")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 class Unreached(NamedTuple):
@@ -87,7 +88,7 @@ def statements(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
                 continue  # a docstring or a bare string: no statement runs
             out.append((scope, node))
             inner = scope
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, DEFS):
                 inner = f"{scope}.{node.name}" if scope else node.name
             for field in ("body", "orelse", "finalbody"):
                 visit(getattr(node, field, []), inner)
@@ -109,23 +110,15 @@ def _header(node: ast.stmt) -> range:
     return range(first, body[0].lineno)
 
 
-def reached(tree: ast.Module, lines: set) -> dict:
-    """{statement: whether tier-1 reached it} for the statements of one module."""
+def reached(scoped: list, lines: set) -> dict:
+    """{statement: whether tier-1 reached it}, for `statements` of one module."""
     out = {}
-
-    def decide(node):
-        if node in out:
-            return out[node]
-        body = getattr(node, "body", None) or []
+    for _, node in reversed(scoped):  # a body's statements before the statement that holds them
         hit = any(line in lines for line in _header(node))
-        if not hit and body and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                                      ast.ClassDef)):
-            hit = decide(body[0])
+        body = getattr(node, "body", None)
+        if not hit and body and not isinstance(node, DEFS):  # a def runs without its body
+            hit = out.get(body[0], False)
         out[node] = hit
-        return hit
-
-    for _, node in statements(tree):
-        decide(node)
     return out
 
 
@@ -197,31 +190,29 @@ def main() -> int:
         if check.main(["check_tier1.py", junit]):
             print("coverage FAIL: tier-1 must fail criterion 6 only")
             return 1
-    problems, total, missed = [], 0, 0
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
+    names = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    problems = [f"{entry.path}: no such file" for entry in UNREACHED if entry.path not in names]
+    total = missed = 0
+    for name in names:
         path = os.path.join(PACKAGE, name)
         with open(path) as f:
             source = f.read()
-        tree = ast.parse(source)
-        scoped = statements(tree)
-        hits = reached(tree, lines.get(os.path.realpath(path), set()))
+        scoped = statements(ast.parse(source))
+        hits = reached(scoped, lines.get(path, set()))
         listed = set()
-        for entry in UNREACHED:
-            if entry.path == name:
-                node, why = resolve(entry, source, scoped)
-                if node is None:
-                    problems.append(f"{name} [{entry.function}] {entry.text!r}: {why}")
-                elif hits[node]:
-                    problems.append(f"{name}:{node.lineno} listed but reached: {entry.text!r}")
-                listed.add(node)
+        for entry in (entry for entry in UNREACHED if entry.path == name):
+            node, why = resolve(entry, source, scoped)
+            if node is None:
+                problems.append(f"{name} [{entry.function}] {entry.text!r}: {why}")
+            elif hits[node]:
+                problems.append(f"{name}:{node.lineno} listed but reached: {entry.text!r}")
+            listed.add(node)
         for _, node in scoped:
-            total += 1
-            missed += not hits[node]
             if not hits[node] and node not in listed:
                 text = source.splitlines()[node.lineno - 1].strip()
                 problems.append(f"{name}:{node.lineno} unreached but not listed: {text}")
+        total += len(hits)
+        missed += list(hits.values()).count(False)
     for problem in problems:
         print(f"coverage FAIL: {problem}")
     print(f"{total - missed} of {total} statements reached, {len(UNREACHED)} listed as unreached "

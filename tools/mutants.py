@@ -99,8 +99,8 @@ MUTANTS = (
            ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",)),
     Mutant("divergence-one-late", "attacks.py", "diverge[bit][t + 1], t + 1", "diverge[bit][t + 1], t + 2",
            ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",)),
-    # right after the last fault's step the registers still differ from the clean snapshot,
-    # so a rejoin check that starts one iteration later finds the same rejoin
+    # equivalent: registers that equal the clean snapshot after the last fault's step still equal
+    # it one clean step later, so starting the rejoin check there returns the same output
     Mutant("rejoin-checked-one-late", "attacks.py", "stop=max(faults) if rejoins",
            "stop=max(faults) + 1 if rejoins",
            ("tests/test_resume.py", "tests/test_attacks.py", "tests/test_attack_goldens.py",
