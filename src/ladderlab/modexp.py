@@ -6,10 +6,11 @@ a masked half-coupled ladder whose mask may be redrawn every iteration,
 and a fully-coupled ladder built on a ladder constant.  Each leaves a**k
 mod n in x, whatever its mask or constant.
 
-One rule picks a step's form (`exp_step`): a run that counts its ring
-operations (`per_iter`, `cost_per_bit`, the CLI's `--count-ops`) takes the
-counted form on a `ladders.CountingRing`, every other run the
-straight-line form.  Tests hold the two equal.
+A run that counts its ring operations (`per_iter`, `cost_per_bit`, the
+CLI's `--count-ops`) evaluates each step on a `ladders.CountingRing`,
+every other run on a plain `modarith.Ring`; semi and fully run a
+straight-line form of their step instead, which tests hold equal to the
+counted one (`exp_step`).
 """
 
 import random
@@ -173,8 +174,8 @@ def _start(n, x0, y0, link_scale):
     return x, y
 
 
-# Each variant below gives its per-bit step in both forms; `exp_step` picks one.  The
-# straight-line form also gives its `Target.tail`: k iterations on one bit without `drive`.
+# Each two-register variant below also gives its `Target.tail`: k iterations on one bit
+# without `drive`, which `exp_step` hands to uncounted runs only.
 
 
 def _squarings(a, n, bit, k, x):
@@ -206,40 +207,28 @@ def _linked_tail(a, s, n, unlinked, fresh=None):
     return tail
 
 
-def _sm(a, n, x0, y0, ops):
-    if ops is None:
-        def step(bit, x, y):
-            x = x * x % n
-            return (a * x % n if bit else x), None
-    else:
-        sq, mul = ops.sq, ops.mul
+def _sm(a, n, x0, y0, ring):
+    sq, mul = ring.sq, ring.mul
 
-        def step(bit, x, y):
-            x = sq(x)
-            return (mul(a, x) if bit else x), None
+    def step(bit, x, y):
+        x = sq(x)
+        return (mul(a, x) if bit else x), None
 
     return step, 1 if x0 is None else x0 % n, None
 
 
-def _sma(a, n, x0, y0, ops):
+def _sma(a, n, x0, y0, ring):
     """The step, its start registers, `takes`, which adds a plan's y faults to the step, and a tail."""
-    tail = None
-    if ops is None:
-        def step(bit, x, y):
-            x = x * x % n
-            t = a * x % n
-            return (t, y) if bit else (x, t)
+    sq, mul = ring.sq, ring.mul
 
-        def tail(bit, k, x, y):  # a 1 bit leaves y alone, a 0 bit writes a*x there
-            x = _squarings(a, n, bit, k, x)
-            return x, (y if bit or not k else a * x % n)
-    else:
-        sq, mul = ops.sq, ops.mul
+    def step(bit, x, y):
+        x = sq(x)
+        t = mul(a, x)
+        return (t, y) if bit else (x, t)
 
-        def step(bit, x, y):
-            x = sq(x)
-            t = mul(a, x)
-            return (t, y) if bit else (x, t)
+    def tail(bit, k, x, y):  # a 1 bit leaves y alone, a 0 bit writes a*x there
+        x = _squarings(a, n, bit, k, x)
+        return x, (y if bit or not k else a * x % n)
 
     def takes(plan, i0):
         # the y register receives the multiplier output on 0 bits, so a fault
@@ -264,23 +253,18 @@ def _sma(a, n, x0, y0, ops):
     return step, x, y, takes, tail
 
 
-def _montgomery(a, n, x0, y0, ops):
-    tail = None
-    if ops is None:
-        def step(bit, x, y):
-            return (x * y % n, y * y % n) if bit else (x * x % n, y * x % n)
+def _montgomery(a, n, x0, y0, ring):
+    sq, mul = ring.sq, ring.mul
 
-        def tail(bit, k, x, y):  # bit 1 gives (x*y^(2^k - 1), y^(2^k)); bit 0 swaps the roles
-            if not bit:
-                x, y = y, x
-            p = pow(y, (1 << k) - 1, n)
-            x, y = x * p % n, y * p % n
-            return (x, y) if bit else (y, x)
-    else:
-        sq, mul = ops.sq, ops.mul
+    def step(bit, x, y):
+        return (mul(x, y), sq(y)) if bit else (sq(x), mul(y, x))
 
-        def step(bit, x, y):
-            return (mul(x, y), sq(y)) if bit else (sq(x), mul(y, x))
+    def tail(bit, k, x, y):  # bit 1 gives (x*y^(2^k - 1), y^(2^k)); bit 0 swaps the roles
+        if not bit:
+            x, y = y, x
+        p = pow(y, (1 << k) - 1, n)
+        x, y = x * p % n, y * p % n
+        return (x, y) if bit else (y, x)
 
     return step, *_start(n, x0, y0, a), tail
 
@@ -289,7 +273,7 @@ def _semi(a, n, x0, y0, ops, policy, rng):
     c = (a * a + 1) % n  # precomputed, excluded from per-bit accounting
     policy = policy or MaskPolicy.zero()
     mask = policy.per_iteration(n, rng)
-    fresh, tail = (mask if policy.mode == "fresh" else None), None
+    fresh = mask if policy.mode == "fresh" else None
     # a 0 bit runs the same body with the registers' roles swapped
     if ops is None:
         def step(bit, x, y):
@@ -302,19 +286,6 @@ def _semi(a, n, x0, y0, ops, policy, rng):
             u = (a * ((x * x + z) % n) - c * xy) % n
             x = (m * u + xy) % n
             return (x, z) if bit else (z, x)
-
-        def unlinked(bit, k, x, y):
-            # on a 1 bit y squares and x takes x*y + m*(a*(x^2 + y^2) - c*x*y), whose mask
-            # term factors as m*(a*x - y)*(x - a*y); inlined, not a loop of `step`, since
-            # the exp oracle runs most of its semi iterations here
-            if not bit:
-                x, y = y, x
-            for _ in range(k):
-                m = mask()
-                x, y = (x * y + m * ((a * x - y) * (x - a * y) % n)) % n, y * y % n
-            return (x, y) if bit else (y, x)
-
-        tail = _linked_tail(a, a, n, unlinked, fresh)
     else:
         sq, mul, add, sub = ops.sq, ops.mul, ops.add, ops.sub
 
@@ -329,7 +300,18 @@ def _semi(a, n, x0, y0, ops, policy, rng):
             x = add(t, mul(w, mul(x, y)))
             return (x, z) if bit else (z, x)
 
-    return step, *_start(n, x0, y0, a), fresh, tail
+    def unlinked(bit, k, x, y):
+        # on a 1 bit y squares and x takes x*y + m*(a*(x^2 + y^2) - c*x*y), whose mask
+        # term factors as m*(a*x - y)*(x - a*y); inlined, not a loop of `step`, since
+        # the exp oracle runs most of its semi iterations here
+        if not bit:
+            x, y = y, x
+        for _ in range(k):
+            m = mask()
+            x, y = (x * y + m * ((a * x - y) * (x - a * y) % n)) % n, y * y % n
+        return (x, y) if bit else (y, x)
+
+    return step, *_start(n, x0, y0, a), fresh, _linked_tail(a, a, n, unlinked, fresh)
 
 
 def _fully(a, n, x0, y0, ops, constants):
@@ -339,7 +321,6 @@ def _fully(a, n, x0, y0, ops, constants):
         raise ValueError("constants were built for a different (a, n)")
     k0, k1 = constants.xy_coef, constants.sq_coef
     k2, k3 = constants.sync_sq_coef, constants.sync_x_coef
-    tail = None
     # a 0 bit runs the same body with the registers' roles swapped; z serves both lines
     if ops is None:
         def step(bit, x, y):
@@ -349,13 +330,6 @@ def _fully(a, n, x0, y0, ops, constants):
             x = (k0 * (x * y % n) + k1 * z) % n
             y = (k2 * z + k3 * x) % n
             return (x, y) if bit else (y, x)
-
-        def unlinked(bit, k, x, y):
-            for _ in range(k):
-                x, y = step(bit, x, y)
-            return x, y
-
-        tail = _linked_tail(a, constants.constant, n, unlinked)
     else:
         sq, mul, add = ops.sq, ops.mul, ops.add
 
@@ -367,7 +341,12 @@ def _fully(a, n, x0, y0, ops, constants):
             y = add(mul(k2, z), mul(k3, x))
             return (x, y) if bit else (y, x)
 
-    return step, *_start(n, x0, y0, constants.constant), tail
+    def unlinked(bit, k, x, y):
+        for _ in range(k):
+            x, y = step(bit, x, y)
+        return x, y
+
+    return step, *_start(n, x0, y0, constants.constant), _linked_tail(a, constants.constant, n, unlinked)
 
 
 def run_exp_algorithm(
@@ -402,33 +381,37 @@ def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, ma
     """`algo`'s step, start registers and the plan left for `drive`, as one `Target`.
 
     The one builder of exp steps, for `run_exp_algorithm` and the exp
-    oracle.  With `ops=None` the step is the straight-line form: a value
-    is reduced once, before it is written to a register or multiplied
-    again, and a product that only feeds a sum is left unreduced.  Semi
-    under fresh masks sets `fresh` to its mask draw.  Only sma's step
-    depends on the plan: with one it comes wrapped by `takes`.  Every
-    two-register straight-line form gets a `tail`, which answers from any
-    registers and replays the draws of the iterations it answers; a counted
-    run drives every step.
+    oracle.  Sm, sma and montgomery evaluate their step on `ops`, or on a
+    plain `Ring(n)` when `ops` is None.  Semi and fully have a second,
+    straight-line step for `ops=None`: a value is reduced once, before it
+    is written to a register or multiplied again, and a product that only
+    feeds a sum is left unreduced.  Semi under fresh masks sets `fresh` to
+    its mask draw.  Only sma's step depends on the plan: with one it comes
+    wrapped by `takes`.  Every two-register step has a `tail`, which
+    answers from any registers and replays the draws of the iterations it
+    answers; only an uncounted run gets it, since a counted run drives
+    every step.
     """
-    args, fresh, takes, tail = (a % n, n, x0, y0, ops), None, None, None
+    args, fresh, takes, tail = (a % n, n, x0, y0), None, None, None
+    ring = ops or Ring(n)  # what sm, sma and montgomery evaluate their one step on
     if algo == "sm":
         if plan is not None:
             raise ValueError("the one-register variant takes no fault plan")
-        step, x, y = _sm(*args)
+        step, x, y = _sm(*args, ring)
     elif algo == "sma":
-        step, x, y, takes, tail = _sma(*args)
+        step, x, y, takes, tail = _sma(*args, ring)
         if plan is not None:
             step, plan = takes(plan, 0)
     elif algo == "montgomery":
-        step, x, y, tail = _montgomery(*args)
+        step, x, y, tail = _montgomery(*args, ring)
     elif algo == "semi":
-        step, x, y, fresh, tail = _semi(*args, mask, rng)
+        step, x, y, fresh, tail = _semi(*args, ops, mask, rng)
     elif algo == "fully":
-        step, x, y, tail = _fully(*args, constants)
+        step, x, y, tail = _fully(*args, ops, constants)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
-    return Target(step, x, y, plan, _mod_draw(n), fresh=fresh, takes=takes, tail=tail)
+    return Target(step, x, y, plan, _mod_draw(n), fresh=fresh, takes=takes,
+                  tail=tail if ops is None else None)
 
 
 def square_and_multiply(a: int, k, n: int) -> int:

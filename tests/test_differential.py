@@ -5,16 +5,18 @@ plan (0-3 seeded or explicit register faults and an optional stuck-at,
 from the strategy the resume tests use).  The concrete montgomery, semi
 (zero and fixed mask) and fully runners must give the snapshots that
 `ladders.run_semi_ladder` / `run_fully_ladder` give on the matching specs,
-and with no plan x must end at pow(a, k, n).  Each of the five exp steps
-also has a counted form, run when `per_iter` is asked for, one `% n` per
-tallied operation, and a straight-line form, run otherwise, one reduction
-per register write or value multiplied again.  On the same cases, plus a
-2,048-bit odd modulus and drawn start registers, both must give equal
-outputs, snapshots and RNG state (semi under zero, fixed and fresh masks;
-sm only without a plan), and every straight-line snapshot must lie in
-[0, n).  Pinned examples at both sizes make the unreduced intermediates
-widest: registers, mask and fault values of n - 1 with a = n - 2, and
-start registers (1, n - 1), where semi's lazy numerator is negative.
+and with no plan x must end at pow(a, k, n).  A run that asks for
+`per_iter` evaluates each of the five exp steps on a `CountingRing`, one
+`% n` per tallied operation.  Any other run evaluates sm, sma and
+montgomery on a plain `Ring`, and semi and fully in a straight-line form,
+one reduction per register write or value multiplied again.  On the same
+cases, plus a 2,048-bit odd modulus and drawn start registers, the
+counted and uncounted runs must give equal outputs, snapshots and RNG
+state (semi under zero, fixed and fresh masks; sm only without a plan),
+and every uncounted snapshot must lie in [0, n).  Pinned examples at both
+sizes make the unreduced intermediates widest: registers, mask and fault
+values of n - 1 with a = n - 2, and start registers (1, n - 1), where
+semi's lazy numerator is negative.
 
 ECC half: hypothesis draws the generated small curve (whose own group,
 `oracle_ops`, is `LogOps`, discrete logs in a table) or a prime-order
@@ -122,7 +124,7 @@ def test_concrete_runners_equal_generic_ladders(case):
 
 
 def _both_forms(algo, a, key, n, seed, **kw):
-    """Outputs, snapshots and RNG state of the counted run, then of the straight-line run."""
+    """Outputs, snapshots and RNG state of the counted run, then of the uncounted run."""
     runs = []
     for per_iter in ([], None):
         trace, rng = Trace(), random.Random(seed)
