@@ -83,11 +83,14 @@ def cmd_exp(args) -> tuple[dict, list | None]:
 
 
 def cmd_verify(args) -> tuple[dict, list | None]:
-    if args.spec == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.spec) as fh:
-            doc = json.load(fh)
+    try:
+        if args.spec == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(args.spec) as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        raise ValueError("spec JSON is nested too deeply to parse") from None
     ring, spec = spec_from_json(doc)
     if spec.sync_step is None:
         result = check_semi_equations(spec, ring, args.limit)

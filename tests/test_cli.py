@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 import ladderlab
 from ladderlab.attacks import ECC_TARGETS, EXP_TARGETS
 from ladderlab.cli import main
-from ladderlab.ladders import DEFAULT_SWEEP_LIMIT, spec_to_json
+from ladderlab.ladders import DEFAULT_SWEEP_LIMIT, INT64_SWEEP_LIMIT, spec_to_json
 from ladderlab.modarith import Ring, is_probable_prime
-from ladderlab.modexp import ALGORITHMS, fully_ladder_spec, ladder_constants, masked_semi_spec
+from ladderlab.modexp import (
+    ALGORITHMS, find_ladder_constant, fully_ladder_spec, ladder_constants, masked_semi_spec,
+)
 
 
 def run_cli(capsys, *argv):
@@ -154,9 +157,14 @@ def test_verify_refuses_int64_overflow_whatever_the_limit(tmp_path, capsys):
     (lambda doc: {**doc, "ell": {"l1": 1.5}}, "field ell.l1 "),
     (lambda doc: {**doc, "f": {**doc["f"], "c11": True}}, "field f.c11 "),
     (lambda doc: {**doc, "n": "0x65"}, "field n "),
-], ids=["missing-block", "list-block", "top-level-array", "float", "bool", "hex"])
+    (lambda doc: {**doc, "ell": {**doc["ell"], "l1": "101"}}, "link slope must be nonzero"),
+    (lambda doc: {**doc, "theta": {"c00": "3"}}, "bit1_step must depend on x"),
+    (lambda doc: {**doc, "theta": {**doc["theta"], "c01": "1"}}, "bit1_step must be univariate"),
+], ids=["missing-block", "list-block", "top-level-array", "float", "bool", "hex", "link-slope-zero",
+        "theta-without-x", "theta-with-y"])
 def test_verify_names_the_bad_field_of_a_malformed_spec(tmp_path, capsys, edit, field):
-    """A malformed spec exits 3 with an error naming its field; spec files are base-10 only."""
+    """A malformed spec, or one no ladder follows, exits 3 with an error naming its field or step;
+    spec files are base-10 only."""
     ring = Ring(101)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(edit(spec_to_json(ring, masked_semi_spec(ring, 5, 17)))))
@@ -347,6 +355,87 @@ def test_one_bit_attacks_end_in_an_exit_code(capsys, model, target, readable, tr
                                       "--readable", readable)
     if code == 0:
         assert json.loads(out)["aggregate"]["bits"] == 1
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past the JSON parser's recursion limit
+
+
+def _spec_text(**fields):
+    """The JSON text of the semi spec a = 5, m = 17 mod 101, with `fields` ("theta", "ell.l1") replaced."""
+    ring = Ring(101)
+    doc = spec_to_json(ring, masked_semi_spec(ring, 5, 17))
+    for path, value in fields.items():
+        *outer, key = path.split(".")
+        (doc[outer[0]] if outer else doc)[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_verify_refuses_json_nested_too_deeply(tmp_path, monkeypatch, capsys, source):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path) if source == "file" else "-")
+    assert (code, out) == (3, "")
+    assert err == "error: spec JSON is nested too deeply to parse\n"
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(allow_nan=False),
+                        st.text(max_size=6), st.integers(-2**70, 2**70).map(str))
+JSON_VALUES = st.one_of(JSON_LEAVES, st.lists(JSON_LEAVES, max_size=3),
+                        st.dictionaries(st.text(max_size=3), JSON_LEAVES, max_size=3))
+
+
+@st.composite
+def _verify_documents(draw):
+    """Any text, any JSON value, or a true semi or fully spec with 0-2 blocks or fields replaced."""
+    kind = draw(st.sampled_from(["text", "json", "spec"]))
+    if kind == "text":
+        return draw(st.text(max_size=40))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES))
+    n = draw(st.sampled_from([7, 11, 101, 257, 65537]))
+    ring, a = Ring(n), draw(st.integers(2, n - 2))
+    if draw(st.booleans()):
+        spec = masked_semi_spec(ring, a, draw(st.integers(0, n - 1)))
+    else:
+        spec = fully_ladder_spec(ring, find_ladder_constant(a, n, random.Random(draw(st.integers(0, 99)))))
+    doc = spec_to_json(ring, spec)
+    # residues and near-residues of n, any JSON, and moduli past the int64 guard
+    values = st.one_of(st.integers(-3, 2 * n).map(str), JSON_VALUES,
+                       st.sampled_from([str(INT64_SWEEP_LIMIT + 11), str(2**64)]))
+    for _ in range(draw(st.integers(0, 2))):
+        block = draw(st.sampled_from(sorted(doc)))
+        if isinstance(doc[block], dict) and draw(st.booleans()):
+            field = draw(st.sampled_from(["c20", "c11", "c02", "c10", "c01", "c00", "l1", "l0"]))
+            doc[block][field] = draw(values)
+        elif draw(st.booleans()):
+            doc[block] = draw(values)
+        else:
+            del doc[block]
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_verify_documents(), st.booleans(), st.sampled_from(["json", "csv", "jsonl"]), st.booleans())
+@example(DEEP, True, "json", False)
+@example(DEEP, False, "csv", True)
+@example(_spec_text(**{"ell.l1": "202"}), False, "json", False)  # the link slope is 0 mod n
+@example(_spec_text(theta={"c00": "3"}), True, "jsonl", False)  # theta has no x term
+@example(_spec_text(**{"theta.c01": "1"}), False, "json", True)  # theta has a y term
+@example(_spec_text(n=str(INT64_SWEEP_LIMIT + 11)), False, "json", False)
+@example(json.dumps([{"n": "101"}]), True, "csv", False)
+def test_verify_ends_in_an_exit_code(tmp_path, monkeypatch, capsys, text, stdin, fmt, to_file):
+    # a spec that is checked reports counterexamples exactly when it fails
+    path, out_path = tmp_path / "spec.json", tmp_path / "out"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = _ends_in_an_exit_code(capsys, "verify", "--spec", "-" if stdin else str(path),
+                                      "--format", fmt, "--out", str(out_path) if to_file else "-")
+    if code == 0 and fmt == "json":
+        doc = json.loads(out_path.read_text() if to_file else out)
+        assert doc["ok"] is (doc["counterexamples"] == [])
 
 
 def test_import_leaves_numpy_unloaded():

@@ -56,9 +56,6 @@ UNREACHED = (
     Unreached("ecc.py", "ladder_link", "raise InvalidCoefficient", MISUSE),
     Unreached("ecc.py", "ladder_link", "raise ValueError", MISUSE),
     Unreached("ecc.py", "ecc_step", 'raise ValueError("fresh coefficients need an RNG")', MISUSE),
-    Unreached("ladders.py", "LadderSpec.validate", 'raise ValueError("link slope', MISUSE),
-    Unreached("ladders.py", "LadderSpec.validate", 'raise ValueError("bit1_step', MISUSE),
-    Unreached("ladders.py", "LadderSpec.validate", 'raise ValueError(f"{name}', MISUSE),
     Unreached("ladders.py", "run_fully_ladder", "raise ValueError", MISUSE),
     Unreached("ladders.py", "check_fully_equations", "raise ValueError", MISUSE),
     Unreached("ladders.py", "lift_semi_to_fully", "raise ValueError", MISUSE),
