@@ -259,15 +259,15 @@ def _fault(target: str, iteration: int, rng: random.Random) -> RegisterFault:
     return RegisterFault(target, iteration, seed=rng.getrandbits(64))
 
 
-def _probe_differs(oracle, base_plan, target, iteration, read_idx, rng, attempts):
+def _probe_differs(oracle, base_plan, target, iteration, read_idx, rng):
     """True iff faulting `target` before `iteration` can change the read output.
 
     The no-change direction is deterministic (the fault provably never
     reaches the read register), so one clean run is compared against up to
-    `attempts` fresh faulted runs; any difference settles the probe.
+    `RETRY_BUDGET` fresh faulted runs; any difference settles the probe.
     """
     clean = oracle.exe(plan=base_plan)
-    for _ in range(attempts):
+    for _ in range(RETRY_BUDGET):
         faults = base_plan.register_faults + (_fault(target, iteration, rng),)
         faulted = oracle.exe(plan=FaultPlan(faults, base_plan.key_stuckat))
         if faulted[read_idx] != clean[read_idx]:
@@ -276,7 +276,7 @@ def _probe_differs(oracle, base_plan, target, iteration, read_idx, rng, attempts
 
 
 def attack1_safe_error_nonladder(
-    oracle: ExecutionOracle, rng: random.Random | None = None, attempts: int = RETRY_BUDGET
+    oracle: ExecutionOracle, rng: random.Random | None = None
 ) -> AttackReport:
     """Safe-error probing of the always-multiply variant: every bit leaks.
 
@@ -290,11 +290,11 @@ def attack1_safe_error_nonladder(
     recovered = []
     empty = FaultPlan()
     for i in range(1, oracle.nbits + 1):
-        recovered.append(1 if _probe_differs(oracle, empty, "y", i, 0, rng, attempts) else 0)
+        recovered.append(1 if _probe_differs(oracle, empty, "y", i, 0, rng) else 0)
     return AttackReport(tuple(recovered), oracle.calls - start)
 
 
-def _scan_trailing(oracle, probe_target, read_idx, equal_bit, rng, attempts):
+def _scan_trailing(oracle, probe_target, read_idx, equal_bit, rng):
     """Scan bits from the last iteration downward while they equal `equal_bit`.
 
     Faulting the opposite register leaves the read output unchanged
@@ -305,7 +305,7 @@ def _scan_trailing(oracle, probe_target, read_idx, equal_bit, rng, attempts):
     found = {}
     empty = FaultPlan()
     for i in range(oracle.nbits, 0, -1):
-        if _probe_differs(oracle, empty, probe_target, i, read_idx, rng, attempts):
+        if _probe_differs(oracle, empty, probe_target, i, read_idx, rng):
             found[i] = 1 - equal_bit
             break
         found[i] = equal_bit
@@ -316,7 +316,6 @@ def attack1_trailing_bits(
     oracle: ExecutionOracle,
     readable: str = "both",
     rng: random.Random | None = None,
-    attempts: int = RETRY_BUDGET,
 ) -> AttackReport:
     """Safe-error probing of a half-coupled ladder: only trailing bits leak.
 
@@ -334,10 +333,10 @@ def attack1_trailing_bits(
     views = []
     if "x" in want:
         # fault y, watch x: unchanged x means the fault stayed in y (bit 0)
-        views.append(_scan_trailing(oracle, "y", 0, 0, rng, attempts))
+        views.append(_scan_trailing(oracle, "y", 0, 0, rng))
     if "y" in want:
         # fault x, watch y: unchanged y means the fault stayed in x (bit 1)
-        views.append(_scan_trailing(oracle, "x", 1, 1, rng, attempts))
+        views.append(_scan_trailing(oracle, "x", 1, 1, rng))
     recovered = [None] * oracle.nbits
     for i in range(1, oracle.nbits + 1):
         values = {v[i] for v in views if i in v}
@@ -346,9 +345,7 @@ def attack1_trailing_bits(
     return AttackReport(tuple(recovered), oracle.calls - start)
 
 
-def attack2_semi(
-    oracle: ExecutionOracle, rng: random.Random | None = None, attempts: int = RETRY_BUDGET
-) -> AttackReport:
+def attack2_semi(oracle: ExecutionOracle, rng: random.Random | None = None) -> AttackReport:
     """Descending stuck-at scan that breaks any half-coupled ladder completely.
 
     Walking i from the last iteration to the first, every bit after i is
@@ -366,7 +363,7 @@ def attack2_semi(
     fix = 0
     for i in range(oracle.nbits, 0, -1):
         base = FaultPlan(key_stuckat=(i, fix))
-        if _probe_differs(oracle, base, "yx"[fix], i, fix, rng, attempts):
+        if _probe_differs(oracle, base, "yx"[fix], i, fix, rng):
             fix = 1 - fix
         recovered[i - 1] = fix
     return AttackReport(tuple(recovered), oracle.calls - start)
@@ -404,7 +401,6 @@ def fault_propagation_probe(
     register: str,
     iteration: int,
     rng: random.Random | None = None,
-    attempts: int = RETRY_BUDGET,
 ) -> set:
     """Registers whose snapshot after `iteration` differs once `register` is faulted.
 
@@ -415,7 +411,7 @@ def fault_propagation_probe(
         raise ValueError("register must be 'x' or 'y'")
     rng = rng or random.Random(0)
     clean = traced_run(None)
-    for _ in range(attempts):
+    for _ in range(RETRY_BUDGET):
         plan = FaultPlan(register_faults=(_fault(register, iteration, rng),))
         faulted = traced_run(plan)
         diff = set()
@@ -426,7 +422,7 @@ def fault_propagation_probe(
         if diff:
             return diff
     raise Coincidence(
-        f"fault on {register} at iteration {iteration} never propagated in {attempts} tries"
+        f"fault on {register} at iteration {iteration} never propagated in {RETRY_BUDGET} tries"
     )
 
 
@@ -440,13 +436,12 @@ def make_oracle_for_target(
     *,
     seed: int = 0,
     readable=("x", "y"),
-    a: int = 7,
     n: int = 1_000_003,
     curve_bundle=None,
 ) -> ExecutionOracle:
     """Build the standard oracle used by the CLI and the evaluation harness."""
     if target in EXP_TARGETS:
-        return make_exp_oracle(target, a, n, key, seed=seed, readable=readable)
+        return make_exp_oracle(target, 7, n, key, seed=seed, readable=readable)
     if target in ECC_TARGETS:
         curve, A, _ = curve_bundle or find_small_curve()
         algo = target.split("-", 1)[1]

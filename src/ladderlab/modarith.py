@@ -96,7 +96,7 @@ def _mod_draw(n: int):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # deterministic below 3.3e24
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic below 3.3e24, plus 16 random rounds above."""
     if n < 2:
         return False
@@ -121,7 +121,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
 
     witnesses = list(_MR_WITNESSES)
     if n >= 3317044064679887385961981:
-        rng = rng or random.Random(0xDA7A)
+        rng = random.Random(0xDA7A)
         witnesses += [rng.randrange(2, n - 1) for _ in range(16)]
     return not any(composite_witness(a) for a in witnesses)
 

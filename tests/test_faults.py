@@ -166,4 +166,4 @@ class TestPropagationPatterns:
             return FrozenTrace()
 
         with pytest.raises(Coincidence):
-            fault_propagation_probe(run, "x", 1, random.Random(0), attempts=3)
+            fault_propagation_probe(run, "x", 1, random.Random(0))

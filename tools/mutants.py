@@ -50,8 +50,8 @@ MUTANTS = (
            ("tests/test_sweeps.py::test_unit_column_and_full_grid_give_the_same_lists[broken-sq-coef]",
             "tests/test_sweeps.py::test_unit_column_and_full_grid_give_the_same_lists[broken-sync-coefs]")),
     Mutant("attack2-probes-the-read-register", "attacks.py",
-           '_probe_differs(oracle, base, "yx"[fix], i, fix, rng, attempts)',
-           '_probe_differs(oracle, base, "xy"[fix], i, fix, rng, attempts)',
+           '_probe_differs(oracle, base, "yx"[fix], i, fix, rng)',
+           '_probe_differs(oracle, base, "xy"[fix], i, fix, rng)',
            ("tests/test_attacks.py::TestAttack2::test_full_recovery[semi]",
             "tests/test_attack_goldens.py::test_attack_matches_golden[m2-montgomery-16]")),
     Mutant("attack3-tries-one-first", "attacks.py", "product(inputs, (0, 1))", "product(inputs, (1, 0))",
@@ -68,6 +68,19 @@ MUTANTS = (
            "        self.order = len(mults) + 1\n",
            ("tests/test_ecc.py::TestLogTable::test_every_pair",
             "tests/test_ecc.py::TestFullyLadder::test_against_oracle_with_invariant")),
+    Mutant("point-ops-cmul-one-doubling-short", "ecc.py", "self.doubles += abs(c).bit_length()\n",
+           "self.doubles += abs(c).bit_length() - 1\n",
+           ("tests/test_ecc.py::TestLogTable::test_other_curves_take_the_affine_law[curve0]",
+            "tests/test_ecc_goldens.py::test_runner_matches_golden[fully-k12-none]",
+            "tests/test_cli_goldens.py::test_cli_matches_golden[readme-ecc-fully]")),
+    Mutant("affine-cmul-without-negation", "ecc.py", "c, P = -c, self.neg(P)", "c, P = -c, P",
+           ("tests/test_ecc.py::TestLogTable::test_other_curves_take_the_affine_law[curve0]",
+            "tests/test_ecc.py::TestLogTable::test_other_curves_take_the_affine_law[curve1]",
+            "tests/test_ecc.py::TestLogTable::test_largest_tabulated_field")),
+    Mutant("trace-ys-left-in-the-group", "ecc.py", "map(leave, trace.ys)", "trace.ys",
+           ("tests/test_ecc.py::TestMontgomeryLadder::test_against_oracle_with_invariant",
+            "tests/test_differential.py::test_ecc_ladders_agree_across_group_law_routes",
+            "tests/test_cli_goldens.py::test_cli_matches_golden[ecc-trace-montgomery]")),
     Mutant("constant-scan-despite-gcd", "modexp.py", "    if gcd(n, 6) > 1:\n", "    if False:\n",
            ("tests/test_modexp.py::TestFindLadderConstant::test_no_scan_when_gcd_with_six_exceeds_one[1048576]",
             "tests/test_modexp.py::TestFindLadderConstant::test_no_scan_when_gcd_with_six_exceeds_one[1048575]",
@@ -92,6 +105,8 @@ MUTANTS = (
            ("tests/test_resume.py::test_exp_tail_equals_driven_steps[sma-None]",
             "tests/test_resume.py::test_exp_tail_equals_driven_steps[semi-zero]",
             "tests/test_attack_goldens.py::test_attack_matches_golden[m3-sma-16]")),
+    Mutant("counted-run-gets-a-tail", "modexp.py", "tail=tail if ops is None else None)", "tail=tail)",
+           ("tests/test_resume.py::test_exp_tail_is_set_only_on_straight_line_two_register_steps",)),
     Mutant("resume-from-snapshot-d", "attacks.py", "x, y = drive(key, *states[d - 1], step",
            "x, y = drive(key, *states[d], step",
            ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",)),
