@@ -16,9 +16,17 @@ table's logs of each x (`LogOps.draw`, the draw of the curve's own group
 counted run (`PointOps`, a tally over that same group) draws its seeded
 faults there too.  On `find_small_curve()` the log drawn and the points
 that leave either group must be the log of, and the point, that
-`ecc.random_point`'s Tonelli-Shanks draw gives, under the same rule.  The
-attack goldens pin outputs that depend on every value drawn, so a Python
-whose `randrange` ran another loop would change them.
+`ecc.random_point`'s Tonelli-Shanks draw gives, under the same rule.
+`random_point` itself, the draw of a curve without a log table, must give
+the points its `randrange` form gives, on curves with p > `TABLE_MAX_P`.
+The attack goldens pin outputs that depend on every value drawn, so a
+Python whose `randrange` ran another loop would change them.
+
+A seeded fault value is drawn from CPython's C generator (`faults.Random`,
+the class `random.Random` subclasses), seeded with the fault's seed.  For
+seeds of one and two 32-bit words it must give the `getrandbits` draws of
+`random.Random(seed)`, draw for draw, end in the same state, and make
+`RegisterFault.pick` resolve what the `randrange` form resolves.
 
 Semi under fresh masks and fully also run at a 2,048-bit modulus in both
 step forms: counted (`per_iter=[]`, one `% n` per tallied operation) and
@@ -35,7 +43,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from ladderlab.ecc import PointOps, _semi_coef, find_small_curve, oracle_ops, random_point
+from ladderlab import faults
+from ladderlab.ecc import (
+    Curve, Point, PointOps, _semi_coef, find_small_curve, oracle_ops, random_point, sqrt_mod_prime,
+)
 from ladderlab.modarith import _below, _mod_draw
 from ladderlab.modexp import MaskPolicy, find_ladder_constant, run_exp_algorithm
 
@@ -45,6 +56,10 @@ MODULI = (1, 2, 3, 97, 2**16 - 1, 2**16, 2**16 + 1, 2**64 - 1, 2**64, 2**64 + 1,
 # the 256-bit order is that of the secp256k1 base point
 ORDERS = (3, 16, 97, 971, 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141)
 FORMS_MODULUS = 2**2047 + 3  # odd, and neither 3 nor 5 divides it, so a ladder constant exists
+# curves without a log table: the first prime past TABLE_MAX_P, and a Mersenne prime
+UNTABLED = (Curve(1031, 2, 3), Curve(2**127 - 1, 2, 3))
+FAULT_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)  # keys of one and two 32-bit words
+FAULT_WIDTHS = (1, 7, 20, 32, 33, 64, 65, 2048)  # getrandbits widths, cycled
 
 
 def _randrange_coef(order, rng):
@@ -52,6 +67,19 @@ def _randrange_coef(order, rng):
     while c in (0, 2):
         c = rng.randrange(order)
     return c
+
+
+def _randrange_point(curve, rng):
+    """`random_point` with its x drawn by `rng.randrange(p)`."""
+    p = curve.p
+    while True:
+        x = rng.randrange(p)
+        rhs = (x * x % p * x + curve.a * x + curve.b) % p
+        if rhs == 0:
+            return Point(x, 0)
+        y = sqrt_mod_prime(rhs, p)
+        if y is not None:
+            return Point(x, y if rng.getrandbits(1) else p - y)
 
 
 def _label(n):
@@ -77,7 +105,30 @@ def cases():
              lambda rng: random_point(curve, rng)),
             ("PointOps.leave(draw)(find_small_curve())",
              lambda rng: lambda: counted.leave(counted.draw(rng)), lambda rng: random_point(curve, rng))]
+    out += [(f"random_point({_label(c.p)})", lambda rng, c=c: lambda: random_point(c, rng),
+             lambda rng, c=c: _randrange_point(c, rng)) for c in UNTABLED]
     return out
+
+
+def fault_mismatch(seed, generator=faults.Random):
+    """None if `generator(seed)` draws what `random.Random(seed)` does, and a seeded fault
+    picks what the `randrange` form picks, else why not."""
+    ours, theirs = generator(seed), random.Random(seed)
+    for i in range(DRAWS):
+        k = FAULT_WIDTHS[i % len(FAULT_WIDTHS)]
+        got, want = ours.getrandbits(k), theirs.getrandbits(k)
+        if got != want:
+            return f"draw {i} of {k} bits gave {got}, random.Random gave {want}"
+    if faults.Random.getstate(ours) != faults.Random.getstate(theirs):
+        return f"values agree over {DRAWS} draws, but the generator states differ"
+    n = 1_000_003
+    first = random.Random(seed).randrange(n)  # the fault must redraw a value equal to the register
+    reference = random.Random(seed)
+    want = reference.randrange(n)
+    while want == first:
+        want = reference.randrange(n)
+    got = faults.RegisterFault("x", 1, seed=seed).pick(first, _mod_draw(n))
+    return None if got == want else f"a fault picked {got}, the randrange form {want}"
 
 
 def form_cases():
@@ -127,10 +178,13 @@ def mismatch(build, reference, seed=2024):
 def main():
     failures = [f"{name}: {why}" for name, build, reference in cases()
                 if (why := mismatch(build, reference)) is not None]
+    failures += [f"fault seed {seed}: {why}" for seed in FAULT_SEEDS
+                 if (why := fault_mismatch(seed)) is not None]
     failures += [f"{name}: {why}" for name, run in form_cases()
                  if (why := form_mismatch(run)) is not None]
-    print("\n".join(failures) or f"{len(cases())} draws match their references over {DRAWS} values, and "
-          f"{len(form_cases())} exp steps agree in both forms, on Python {sys.version.split()[0]}")
+    print("\n".join(failures) or f"{len(cases())} draws match their references over {DRAWS} values, "
+          f"{len(FAULT_SEEDS)} fault seeds give random.Random's stream, and {len(form_cases())} exp "
+          f"steps agree in both forms, on Python {sys.version.split()[0]}")
     return 1 if failures else 0
 
 

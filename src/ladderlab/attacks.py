@@ -100,17 +100,16 @@ def _resuming_run(key, build):
     resumed call (through `kept.takes` for a plan with register faults).
 
     The first call for an input keeps the snapshots of its clean run, which
-    is not counted.  A call resumes from snapshot d - 1: d is its first
-    register fault or, for a stuck-at (t, b), the first iteration j > t
-    whose key bit is not b.  A plan without register faults keeps the link
-    and reads bits fixed by (j, b), so its outputs are kept per input under
-    (j, b); register faults are seeded anew per call and never kept.  A
-    register-faulted call whose stuck-at never diverges, on a target that
-    draws nothing, rejoins: once its registers after its last fault equal
-    the clean snapshot (a 0 bit overwrites sma's dummy register), it returns
-    the clean output.  With `kept.tail`, a stuck-at (t, b) call drives up
-    to max(t, last register fault) only and gives `kept.tail` the rest,
-    which replays the draws of the iterations it answers.
+    is not counted.  A call first drops, unpicked, the register faults that
+    no output can see (`kept.seen`: a y fault that sma's next 0 bit
+    overwrites).  It resumes from snapshot d - 1: d is its first register
+    fault or, for a stuck-at (t, b), the first iteration j > t whose key
+    bit is not b.  A plan without register faults keeps the link and reads
+    bits fixed by (j, b), so its outputs are kept per input under (j, b);
+    register faults are seeded anew per call and never kept.  With
+    `kept.tail`, a stuck-at (t, b) call drives up to max(t, last register
+    fault) only and gives `kept.tail` the rest, which replays the draws of
+    the iterations it answers.
 
     With `kept.fresh`, each call replays the draws of the iterations before
     its resume point, or of all of them when answered from memory.  Semi's
@@ -139,6 +138,8 @@ def _resuming_run(key, build):
     def resumed(x_init, y_init, plan):
         if plan is not None:
             plan.validate(nbits)
+            if plan.register_faults and kept.seen is not None:
+                plan = kept.seen(plan, key)
         start = (x_init, y_init)
         if start not in inputs:
             trace = Trace()
@@ -172,9 +173,7 @@ def _resuming_run(key, build):
             x, y = drive(key, *states[d - 1], step, plan=rest, draw=kept.draw, i0=d - 1, stop=last)
             out = kept.tail(b, nbits - last, x, y)
         else:
-            rejoins = faults and j > nbits and fresh is None
-            out = drive(key, *states[d - 1], step, plan=rest, draw=kept.draw, i0=d - 1,
-                        stop=max(faults) if rejoins else None, rejoin=states if rejoins else None)
+            out = drive(key, *states[d - 1], step, plan=rest, draw=kept.draw, i0=d - 1)
         if not faults:  # a register fault is seeded anew per call
             outputs[j, b] = out
         return out

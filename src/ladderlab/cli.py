@@ -339,12 +339,12 @@ def main(argv=None) -> int:
         args.seed = _seed_default()
     try:
         payload, rows = args.func(args)
+        _emit(payload, rows, args.format, args.out)  # an --out that cannot be opened is an OSError
     except argparse.ArgumentError as exc:
         args.command_parser.error(str(exc))
     except (LadderError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(payload, rows, args.format, args.out)
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .errors import InvalidCoefficient, NotOnCurve
 from .faults import FaultPlan
 from .ladders import Target, Trace, as_key, drive
-from .modarith import _below, is_probable_prime
+from .modarith import _below, _mod_draw, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,13 @@ def curve_points(curve: Curve) -> list[Point]:
 
 
 def random_point(curve: Curve, rng: random.Random) -> Point:
-    """A uniformly-sampled x with a valid y, by Tonelli-Shanks; a seeded fault's value."""
-    p = curve.p
+    """A uniformly-sampled x with a valid y, by Tonelli-Shanks; a seeded fault's value.
+
+    x is `rng.randrange(p)`, drawn by `getrandbits` alone (`_mod_draw`).
+    """
+    p, draw = curve.p, _mod_draw(curve.p)
     while True:
-        x = rng.randrange(p)
+        x = draw(rng)
         rhs = (x * x % p * x + curve.a * x + curve.b) % p
         if rhs == 0:
             return Point(x, 0)

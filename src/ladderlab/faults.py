@@ -4,7 +4,7 @@ Register faults overwrite a register between two loop iterations; key
 stuck-at faults pin the bits a run reads, never the key itself.
 """
 
-import random
+from _random import Random  # the C class `random.Random` subclasses: one seeding, the same stream
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -25,10 +25,14 @@ class RegisterFault:
             raise ValueError("random fault needs a seed")
 
     def pick(self, current, draw):
-        """Resolve the injected value; random draws are resampled until != current."""
+        """Resolve the injected value; random draws are resampled until != current.
+
+        `draw(rng)` may call only `rng.getrandbits`, the one draw the C
+        generator has.
+        """
         if self.value is not None:
             return self.value
-        rng = random.Random(self.seed)
+        rng = Random(self.seed)
         new = draw(rng)
         while new == current:
             new = draw(rng)

@@ -231,10 +231,11 @@ class Target(NamedTuple):
     `step` starts from registers (x, y) and `plan` is what is left of the
     fault plan for `drive`, with `draw` giving a seeded fault's value.  The
     optional fields are None when unused: `fresh()`, the step's draw per
-    iteration; `takes(plan, i0) -> (step, plan)` (`modexp._sma`); and
-    `tail(b, k, x, y)`, what `drive` gives over k more iterations that all
-    read bit b, the step's draws included (`modexp._linked_tail` for semi
-    and fully, `ecc._affine_tail` for ECC on discrete logs).
+    iteration; `takes(plan, i0) -> (step, plan)` and `seen(plan, bits)`,
+    the plan less the register faults no output can see (`modexp._sma`);
+    and `tail(b, k, x, y)`, what `drive` gives over k more iterations that
+    all read bit b, the step's draws included (`modexp._linked_tail` for
+    semi and fully, `ecc._affine_tail` for ECC on discrete logs).
     """
 
     step: Callable
@@ -244,10 +245,11 @@ class Target(NamedTuple):
     draw: Callable
     fresh: Callable | None = None
     takes: Callable | None = None
+    seen: Callable | None = None
     tail: Callable | None = None
 
 
-def drive(bits, x, y, step, *, plan=None, draw=None, trace=None, i0=0, stop=None, rejoin=None):
+def drive(bits, x, y, step, *, plan=None, draw=None, trace=None, i0=0, stop=None):
     """Run `step(bit, x, y) -> (x, y)` once per key bit after iteration `i0`.
 
     (x, y) are the registers after iteration i0 (0 for a whole run; y is
@@ -256,10 +258,6 @@ def drive(bits, x, y, step, *, plan=None, draw=None, trace=None, i0=0, stop=None
     iterations they name, `draw(rng)` giving a seeded fault's value, and
     iterations past a stuck-at's threshold read its bit; the key is never
     copied.  With `stop`, the run ends after iteration `stop`.
-    `rejoin=states` runs on from there, for an untraced run with no later
-    fault that then reads the bits of a clean run with snapshots `states`:
-    once the registers after an iteration i >= stop equal `states[i]`, it
-    returns that run's output.
     """
     consumed, faulted = islice, ()  # consumed(bits, i, j): the bits iterations i + 1 .. j read
     if plan is not None:
@@ -278,11 +276,6 @@ def drive(bits, x, y, step, *, plan=None, draw=None, trace=None, i0=0, stop=None
         x, y = step(bit, x, y)
         if trace is not None:
             _record(trace, x, y)
-    if rejoin is not None:
-        for i, bit in enumerate(consumed(bits, stop, None), stop):
-            if (x, y) == rejoin[i]:
-                return rejoin[-1]
-            x, y = step(bit, x, y)
     return x, y
 
 

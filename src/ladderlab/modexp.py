@@ -218,7 +218,8 @@ def _sm(a, n, x0, y0, ring):
 
 
 def _sma(a, n, x0, y0, ring):
-    """The step, its start registers, `takes`, which adds a plan's y faults to the step, and a tail."""
+    """The step, its start registers, `takes`, which adds a plan's y faults to the step, `seen`,
+    which drops those a later 0 bit overwrites unseen, and a tail."""
     sq, mul = ring.sq, ring.mul
 
     def step(bit, x, y):
@@ -248,9 +249,18 @@ def _sma(a, n, x0, y0, ring):
         return faulted, FaultPlan(tuple(f for f in plan.register_faults if f.target == "x"),
                                   plan.key_stuckat)
 
+    def seen(plan, bits):
+        # the step never reads y, so a y fault that lands there, on a 0 bit, is overwritten
+        # unseen by the next 0 bit, if any; the bits are those the plan's run reads
+        read = list(plan.effective_bits(bits))
+        last = len(read) - read[::-1].index(0) if 0 in read else 0  # the last 0 bit
+        faults = tuple(f for f in plan.register_faults
+                       if f.target == "x" or read[f.iteration - 1] or f.iteration >= last)
+        return plan if len(faults) == len(plan.register_faults) else FaultPlan(faults, plan.key_stuckat)
+
     x = 1 if x0 is None else x0 % n
     y = a if y0 is None else y0 % n  # sentinel until the first 0 bit writes it
-    return step, x, y, takes, tail
+    return step, x, y, takes, seen, tail
 
 
 def _montgomery(a, n, x0, y0, ring):
@@ -387,19 +397,20 @@ def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, ma
     is written to a register or multiplied again, and a product that only
     feeds a sum is left unreduced.  Semi under fresh masks sets `fresh` to
     its mask draw.  Only sma's step depends on the plan: with one it comes
-    wrapped by `takes`.  Every two-register step has a `tail`, which
-    answers from any registers and replays the draws of the iterations it
-    answers; only an uncounted run gets it, since a counted run drives
-    every step.
+    wrapped by `takes`.  Sma's `seen` drops the y faults a later 0 bit
+    overwrites, for the oracle only: a traced run must show them.  Every
+    two-register step has a `tail`, which answers from any registers and
+    replays the draws of the iterations it answers; only an uncounted run
+    gets it, since a counted run drives every step.
     """
-    args, fresh, takes, tail = (a % n, n, x0, y0), None, None, None
+    args, fresh, takes, seen, tail = (a % n, n, x0, y0), None, None, None, None
     ring = ops or Ring(n)  # what sm, sma and montgomery evaluate their one step on
     if algo == "sm":
         if plan is not None:
             raise ValueError("the one-register variant takes no fault plan")
         step, x, y = _sm(*args, ring)
     elif algo == "sma":
-        step, x, y, takes, tail = _sma(*args, ring)
+        step, x, y, takes, seen, tail = _sma(*args, ring)
         if plan is not None:
             step, plan = takes(plan, 0)
     elif algo == "montgomery":
@@ -410,7 +421,7 @@ def exp_step(algo, a, n, ops, *, x0=None, y0=None, plan=None, constants=None, ma
         step, x, y, tail = _fully(*args, ops, constants)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
-    return Target(step, x, y, plan, _mod_draw(n), fresh=fresh, takes=takes,
+    return Target(step, x, y, plan, _mod_draw(n), fresh=fresh, takes=takes, seen=seen,
                   tail=tail if ops is None else None)
 
 

@@ -438,6 +438,26 @@ def test_verify_ends_in_an_exit_code(tmp_path, monkeypatch, capsys, text, stdin,
         assert doc["ok"] is (doc["counterexamples"] == [])
 
 
+@pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["exp", "--algo", "sm", "--a", "2", "--k", "5", "--n", "1000"],
+    ["verify", "--spec", "SPEC"],
+    ["--seed", "1", "attack", "--model", "3", "--target", "sma", "--bits", "2", "--trials", "1"],
+    ["prob", "--mode", "dsa-exact", "--n", "13"],
+    ["ecc", "--p", "101", "--a", "7", "--b", "4", "--Ax", "0", "--Ay", "99", "--order", "97",
+     "--algo", "montgomery", "--k", "5"],
+], ids=lambda argv: argv[argv[0] == "--seed" and 2])
+def test_out_that_cannot_be_opened_exits_3(tmp_path, capsys, argv, bad):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_json(Ring(101), masked_semi_spec(Ring(101), 3, 0))))
+    out = tmp_path / "missing" / "out.json" if bad == "missing-directory" else tmp_path
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 def test_import_leaves_numpy_unloaded():
     # numpy costs a cold import; only the exhaustive checks and censuses load it
     src = os.path.dirname(os.path.dirname(os.path.abspath(ladderlab.__file__)))

@@ -2,12 +2,12 @@
 
 Both oracles resume each run at its first register fault or the first
 key bit its stuck-at changes, from snapshots of the clean run they keep
-per input, and a faulted run whose registers rejoin the clean ones after
-its last fault returns the clean output; the tests that count the steps
-`attacks.drive` runs pin both down.  A stuck-at's pinned tail is
-answered without `drive` (`Target.tail`) by the exp oracle, and by the
-ECC oracle on discrete logs: in closed form, or for semi and fully off
-their link by a loop of their own.  Each tail is checked against `drive`
+per input, and the exp oracle drops, unpicked, each y fault that sma's
+next 0 bit overwrites; the tests that count the steps `attacks.drive`
+runs and the fault values picked pin both down.  A stuck-at's pinned
+tail is answered without `drive` (`Target.tail`) by the exp oracle, and
+by the ECC oracle on discrete logs: in closed form, or for semi and
+fully off their link by a loop of their own.  Each tail is checked against `drive`
 directly, from linked and unlinked starts, and by those step counts.
 Under semi's fresh masks (exp) or fresh coefficients (ECC) a linked
 input replays the draws it skips, the draws of a tail's iterations
@@ -473,16 +473,62 @@ def test_tail_is_set_only_on_logs_without_fresh_coefficients():
     assert ecc_step("daa", ops, ops.enter(A)).tail is None
 
 
-def test_sma_fault_stops_at_the_next_zero_bit(driven):
-    """A y fault on sma's 0 bit 5 is overwritten by 0 bit 6; the run returns the clean output."""
-    key = KeyBits.from_int(0b101100111010, width=12)
-    oracle = make_exp_oracle("sma", 7, 1_000_003, key)
-    for iteration, steps in ((5, 2), (10, 3), (12, 1), (9, 4)):
-        plan = FaultPlan((RegisterFault("y", iteration, seed=iteration),))
-        assert oracle.exe(plan=plan) == run_exp_algorithm("sma", 7, key, 1_000_003, plan=plan)
-        assert driven[-1] == steps
+@pytest.fixture
+def picked(monkeypatch):
+    """A one-item list that counts the fault values `RegisterFault.pick` resolves."""
+    count, pick = [0], RegisterFault.pick
+
+    def counting(fault, current, draw):
+        count[0] += 1
+        return pick(fault, current, draw)
+
+    monkeypatch.setattr(RegisterFault, "pick", counting)
+    return count
+
+
+def _y(*iterations):
+    return tuple(RegisterFault("y", i, seed=i) for i in iterations)
+
+
+# KEY reads 0 at iterations 2, 5, 6, 10 and 12; KEY_ONES is KEY with 1s at 11 and 12
+KEY_ONES = KeyBits.from_int(0b101100111011, width=12)
+OVERWRITES = (
+    # (key, plan, steps driven, faults picked): y faults at 5 and 10, each followed by a 0 bit,
+    # and at 12, the last 0 bit, and at the 1 bit 9, whose fault lands in x
+    (KEY, FaultPlan(_y(5)), 0, 0),
+    (KEY, FaultPlan(_y(10)), 0, 0),
+    (KEY, FaultPlan(_y(12)), 1, 1),
+    (KEY, FaultPlan(_y(9)), 4, 1),
+    # 10 is KEY_ONES' last 0 bit, until a stuck-at pinning 0 supplies a later one
+    (KEY_ONES, FaultPlan(_y(10)), 3, 1),
+    (KEY_ONES, FaultPlan(_y(10), key_stuckat=(11, 0)), 0, 0),
+    # pinning 1 from 11 on removes KEY's later 0 bit 12; the tail answers iteration 12
+    (KEY, FaultPlan(_y(10), key_stuckat=(11, 1)), 2, 1),
+    # two y faults: both overwritten, or one of them, from which the run resumes
+    (KEY, FaultPlan(_y(2, 6)), 0, 0),
+    (KEY, FaultPlan(_y(5, 12)), 1, 1),
+    # an x fault is always seen; the y fault beside it is still dropped
+    (KEY, FaultPlan((RegisterFault("x", 8, seed=8), *_y(5))), 5, 1),
+)
+
+
+def test_sma_fault_stops_at_the_next_zero_bit(driven, picked):
+    """A y fault on a 0 bit that a later 0 bit overwrites is dropped unpicked, and drives nothing.
+
+    The bits are those the run reads, a stuck-at's included.  Each output
+    equals a full run's, which picks every fault.
+    """
+    for key, plan, steps, picks in OVERWRITES:
+        oracle = make_exp_oracle("sma", 7, 1_000_003, key)
+        full = run_exp_algorithm("sma", 7, key, 1_000_003, plan=plan)
+        assert picked[0] == len(plan.register_faults)  # a full run picks every fault
+        picked[0], calls = 0, len(driven)
+        assert oracle.exe(plan=plan) == full
+        assert (sum(driven[calls:]), picked[0]) == (steps, picks)
+        picked[0] = 0
     # a fault on the 1 bit 9 lands in x, which it never leaves
-    assert oracle.exe() != oracle.exe(plan=plan)
+    oracle = make_exp_oracle("sma", 7, 1_000_003, KEY)
+    assert oracle.exe() != oracle.exe(plan=OVERWRITES[3][1])
 
 
 @pytest.mark.parametrize("start, plan", [("default", REGISTER), ("linked", REGISTER),

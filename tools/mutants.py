@@ -114,12 +114,15 @@ MUTANTS = (
            ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",)),
     Mutant("divergence-one-late", "attacks.py", "diverge[bit][t + 1], t + 1", "diverge[bit][t + 1], t + 2",
            ("tests/test_resume.py::test_checkpointed_oracle_equals_full_runs",)),
-    # equivalent: registers that equal the clean snapshot after the last fault's step still equal
-    # it one clean step later, so starting the rejoin check there returns the same output
-    Mutant("rejoin-checked-one-late", "attacks.py", "stop=max(faults) if rejoins",
-           "stop=max(faults) + 1 if rejoins",
-           ("tests/test_resume.py", "tests/test_attacks.py", "tests/test_attack_goldens.py",
-            "tests/test_cli_goldens.py"), survives=True),
+    Mutant("seen-drops-the-last-zero-bit", "modexp.py", " or f.iteration >= last)", ")",
+           ("tests/test_resume.py::test_sma_fault_stops_at_the_next_zero_bit",
+            "tests/test_resume.py::test_repeated_calls_equal_full_runs[sma-None]",
+            "tests/test_resume.py::test_fixed_sequence_equals_full_runs[sma-None-default]",
+            "tests/test_attack_goldens.py::test_attack_matches_golden[m1-sma-16]")),
+    Mutant("seen-reads-the-key-bits", "modexp.py", "read = list(plan.effective_bits(bits))",
+           "read = list(bits)",
+           ("tests/test_resume.py::test_sma_fault_stops_at_the_next_zero_bit",
+            "tests/test_resume.py::test_a_fault_at_the_threshold_drives_one_step_then_the_link_decides[sma]")),
     Mutant("sampled-frequency-without-redraw", "residues.py", "while ell == a:", "while False:",
            ("tests/test_residues.py::TestRsaProbability::test_sampled_frequency_redraws_a_constant_equal_to_the_base",)),
     Mutant("prob-moduli-as-ints", "cli.py", "**{name: str(getattr(args, name)) for name in names}",

@@ -10,15 +10,19 @@ oracle answers without `drive` (`Target.tail`) drives no step; it is
 counted apart, by wrapping the `tail` of every target `attacks.exp_step`
 and `attacks.ecc_step` build.  Semi's and fully's exp tails run their
 iterations one by one off their link (`modexp._linked_tail`'s `unlinked`),
-and those iterations are counted apart again, as loop iterations.  The
+and those iterations are counted apart again, as loop iterations.  Each
+seeded or valued fault an oracle resolves is a call of
+`faults.RegisterFault.pick`, which is wrapped to count picks; a fault that
+no output can see is dropped unpicked (`Target.seen`).  The
 keys and cell seeds are those `bench/workloads.py` draws for
 `attack-matrix` (its ten exp cells) and `ecc-ladders` (its three ECC attack
 cells, not its five direct ladders) from `--seed`.  The counts are
 deterministic: they measure the work an oracle skips, free of the timing
 noise of `bench/run.py`.  Prints one JSON object: per workload,
-`steps_per_key`, `tails_per_key` and `loops_per_key`, and `steps_per_cell`,
-`tails_per_cell` and `loops_per_cell`, one number per listed cell, so a
-changed total shows which cell moved and where the skipped steps went.
+`steps_per_key`, `tails_per_key`, `loops_per_key` and `picks_per_key`, and
+`steps_per_cell`, `tails_per_cell`, `loops_per_cell` and `picks_per_cell`,
+one number per listed cell, so a changed total shows which cell moved and
+where the skipped steps went.
 """
 
 import argparse
@@ -36,7 +40,7 @@ def count_steps(root, seed, keys):
     from spans import NullTracer
 
     lib = workloads.load_lib("ladderlab")
-    steps, tails, loops = [0], [0], [0]
+    steps, tails, loops, picks = [0], [0], [0], [0]
 
     def counting(drive):
         def wrapped(bits, x, y, step, **kw):
@@ -80,6 +84,14 @@ def count_steps(root, seed, keys):
     lib.attacks.exp_step = counting_tails(lib.attacks.exp_step)
     lib.attacks.ecc_step = counting_tails(lib.attacks.ecc_step)
     lib.modexp._linked_tail = counting_loops(lib.modexp._linked_tail)
+    fault = importlib.import_module("ladderlab.faults").RegisterFault
+    pick = fault.pick
+
+    def counting_pick(self, current, draw):
+        picks[0] += 1
+        return pick(self, current, draw)
+
+    fault.pick = counting_pick
 
     out = {}
     matrix = workloads.AttackMatrix(lib, seed, pool_size=keys)
@@ -89,15 +101,16 @@ def count_steps(root, seed, keys):
         ("attack-matrix", workloads.EXP_CELLS, matrix.inputs, None),
         ("ecc-ladders", workloads.ECC_CELLS, [i[:2] for i in ecc.inputs], ecc.bundle),
     ):
-        per_cell, tails_per_cell, loops_per_cell = ([0] * len(cells) for _ in range(3))
+        per_cell, tails_per_cell, loops_per_cell, picks_per_cell = ([0] * len(cells) for _ in range(4))
         for key, seeds in inputs:
             run = workloads._run_cells(lib.attacks, cells, key, seeds, NullTracer(), bundle)
             for cell in range(len(cells)):  # the generator yields once after each cell
-                steps[0] = tails[0] = loops[0] = 0
+                steps[0] = tails[0] = loops[0] = picks[0] = 0
                 next(run)
                 per_cell[cell] += steps[0]
                 tails_per_cell[cell] += tails[0]
                 loops_per_cell[cell] += loops[0]
+                picks_per_cell[cell] += picks[0]
             reports = workloads.run_to_end(run)
             if not all(workloads._cell_ok(m, t, r, key) for (m, t), r in zip(cells, reports)):
                 raise SystemExit(f"{name}: a cell gave the wrong outcome")
@@ -106,7 +119,9 @@ def count_steps(root, seed, keys):
                      "tails_per_key": sum(tails_per_cell) / keys,
                      "tails_per_cell": [n / keys for n in tails_per_cell],
                      "loops_per_key": sum(loops_per_cell) / keys,
-                     "loops_per_cell": [n / keys for n in loops_per_cell]}
+                     "loops_per_cell": [n / keys for n in loops_per_cell],
+                     "picks_per_key": sum(picks_per_cell) / keys,
+                     "picks_per_cell": [n / keys for n in picks_per_cell]}
     return out
 
 
